@@ -24,7 +24,7 @@ from .cfg import (
     split_trace,
     validate_trace,
 )
-from .cone import ConeProblem, cone_member, solve_cone
+from .cone import solve_cone
 from .database import (
     PathCandidate,
     SegmentDatabase,
@@ -62,7 +62,6 @@ __all__ = [
     "AnnotatedCfg",
     "BasicBlock",
     "BlockTrace",
-    "ConeProblem",
     "CounterConfig",
     "Edge",
     "EventTable",
@@ -74,7 +73,6 @@ __all__ = [
     "SessionState",
     "VerificationResult",
     "block_delta",
-    "cone_member",
     "dedup_key",
     "default_event_table",
     "enumerate_segments",

@@ -41,23 +41,10 @@ _DP_WORK_LIMIT = 80_000_000
 _PROBE_ATTEMPTS = 4
 
 
-@dataclass(frozen=True)
-class ConeProblem:
-    """``target`` may be negative componentwise; that is simply infeasible."""
-
-    target: Vec
-    generators: tuple[Vec, ...]
-
-
 @dataclass
 class ConeSolution:
     witness: tuple[int, ...] | None
     lp_solves: int
-
-
-def cone_member(problem: ConeProblem) -> tuple[int, ...] | None:
-    """Nonnegative integer scalars with ``sum(x_i * v_i) == target``, or None."""
-    return solve_cone(problem.target, problem.generators).witness
 
 
 def _propagate(target: Vec, gens: list[Vec], lb: list[int], ub: list[int]):
@@ -299,6 +286,9 @@ def _lp_feasible(A: list[list[int]], b: list[int], caps: list[int]) -> list[Frac
 
 
 def solve_cone(target: Vec, generators: tuple[Vec, ...]) -> ConeSolution:
+    """Nonnegative integer scalars with ``sum(x_i * v_i) == target`` as the
+    witness, or None.  A target negative in some component is simply
+    infeasible."""
     dim = len(target)
     n = len(generators)
     if any(t < 0 for t in target):

@@ -5,10 +5,18 @@ For every ordered pair of measurement-point expanded nodes that execution
 can connect without crossing another measurement point, the database holds
 one candidate per simple path.  Each candidate carries the path's counter
 delta (excluding the start snapshot block, including the end one), plus the
-transitive closure of simple cycles touching it: every cycle sharing a node
-with the path, or with an already-included cycle, iterated to a fixed
-point.  Cycles never contain a measurement point - a walk looping through
-one would have been split into two segments.
+loop vectors of the cycles attached to it: every cycle sharing a node with
+the path, or with an already-attached cycle, transitively.  Cycles never
+contain a measurement point - a walk looping through one would have been
+split into two segments.
+
+The simple cycles of the measurement-point-free subgraph are enumerated
+once per build with Johnson's circuit search over Tarjan's strongly
+connected components, and cycles with a zero counter delta are dropped.
+The remaining cycles are grouped once by shared nodes (union-find); a
+path's loops are the union of the groups its nodes belong to.  Groups are
+not strongly connected components: a component can hold nonzero cycles
+linked only through a dropped zero-delta cycle, and those stay apart.
 
 Any walk between consecutive measurement points therefore decomposes into
 one of these simple paths plus a multiset of its attached cycles, which is
@@ -17,13 +25,11 @@ what makes online verification sound.
 
 from __future__ import annotations
 
-import hashlib
 import json
+from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
 
-import networkx as nx
-
-from .cfg import AnnotatedCfg, canonical_json
+from .cfg import AnnotatedCfg, _check_int, _check_vector, _require_keys
 from .errors import BudgetError, DigestMismatchError, SchemaError
 from .events import EventTable, delta_map
 from .expand import (
@@ -37,6 +43,8 @@ from .vectors import Vec, is_zero, vsum
 
 DEFAULT_PATH_BUDGET = 100_000
 DEFAULT_CYCLE_BUDGET = 10_000
+
+Node = Hashable
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,111 @@ class _Cycle:
     instruction_count: int
 
 
+def _strong_components(succ: dict[Node, list[Node]], nodes: list[Node]) -> list[list[Node]]:
+    """Strongly connected components of the subgraph induced by ``nodes``
+    (Tarjan 1972, with an explicit stack in place of recursion)."""
+    members = set(nodes)
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    stack: list[Node] = []
+    on_stack: set[Node] = set()
+    components: list[list[Node]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, nexts = work[-1]
+            for nxt in nexts:
+                if nxt not in members:
+                    continue
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succ[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
+def _simple_cycles(succ: dict[Node, list[Node]]) -> Iterator[list[Node]]:
+    """Every simple cycle of a directed graph, each exactly once.
+
+    ``succ`` maps every node to its successors, without repeats.  Self-loops
+    come first; the rest is Johnson's blocked circuit search (Johnson 1975):
+    take a node ``s`` of a nontrivial strongly connected component, list the
+    circuits through ``s`` inside that component, then drop ``s`` and repeat
+    on the components that remain.  A node stays blocked while no circuit
+    can be completed through it, which bounds the work per circuit found.
+    """
+    for node, nexts in succ.items():
+        if node in nexts:
+            yield [node]
+    pending = [c for c in _strong_components(succ, list(succ)) if len(c) > 1]
+    while pending:
+        component = pending.pop()
+        start = component[-1]
+        members = set(component)
+        blocked = {start}
+        blockers: dict[Node, set[Node]] = {n: set() for n in component}
+        path = [start]
+        # One frame per path node: [node, unexplored successors, closed a circuit]
+        frames = [[start, iter(succ[start]), False]]
+        while frames:
+            frame = frames[-1]
+            for nxt in frame[1]:
+                if nxt not in members or nxt == frame[0]:
+                    continue
+                if nxt == start:
+                    yield list(path)
+                    frame[2] = True
+                elif nxt not in blocked:
+                    blocked.add(nxt)
+                    path.append(nxt)
+                    frames.append([nxt, iter(succ[nxt]), False])
+                    break
+            else:
+                frames.pop()
+                node = path.pop()
+                if frame[2]:
+                    # Unblock the node and, transitively, everything that
+                    # was waiting on it.
+                    release = [node]
+                    while release:
+                        n = release.pop()
+                        if n in blocked:
+                            blocked.discard(n)
+                            release.extend(blockers[n])
+                            blockers[n].clear()
+                    if frames:
+                        frames[-1][2] = True
+                else:
+                    for nxt in succ[node]:
+                        if nxt in members:
+                            blockers[nxt].add(node)
+        rest = component[:-1]
+        pending.extend(c for c in _strong_components(succ, rest) if len(c) > 1)
+
+
 def _cycle_universe(
     graph: ExpandedGraph,
     cfg: AnnotatedCfg,
@@ -94,20 +207,18 @@ def _cycle_universe(
 ) -> list[_Cycle]:
     """All simple cycles of the expanded graph that avoid measurement points.
 
-    Cycles whose counter delta is zero are dropped: they cannot change any
-    measurement and would only pad the generator sets.
+    Every simple cycle counts against the budget.  Cycles whose counter
+    delta is zero are then dropped: they cannot change any measurement and
+    would only pad the generator sets.
     """
-    subgraph = nx.DiGraph()
-    for node, nexts in graph.succ.items():
-        if cfg.is_measurement_point(node.block):
-            continue
-        subgraph.add_node(node)
-        for nxt in nexts:
-            if not cfg.is_measurement_point(nxt.block):
-                subgraph.add_edge(node, nxt)
+    succ = {
+        node: list(dict.fromkeys(n for n in nexts if not cfg.is_measurement_point(n.block)))
+        for node, nexts in graph.succ.items()
+        if not cfg.is_measurement_point(node.block)
+    }
     cycles: list[_Cycle] = []
     count = 0
-    for nodes in nx.simple_cycles(subgraph):
+    for nodes in _simple_cycles(succ):
         count += 1
         if count > cycle_budget:
             raise BudgetError(
@@ -130,36 +241,51 @@ def _cycle_universe(
     return cycles
 
 
-def _closure(
-    path: list[ExpandedNode],
-    node_to_cycles: dict[ExpandedNode, list[int]],
-    cycles: list[_Cycle],
-) -> list[int]:
-    """Indices of all cycles transitively touching the path, fixed point."""
-    included: set[int] = set()
-    frontier = list(path)
-    while frontier:
-        node = frontier.pop()
-        for idx in node_to_cycles.get(node, ()):
-            if idx not in included:
-                included.add(idx)
-                frontier.extend(cycles[idx].nodes)
-    return sorted(included)
+def _loop_groups(cycles: list[_Cycle]) -> tuple[dict[ExpandedNode, int], list[dict[Vec, int]]]:
+    """Group cycles that share nodes, transitively (union-find).
+
+    Returns each cycle node's group index and, per group, its loop vectors
+    with their instruction counts.  A loop's instruction count is its
+    vector's instructions-retired component, so which cycle of the group
+    supplies it does not matter.
+    """
+    parent: dict[ExpandedNode, ExpandedNode] = {}
+
+    def find(node: ExpandedNode) -> ExpandedNode:
+        root = parent.setdefault(node, node)
+        while root != parent[root]:
+            root = parent[root]
+        while parent[node] != root:
+            parent[node], node = root, parent[node]
+        return root
+
+    for cycle in cycles:
+        first, *rest = cycle.nodes
+        for node in rest:
+            parent[find(node)] = find(first)
+    group_of: dict[ExpandedNode, int] = {}
+    groups: list[dict[Vec, int]] = []
+    for cycle in cycles:
+        root = find(next(iter(cycle.nodes)))
+        if root not in group_of:
+            group_of[root] = len(groups)
+            groups.append({})
+        groups[group_of[root]][cycle.delta] = cycle.instruction_count
+    return {node: group_of[find(node)] for node in parent}, groups
 
 
 def _candidate_from_path(
     path: list[ExpandedNode],
     cfg: AnnotatedCfg,
     deltas: dict[str, Vec],
-    node_to_cycles: dict[ExpandedNode, list[int]],
-    cycles: list[_Cycle],
+    group_of: dict[ExpandedNode, int],
+    groups: list[dict[Vec, int]],
 ) -> PathCandidate:
     base = vsum((deltas[n.block] for n in path[1:]), cfg.dimension)
     base_instr = sum(cfg.blocks[n.block].instruction_count for n in path[1:])
     loop_vecs: dict[Vec, int] = {}
-    for idx in _closure(path, node_to_cycles, cycles):
-        cycle = cycles[idx]
-        loop_vecs.setdefault(cycle.delta, cycle.instruction_count)
+    for index in {group_of[n] for n in path if n in group_of}:
+        loop_vecs.update(groups[index])
     ordered = sorted(loop_vecs)
     return PathCandidate(
         start=path[0],
@@ -190,11 +316,7 @@ def enumerate_segments(
     """
     deltas = delta_map(cfg, table)
     graph = expand(cfg, node_budget)
-    cycles = _cycle_universe(graph, cfg, deltas, cycle_budget)
-    node_to_cycles: dict[ExpandedNode, list[int]] = {}
-    for idx, cycle in enumerate(cycles):
-        for node in cycle.nodes:
-            node_to_cycles.setdefault(node, []).append(idx)
+    group_of, groups = _loop_groups(_cycle_universe(graph, cfg, deltas, cycle_budget))
 
     sources = [n for n in graph.succ if cfg.is_measurement_point(n.block)]
     raw: dict[tuple[str, str], list[PathCandidate]] = {}
@@ -221,9 +343,7 @@ def enumerate_segments(
                             reached=per_key_count[key],
                         )
                     raw.setdefault(key, []).append(
-                        _candidate_from_path(
-                            path + [nxt], cfg, deltas, node_to_cycles, cycles
-                        )
+                        _candidate_from_path(path + [nxt], cfg, deltas, group_of, groups)
                     )
                 elif nxt not in on_path:
                     path.append(nxt)
@@ -250,21 +370,22 @@ def enumerate_segments(
     )
 
 
+DedupKey = tuple[str, str, Vec, frozenset[CallStack] | None]
+
+
 def dedup_key(
     start: str,
     end: str,
     delta: Vec,
     entry_stacks: frozenset[CallStack] | None,
-) -> str:
-    """Stable, content-derived cache key for a segment observation.
+) -> DedupKey:
+    """In-process cache key for a segment observation.
 
     Equal endpoints, measured values, and feasible entry stacks yield equal
-    keys across runs and processes.  ``None`` stacks (an unconstrained
-    session after a skipped region) key distinctly from every concrete set.
+    keys.  ``None`` stacks (an unconstrained session after a skipped region)
+    key distinctly from every concrete set.
     """
-    stacks = "*" if entry_stacks is None else sorted(list(s) for s in entry_stacks)
-    payload = canonical_json([start, end, list(delta), stacks])
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return (start, end, delta, entry_stacks)
 
 
 def serialize_database(db: SegmentDatabase) -> dict:
@@ -296,44 +417,92 @@ def serialize_database(db: SegmentDatabase) -> dict:
     }
 
 
+def _load_candidate(obj, start: str, end: str, dim: int, what: str) -> PathCandidate:
+    _require_keys(
+        obj,
+        required=(
+            "start_stack", "end_stack", "base", "base_instructions",
+            "loops", "loop_instructions",
+        ),
+        optional=(),
+        what=what,
+    )
+    for key in ("start_stack", "end_stack"):
+        stack = obj[key]
+        if not isinstance(stack, list) or not all(isinstance(s, str) for s in stack):
+            raise SchemaError(f"{what}: {key} must be an array of block ids")
+    loops = obj["loops"]
+    counts = obj["loop_instructions"]
+    if not isinstance(loops, list) or not isinstance(counts, list) or len(loops) != len(counts):
+        raise SchemaError(f"{what}: loops and loop_instructions must be arrays of equal length")
+    return PathCandidate(
+        start=ExpandedNode(start, tuple(obj["start_stack"])),
+        end=ExpandedNode(end, tuple(obj["end_stack"])),
+        base=_check_vector(obj["base"], dim, f"{what}: base"),
+        loops=tuple(_check_vector(v, dim, f"{what}: loops[{i}]") for i, v in enumerate(loops)),
+        base_instruction_count=_check_int(obj["base_instructions"], f"{what}: base_instructions"),
+        loop_instruction_counts=tuple(
+            _check_int(c, f"{what}: loop_instructions[{i}]") for i, c in enumerate(counts)
+        ),
+    )
+
+
+def _load_endpoints(obj, what: str, extra: tuple[str, ...] = ()) -> tuple[str, str]:
+    _require_keys(obj, required=("start", "end") + extra, optional=(), what=what)
+    if not isinstance(obj["start"], str) or not isinstance(obj["end"], str):
+        raise SchemaError(f"{what}: start and end must be block ids")
+    return obj["start"], obj["end"]
+
+
 def load_database(document: dict | str, expected_digest: str | None = None) -> SegmentDatabase:
     """Parse a database document, refusing it when the digest disagrees
-    with the CFG the caller is about to verify against."""
+    with the CFG the caller is about to verify against.
+
+    Every object is checked for its exact key set, and every base and loop
+    vector must hold nonnegative integers of the database's dimension, the
+    precondition of the cone solver.
+    """
     if isinstance(document, str):
         document = json.loads(document)
-    for key in ("cfg_digest", "counters", "dimension", "skip_segments", "segments"):
-        if key not in document:
-            raise SchemaError(f"database document is missing key '{key}'")
+    _require_keys(
+        document,
+        required=("cfg_digest", "counters", "dimension", "skip_segments", "segments"),
+        optional=(),
+        what="database document",
+    )
+    if not isinstance(document["cfg_digest"], str):
+        raise SchemaError("database cfg_digest must be a string")
     if expected_digest is not None and document["cfg_digest"] != expected_digest:
         raise DigestMismatchError(
             f"database was built for CFG {document['cfg_digest'][:12]}..., "
             f"expected {expected_digest[:12]}..."
         )
-    counters = tuple(document["counters"])
-    if len(counters) != document["dimension"]:
+    counters = document["counters"]
+    if not isinstance(counters, list) or not all(isinstance(c, str) for c in counters):
+        raise SchemaError("database counters must be an array of names")
+    dim = _check_int(document["dimension"], "database dimension")
+    if len(counters) != dim:
         raise SchemaError("database dimension disagrees with its counter list")
+    for key in ("segments", "skip_segments"):
+        if not isinstance(document[key], list):
+            raise SchemaError(f"database {key} must be an array")
     entries: dict[tuple[str, str], tuple[PathCandidate, ...]] = {}
-    for seg in document["segments"]:
-        key = (seg["start"], seg["end"])
-        candidates = []
-        for obj in seg["candidates"]:
-            loops = tuple(tuple(v) for v in obj["loops"])
-            candidates.append(
-                PathCandidate(
-                    start=ExpandedNode(seg["start"], tuple(obj["start_stack"])),
-                    end=ExpandedNode(seg["end"], tuple(obj["end_stack"])),
-                    base=tuple(obj["base"]),
-                    loops=loops,
-                    base_instruction_count=obj["base_instructions"],
-                    loop_instruction_counts=tuple(obj["loop_instructions"]),
-                )
-            )
+    for i, seg in enumerate(document["segments"]):
+        what = f"database segment {i}"
+        key = _load_endpoints(seg, what, extra=("candidates",))
+        if not isinstance(seg["candidates"], list):
+            raise SchemaError(f"{what}: candidates must be an array")
+        candidates = [
+            _load_candidate(obj, key[0], key[1], dim, f"{what} candidate {j}")
+            for j, obj in enumerate(seg["candidates"])
+        ]
         entries[key] = tuple(sorted(candidates, key=PathCandidate.sort_key))
     return SegmentDatabase(
         cfg_digest=document["cfg_digest"],
-        counters=counters,
+        counters=tuple(counters),
         entries=entries,
         skip_segments=frozenset(
-            (obj["start"], obj["end"]) for obj in document["skip_segments"]
+            _load_endpoints(obj, f"database skip segment {i}")
+            for i, obj in enumerate(document["skip_segments"])
         ),
     )

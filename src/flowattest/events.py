@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .cfg import AnnotatedCfg, BasicBlock, _require_keys
 from .errors import SchemaError, UnknownMnemonicError
-from .vectors import Vec, vsum, zero
+from .vectors import Vec, vsum
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,9 @@ def load_event_table(document: dict | str) -> EventTable:
     counters = []
     for obj in document["counters"]:
         _require_keys(obj, required=("name", "deterministic"), optional=(), what="counter")
-        counters.append(CounterEvent(name=obj["name"], deterministic=bool(obj["deterministic"])))
+        if not isinstance(obj["deterministic"], bool):
+            raise SchemaError(f"counter {obj['name']!r}: deterministic must be a boolean")
+        counters.append(CounterEvent(name=obj["name"], deterministic=obj["deterministic"]))
     attribution = {
         mnemonic: tuple(vec) for mnemonic, vec in document["attribution"].items()
     }
@@ -297,7 +299,3 @@ def three_register_config(table: EventTable) -> CounterConfig:
 
 def identity_config(table: EventTable) -> CounterConfig:
     return make_config(table)
-
-
-def empty_delta(table: EventTable) -> Vec:
-    return zero(table.dimension)

@@ -45,6 +45,8 @@ class ExpandedGraph:
 
 
 def _successors(cfg: AnnotatedCfg, node: ExpandedNode) -> list[ExpandedNode]:
+    """Expanded nodes one step from ``node``, in edge order.  The one step
+    rule, shared by the expansion and the random walk generator."""
     out: list[ExpandedNode] = []
     block, stack = node
     fn = cfg.blocks[block].function

@@ -18,8 +18,9 @@ import random
 from collections import Counter
 
 from .cfg import AnnotatedCfg, BlockTrace, Measurement, split_trace, validate_trace
-from .errors import SchemaError, WalkError
+from .errors import WalkError
 from .events import CounterConfig, EventTable, delta_map, project
+from .expand import ExpandedNode, _successors
 from .vectors import Vec, vadd, vsum
 
 
@@ -54,31 +55,16 @@ def measure(
     *,
     offset: Vec | None = None,
 ) -> list[Measurement]:
-    """One measurement per segment of the trace; bit-for-bit deterministic."""
-    if not validate_trace(cfg, trace):
-        raise SchemaError("refusing to measure an invalid trace")
+    """One measurement per segment of the trace; bit-for-bit deterministic.
+
+    Raises :class:`SchemaError` when the trace is not a valid walk.
+    """
+    segments = split_trace(cfg, trace)
     deltas = delta_map(cfg, table)
     return [
         measure_segment(cfg, table, config, segment, offset=offset, deltas=deltas)
-        for segment in split_trace(cfg, trace)
+        for segment in segments
     ]
-
-
-def _legal_steps(cfg: AnnotatedCfg, block: str, stack: tuple[str, ...]):
-    """(next block, next stack) pairs reachable in one step with call/return
-    matching, mirroring the preprocessor's expansion rules."""
-    out = []
-    fn = cfg.blocks[block].function
-    for edge in cfg.succ[block]:
-        dst_fn = cfg.blocks[edge.dst].function
-        if edge.kind == "call" or (edge.kind == "indirect" and dst_fn != fn):
-            out.append((edge.dst, stack + (block,)))
-        elif edge.kind == "return":
-            if stack and cfg.blocks[stack[-1]].function == dst_fn:
-                out.append((edge.dst, stack[:-1]))
-        else:
-            out.append((edge.dst, stack))
-    return out
 
 
 def random_valid_walk(
@@ -113,9 +99,9 @@ def random_valid_walk(
         failed = False
         while done < target:
             options = [
-                (blk, stk)
-                for blk, stk in _legal_steps(cfg, steps[-1], stack)
-                if visits[(blk, stk)] <= max_loop_iterations
+                node
+                for node in _successors(cfg, ExpandedNode(steps[-1], stack))
+                if visits[node] <= max_loop_iterations
             ]
             if not options or budget <= 0:
                 # Accept a short walk that already ended on a snapshot.

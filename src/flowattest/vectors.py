@@ -21,20 +21,12 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vscale(k: int, a: Vec) -> Vec:
-    return tuple(k * x for x in a)
-
-
 def vsum(vectors: Iterable[Vec], dim: int) -> Vec:
     acc = [0] * dim
     for v in vectors:
         for i, x in enumerate(v):
             acc[i] += x
     return tuple(acc)
-
-
-def zero(dim: int) -> Vec:
-    return (0,) * dim
 
 
 def is_nonneg(a: Vec) -> bool:

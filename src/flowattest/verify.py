@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .cfg import Measurement
 from .cone import solve_cone
-from .database import SegmentDatabase, dedup_key
+from .database import DedupKey, SegmentDatabase, dedup_key
 from .errors import SchemaError
 from .events import CounterConfig, project
 from .expand import CallStack
@@ -56,7 +56,7 @@ class SessionState:
     use_cache: bool = True
     feasible: frozenset[CallStack] | None = field(default_factory=lambda: frozenset({()}))
     rejected: bool = False
-    cache: dict[str, _CacheEntry] = field(default_factory=dict)
+    cache: dict[DedupKey, _CacheEntry] = field(default_factory=dict)
     cache_hits: int = 0
     cache_lookups: int = 0
 

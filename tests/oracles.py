@@ -1,11 +1,13 @@
 """Independent reference implementations the real code is checked against.
 
 Nothing here shares machinery with the package: the cone oracle is plain
-bounded enumeration, delta tallies are per-instruction loops, and lattice
-covolumes come from sympy.
+bounded enumeration, delta tallies are per-instruction loops, simple
+cycles come from trying every node sequence, and lattice covolumes come
+from sympy.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
@@ -58,6 +60,22 @@ def cone_member_bruteforce(target, generators):
     if found is None:
         return None
     return tuple(found.get(i, 0) for i in range(len(gens)))
+
+
+def simple_cycles_bruteforce(succ):
+    """Every simple cycle of a small digraph, as the set of its rotations
+    that start at the cycle's least node: each sequence of distinct nodes
+    headed by its least node is a cycle when consecutive nodes, and the
+    last and the first, are joined by edges."""
+    nodes = sorted(succ)
+    found = set()
+    for k in range(1, len(nodes) + 1):
+        for seq in permutations(nodes, k):
+            if seq[0] != min(seq):
+                continue
+            if all(seq[(i + 1) % k] in succ[seq[i]] for i in range(k)):
+                found.add(seq)
+    return found
 
 
 def tally_instructions(table, instructions):

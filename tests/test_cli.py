@@ -153,6 +153,28 @@ def test_verify_exit_codes(capsys, chain_paths):
     assert "database was built" in err
 
 
+@pytest.mark.parametrize(
+    "loops", [None, [[5, 1, -1], [6, 1, 3]]], ids=["missing-loops", "negative-loop"]
+)
+def test_verify_malformed_database_is_a_usage_error(capsys, chain_paths, loops):
+    cfg_path, table_path, tmp = chain_paths
+    db_path, measurements_path = _pipeline(
+        capsys, tmp, cfg_path, table_path, ["A", "B", "D", "E", "B", "C"]
+    )
+    doc = json.loads(db_path.read_text())
+    candidate = doc["segments"][0]["candidates"][0]
+    if loops is None:
+        del candidate["loops"]
+    else:
+        candidate["loops"] = loops
+    broken = _write(tmp / "broken_db.json", doc)
+    code, _, err = run(
+        capsys, "verify", "--db", broken, "--measurements", str(measurements_path),
+    )
+    assert code == EXIT_ERROR
+    assert "error:" in err
+
+
 def test_verify_offset_subtraction(capsys, chain_paths):
     cfg_path, table_path, tmp = chain_paths
     db_path = tmp / "db.json"

@@ -1,13 +1,21 @@
-import pytest
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import flowattest
 from flowattest.cfg import BlockTrace, load_cfg
 from flowattest.database import (
+    _simple_cycles,
     dedup_key,
     enumerate_segments,
     load_database,
     serialize_database,
 )
-from flowattest.errors import BudgetError, DigestMismatchError
+from flowattest.errors import BudgetError, DigestMismatchError, SchemaError
 from flowattest.simulate import measure
 
 from .conftest import (
@@ -19,6 +27,7 @@ from .conftest import (
     straight_line_doc,
     two_loop_chain_doc,
 )
+from .oracles import simple_cycles_bruteforce
 
 
 def test_two_loop_chain_enumeration(tiny_table):
@@ -107,6 +116,7 @@ def test_dedup_key_content_addressing():
     stacks = frozenset({("m.1",)})
     k1 = dedup_key("a", "b", (1, 2), stacks)
     assert k1 == dedup_key("a", "b", (1, 2), frozenset({("m.1",)}))
+    assert len({k1, dedup_key("a", "b", (1, 2), frozenset({("m.1",)}))}) == 1
     assert k1 != dedup_key("a", "b", (1, 3), stacks)
     assert k1 != dedup_key("a", "c", (1, 2), stacks)
     assert k1 != dedup_key("a", "b", (1, 2), frozenset({("m.2",)}))
@@ -150,9 +160,135 @@ def test_path_budget_names_offending_segment(tiny_table):
 
 
 def test_cycle_budget_is_enforced(tiny_table):
+    # Two simple cycles: a budget of two passes, one less fails.
     cfg = load_cfg(two_loop_chain_doc())
+    enumerate_segments(cfg, tiny_table, cycle_budget=2)
     with pytest.raises(BudgetError, match="cycle budget"):
         enumerate_segments(cfg, tiny_table, cycle_budget=1)
+
+
+def _rotated(cycle):
+    start = cycle.index(min(cycle))
+    return tuple(cycle[start:] + cycle[:start])
+
+
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    return {v: sorted(w for u, w in edges if u == v) for v in range(n)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraphs())
+def test_simple_cycles_match_bruteforce(succ):
+    cycles = [_rotated(c) for c in _simple_cycles(succ)]
+    assert len(cycles) == len(set(cycles))
+    assert set(cycles) == simple_cycles_bruteforce(succ)
+
+
+def test_simple_cycles_include_self_loops_and_two_cycles():
+    succ = {0: [0, 1], 1: [0, 1, 2], 2: [2]}
+    cycles = sorted(_rotated(c) for c in _simple_cycles(succ))
+    assert cycles == [(0,), (0, 1), (1,), (2,)]
+
+
+def _zero_link_doc():
+    """Path p.0 -> y -> p.1 through a zero-instruction block y.  The cycle
+    y -> z -> y has a zero delta; the nonzero loop z -> w -> z shares a node
+    only with that zero cycle, though all three blocks form one strongly
+    connected component."""
+    return {
+        "counters": TINY_COUNTERS,
+        "functions": [
+            {"name": "main", "entry": "p.0", "blocks": ["p.0", "y", "z", "w", "p.1"]}
+        ],
+        "blocks": [
+            block("p.0", "main", ["addi"], mp=True),
+            block("y", "main", []),
+            block("z", "main", []),
+            block("w", "main", ["lw", "beq"]),
+            block("p.1", "main", ["jalr"], mp=True),
+        ],
+        "edges": [
+            edge("p.0", "y"),
+            edge("y", "p.1", "branch"),
+            edge("y", "z", "branch"),
+            edge("z", "y", "branch"),
+            edge("z", "w", "branch"),
+            edge("w", "z"),
+        ],
+        "entry": "p.0",
+    }
+
+
+def test_loop_linked_only_through_a_zero_cycle_is_not_attached(tiny_table):
+    db = enumerate_segments(load_cfg(_zero_link_doc()), tiny_table)
+    (candidate,) = db.entries[("p.0", "p.1")]
+    assert candidate.base == (1, 0, 0)
+    assert candidate.loops == ()
+
+
+def test_zero_delta_cycles_count_against_the_cycle_budget(tiny_table):
+    cfg = load_cfg(_zero_link_doc())
+    enumerate_segments(cfg, tiny_table, cycle_budget=2)
+    with pytest.raises(BudgetError, match="cycle budget"):
+        enumerate_segments(cfg, tiny_table, cycle_budget=1)
+
+
+def test_import_leaves_networkx_unloaded():
+    src = Path(flowattest.__file__).resolve().parent.parent
+    probe = "import sys, flowattest; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def _chain_document(tiny_table):
+    return serialize_database(enumerate_segments(load_cfg(two_loop_chain_doc()), tiny_table))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("loops", None, "missing required key 'loops'"),
+        ("extra", 1, "unknown key 'extra'"),
+        ("loops", [[5, 1, -1], [6, 1, 3]], r"loops\[0\]\[2\] must be >= 0"),
+        ("loops", [[5, 1, 1], [6, 1]], r"loops\[1\] must be an array of 3"),
+        ("base", [3, "1", 0], r"base\[1\] must be an integer"),
+        ("loops", {}, "equal length"),
+        ("end_stack", "", "end_stack must be an array"),
+    ],
+)
+def test_load_database_rejects_malformed_candidates(tiny_table, key, value, message):
+    doc = _chain_document(tiny_table)
+    candidate = doc["segments"][0]["candidates"][0]
+    if value is None:
+        del candidate[key]
+    else:
+        candidate[key] = value
+    with pytest.raises(SchemaError, match=message):
+        load_database(doc)
+
+
+def test_load_database_rejects_malformed_segments(tiny_table):
+    doc = _chain_document(tiny_table)
+    doc["segments"][0]["start"] = ["A"]
+    with pytest.raises(SchemaError, match="block ids"):
+        load_database(doc)
+    doc = _chain_document(tiny_table)
+    del doc["segments"][0]["candidates"]
+    with pytest.raises(SchemaError, match="missing required key 'candidates'"):
+        load_database(doc)
+    doc = _chain_document(tiny_table)
+    doc["segments"] = {}
+    with pytest.raises(SchemaError, match="segments must be an array"):
+        load_database(doc)
 
 
 def test_skip_segments_survive_preprocessing(tiny_table):

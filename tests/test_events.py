@@ -179,6 +179,14 @@ def test_default_table_shape():
     assert load_event_table(serialize_event_table(table)) == table
 
 
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_deterministic_flag_must_be_a_boolean(flag):
+    document = serialize_event_table(default_event_table())
+    document["counters"][0]["deterministic"] = flag
+    with pytest.raises(SchemaError, match="deterministic must be a boolean"):
+        load_event_table(document)
+
+
 def test_three_register_config_shape():
     table = default_event_table()
     config = three_register_config(table)

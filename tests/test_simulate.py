@@ -4,7 +4,7 @@ from flowattest.cfg import BlockTrace, load_cfg, split_trace, validate_trace
 from flowattest.errors import WalkError
 from flowattest.events import delta_map
 from flowattest.simulate import measure, measure_segment, random_valid_walk
-from flowattest.vectors import vadd, vscale, vsub, vsum
+from flowattest.vectors import vadd, vsub, vsum
 
 from .conftest import LOOP1, straight_line_doc, two_loop_chain_doc
 from .randcfg import random_cfg_and_table
@@ -22,7 +22,7 @@ def test_loop_taken_twice_adds_two_loop_vectors(tiny_table):
     cfg = load_cfg(two_loop_chain_doc())
     trace = BlockTrace(("A", "B", "D", "E", "B", "D", "E", "B", "C"))
     (m,) = measure(cfg, tiny_table, None, trace)
-    assert m.delta == vadd((3, 1, 0), vscale(2, LOOP1))
+    assert m.delta == vadd((3, 1, 0), tuple(2 * x for x in LOOP1))
 
 
 def test_long_trace_matches_naive_accumulator():

@@ -5,7 +5,7 @@ from flowattest.database import SegmentDatabase, enumerate_segments
 from flowattest.errors import SchemaError
 from flowattest.events import make_config
 from flowattest.simulate import measure
-from flowattest.vectors import vadd, vscale
+from flowattest.vectors import vadd
 from flowattest.verify import (
     new_session,
     report_document,
@@ -41,14 +41,14 @@ def test_exact_base_match_accepts_with_empty_witness(chain):
 
 def test_loop_combination_accepts_with_expected_witness(chain):
     cfg, db = chain
-    delta = vadd(vadd(BASE, vscale(2, LOOP1)), vscale(3, LOOP2))
+    delta = vadd(vadd(BASE, tuple(2 * x for x in LOOP1)), tuple(3 * x for x in LOOP2))
     result = verify_segment(new_session(db), _m(delta))
     assert result.verdict == "accepted"
     # Candidate loops are sorted ascending, so LOOP1 (5,1,1) comes first.
     assert result.witness == (2, 3)
     # The depended-on loop alone is also fine: reaching the second loop
     # through the first is not enforced, by design.
-    outer_only = vadd(BASE, vscale(3, LOOP2))
+    outer_only = vadd(BASE, tuple(3 * x for x in LOOP2))
     assert verify_segment(new_session(db), _m(outer_only)).verdict == "accepted"
 
 
