@@ -51,7 +51,6 @@ from .simulate import measure, measure_segment, random_valid_walk
 from .verify import (
     SessionState,
     VerificationResult,
-    new_session,
     verify_segment,
     verify_trace_measurements,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "make_config",
     "measure",
     "measure_segment",
-    "new_session",
     "parse_register_spec",
     "project",
     "random_valid_walk",

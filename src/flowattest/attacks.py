@@ -41,7 +41,7 @@ from .events import CounterConfig, EventTable, delta_map, project
 from .expand import CallStack
 from .simulate import measure, measure_segment
 from .vectors import Vec
-from .verify import SessionState, new_session, verify_segment
+from .verify import SessionState, verify_segment
 
 MUTATION_KINDS = (
     "replace_block",
@@ -281,7 +281,7 @@ def _segment_classes(
     segments = split_trace(cfg, trace)
     measurements = measure(cfg, table, config, trace)
     counts = segment_instruction_counts(cfg, segments)
-    state = new_session(db, config)
+    state = SessionState(db, config)
     classes: dict[tuple, _SegmentClass] = {}
     ordered: list[_SegmentClass] = []
     for index, (segment, m) in enumerate(zip(segments, measurements)):

@@ -136,6 +136,25 @@ def _require_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...
             raise SchemaError(f"{what} has unknown key '{key}'")
 
 
+def _load_endpoints(obj, what: str, extra: tuple[str, ...] = ()) -> tuple[str, str]:
+    _require_keys(obj, required=("start", "end") + extra, optional=(), what=what)
+    if not isinstance(obj["start"], str) or not isinstance(obj["end"], str):
+        raise SchemaError(f"{what}: start and end must be block ids")
+    return obj["start"], obj["end"]
+
+
+def _check_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _check_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be an array, got {type(value).__name__}")
+    return value
+
+
 def _check_int(value, what: str, minimum: int = 0) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{what} must be an integer, got {value!r}")
@@ -257,7 +276,7 @@ def load_cfg(document: dict | str) -> AnnotatedCfg:
     dim = len(counters)
 
     blocks: dict[str, BasicBlock] = {}
-    for obj in document["blocks"]:
+    for obj in _check_list(document["blocks"], "'blocks'"):
         block = _parse_block(obj, dim)
         if block.id in blocks:
             raise SchemaError(f"duplicate block id '{block.id}'")
@@ -265,16 +284,16 @@ def load_cfg(document: dict | str) -> AnnotatedCfg:
 
     functions: dict[str, FunctionInfo] = {}
     claimed: dict[str, str] = {}
-    for obj in document["functions"]:
+    for obj in _check_list(document["functions"], "'functions'"):
         _require_keys(obj, required=("name", "entry", "blocks"), optional=(), what="function")
-        name = obj["name"]
+        name = _check_str(obj["name"], "function name")
         if name in functions:
             raise SchemaError(f"duplicate function '{name}'")
         members = obj["blocks"]
         if not isinstance(members, list) or not members:
             raise SchemaError(f"function '{name}': blocks must be a non-empty array")
         for bid in members:
-            if bid not in blocks:
+            if _check_str(bid, f"function '{name}': block id") not in blocks:
                 raise SchemaError(f"function '{name}' lists unknown block '{bid}'")
             if bid in claimed:
                 raise SchemaError(f"block '{bid}' claimed by both '{claimed[bid]}' and '{name}'")
@@ -293,9 +312,11 @@ def load_cfg(document: dict | str) -> AnnotatedCfg:
 
     edges: list[Edge] = []
     seen_edges: set[tuple[str, str, str]] = set()
-    for obj in document["edges"]:
+    for obj in _check_list(document["edges"], "'edges'"):
         _require_keys(obj, required=("from", "to", "kind"), optional=(), what="edge")
-        src, dst, kind = obj["from"], obj["to"], obj["kind"]
+        src = _check_str(obj["from"], "edge 'from'")
+        dst = _check_str(obj["to"], "edge 'to'")
+        kind = obj["kind"]
         if kind not in EDGE_KINDS:
             raise SchemaError(f"edge {src}->{dst}: unknown kind '{kind}'")
         for endpoint in (src, dst):
@@ -331,23 +352,23 @@ def load_cfg(document: dict | str) -> AnnotatedCfg:
                 f"return edge {edge.src}->{edge.dst}: '{caller}' never calls '{callee}'"
             )
 
-    entry = document["entry"]
+    entry = _check_str(document["entry"], "'entry'")
     if entry not in blocks:
         raise SchemaError(f"entry block '{entry}' does not exist")
     if not blocks[entry].is_measurement_point:
         raise SchemaError(f"entry block '{entry}' must be a measurement point")
 
     skip: set[tuple[str, str]] = set()
-    for obj in document.get("skip_segments", ()):
-        _require_keys(obj, required=("start", "end"), optional=(), what="skip segment")
-        for endpoint in (obj["start"], obj["end"]):
+    for obj in _check_list(document.get("skip_segments", []), "'skip_segments'"):
+        endpoints = _load_endpoints(obj, "skip segment")
+        for endpoint in endpoints:
             if endpoint not in blocks:
                 raise SchemaError(f"skip segment references unknown block '{endpoint}'")
             if not blocks[endpoint].is_measurement_point:
                 raise SchemaError(
                     f"skip segment endpoint '{endpoint}' is not a measurement point"
                 )
-        skip.add((obj["start"], obj["end"]))
+        skip.add(endpoints)
 
     cycle = _find_call_cycle(call_graph)
     if cycle is not None:
@@ -488,14 +509,15 @@ def load_trace(document: dict | str, cfg: AnnotatedCfg | None = None) -> BlockTr
     if isinstance(document, str):
         document = json.loads(document)
     _require_keys(document, required=("cfg_ref", "steps"), optional=(), what="trace document")
+    cfg_ref = _check_str(document["cfg_ref"], "trace cfg_ref")
     steps = document["steps"]
     if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
         raise SchemaError("'steps' must be an array of block ids")
-    if cfg is not None and document["cfg_ref"] != cfg.digest:
+    if cfg is not None and cfg_ref != cfg.digest:
         from .errors import DigestMismatchError
 
         raise DigestMismatchError(
-            f"trace refers to CFG {document['cfg_ref'][:12]}..., "
+            f"trace refers to CFG {cfg_ref[:12]}..., "
             f"loaded CFG is {cfg.digest[:12]}..."
         )
     return BlockTrace(steps=tuple(steps))
@@ -516,17 +538,16 @@ def load_measurements(document: dict | str) -> tuple[str, list[Measurement]]:
     _require_keys(
         document, required=("cfg_ref", "measurements"), optional=(), what="measurement document"
     )
+    cfg_ref = _check_str(document["cfg_ref"], "measurement cfg_ref")
     out = []
-    for obj in document["measurements"]:
-        _require_keys(obj, required=("start", "end", "delta"), optional=(), what="measurement")
-        delta = obj["delta"]
-        if not isinstance(delta, list):
-            raise SchemaError("measurement delta must be an array of integers")
+    for obj in _check_list(document["measurements"], "'measurements'"):
+        start, end = _load_endpoints(obj, "measurement", extra=("delta",))
+        delta = _check_list(obj["delta"], "measurement delta")
         out.append(
             Measurement(
-                start=obj["start"],
-                end=obj["end"],
+                start=start,
+                end=end,
                 delta=tuple(_check_int(x, "measurement delta entry") for x in delta),
             )
         )
-    return document["cfg_ref"], out
+    return cfg_ref, out

@@ -6,17 +6,21 @@ combination of the candidate's loop vectors.  This module decides that
 membership exactly, with no floating point anywhere in the decision path,
 and stops at the first exact hit - optimality is irrelevant.
 
-Three exact engines are layered by instance shape:
+Each node of the search (a box of bounds on the generator counts) goes
+through one exact pipeline:
 
 1. integer propagation: support reduction, per-dimension gcd and capacity
    pruning, forced-variable fixing (resolves most instances outright);
-2. bitset reachability over the residual box, when the box is small enough
+2. the lattice test: a residual outside the integer lattice of the free
+   generators has no combination at all, so the node is pruned;
+3. bitset reachability over the residual box, when the box is small enough
    to afford it - generators are nonnegative, so partial sums never leave
    the box and saturating one generator at a time is complete.  This is
    the workhorse for low-dimension/many-generator instances, where pure
    branch-and-bound degenerates;
-3. branch-and-bound on an exact rational phase-1 simplex for everything
-   else (high-dimension instances, where the equality rows prune hard).
+4. an exact rational phase-1 simplex plus branching on a fractional
+   variable for everything else (high-dimension instances, where the
+   equality rows prune hard).
 
 The decision problem is NP-hard in general, so adversarial inputs outside
 the reachability budget can still be slow; they remain exactly decided.
@@ -36,9 +40,6 @@ from .vectors import Vec
 # affordable.
 _DP_BIT_LIMIT = 1 << 26
 _DP_WORK_LIMIT = 80_000_000
-# Descent probes are worth a few tries; once they keep missing, plain
-# branching is the better use of time.
-_PROBE_ATTEMPTS = 4
 
 
 @dataclass
@@ -142,26 +143,6 @@ def _dp_plan(residual: list[int], gens: list[Vec]):
         strides[d] = stride
         stride *= residual[d] + 1
     return bits, strides
-
-
-def _dp_decide(residual: list[int], gens: list[Vec]):
-    """(planned, counts) where counts aligns with ``gens`` or is None.
-
-    Generators that do not fit inside the box even once can never be used
-    and are excluded up front.
-    """
-    usable = [j for j, g in enumerate(gens) if all(v <= r for v, r in zip(g, residual))]
-    subset = [gens[j] for j in usable]
-    plan = _dp_plan(residual, subset)
-    if plan is None:
-        return False, None
-    counts = _dp_reachable(residual, subset, plan)
-    if counts is None:
-        return True, None
-    full = [0] * len(gens)
-    for j, count in zip(usable, counts):
-        full[j] = count
-    return True, full
 
 
 def _dp_reachable(residual: list[int], gens: list[Vec], plan) -> list[int] | None:
@@ -309,7 +290,6 @@ def solve_cone(target: Vec, generators: tuple[Vec, ...]) -> ConeSolution:
         min(target[d] // g[d] for d in range(dim) if g[d] > 0) for g in gens
     ]
     lp_solves = 0
-    probes_left = _PROBE_ATTEMPTS
     stack: list[tuple[list[int], list[int]]] = [([0] * k, root_ub)]
     while stack:
         lb, ub = stack.pop()
@@ -328,16 +308,20 @@ def solve_cone(target: Vec, generators: tuple[Vec, ...]) -> ConeSolution:
             continue
 
         # When the residual box is small enough, bitset reachability decides
-        # this node outright.  A witness it finds ignores branching bounds,
-        # but any nonnegative exact combination is globally valid, and an
-        # unreachable residual prunes the node exactly.
-        planned, counts = _dp_decide(residual, free_gens)
-        if planned:
+        # this node outright.  Generators that do not fit inside the box even
+        # once can never be used and are left out.  A witness it finds
+        # ignores branching bounds, but any nonnegative exact combination is
+        # globally valid, and an unreachable residual prunes the node exactly.
+        usable = [i for i in free if all(v <= r for v, r in zip(gens[i], residual))]
+        usable_gens = [gens[i] for i in usable]
+        plan = _dp_plan(residual, usable_gens)
+        if plan is not None:
+            counts = _dp_reachable(residual, usable_gens, plan)
             if counts is None:
                 continue
             assign = list(lb)
-            for j, i in enumerate(free):
-                assign[i] += counts[j]
+            for i, count in zip(usable, counts):
+                assign[i] += count
             return assemble(assign, lp_solves)
 
         rows = [d for d in range(dim) if residual[d] > 0]
@@ -356,36 +340,6 @@ def solve_cone(target: Vec, generators: tuple[Vec, ...]) -> ConeSolution:
             for j, z in enumerate(relaxed):
                 assign[free[j]] += int(z)
             return assemble(assign, lp_solves)
-
-        # Cheap integer probe: a basic solution has few fractional entries;
-        # try every floor/ceil rounding of them before branching.
-        if len(fractional) <= 4:
-            rounded = _round_probe(relaxed, fractional, free_gens, residual, caps)
-            if rounded is not None:
-                assign = list(lb)
-                for j, value in enumerate(rounded):
-                    assign[free[j]] += value
-                return assemble(assign, lp_solves)
-
-        # Descent probe: peel off the relaxation's integer part.  What is
-        # left is at most one generator's worth per variable, a box small
-        # enough for reachability even when the node's own box is not.  A
-        # hit is a global witness; a miss proves nothing and we branch.
-        floors = [z.numerator // z.denominator for z in relaxed]
-        if probes_left and any(floors):
-            peeled = list(residual)
-            for j, count in enumerate(floors):
-                if count:
-                    for d in range(dim):
-                        peeled[d] -= count * free_gens[j][d]
-            planned, counts = _dp_decide(peeled, free_gens)
-            if planned:
-                if counts is not None:
-                    assign = list(lb)
-                    for j, i in enumerate(free):
-                        assign[i] += floors[j] + counts[j]
-                    return assemble(assign, lp_solves)
-                probes_left -= 1
 
         # Branch on the most fractional variable, nearest side first
         # (the stack is LIFO).
@@ -410,32 +364,3 @@ def solve_cone(target: Vec, generators: tuple[Vec, ...]) -> ConeSolution:
             stack.append(high)
             stack.append(low)
     return ConeSolution(None, lp_solves)
-
-
-def _round_probe(
-    relaxed: list[Fraction],
-    fractional: list[int],
-    gens: list[Vec],
-    residual: list[int],
-    caps: list[int],
-) -> list[int] | None:
-    """Test every floor/ceil rounding of the fractional coordinates."""
-    base = [z.numerator // z.denominator for z in relaxed]
-    dim = len(residual)
-    for mask in range(1 << len(fractional)):
-        candidate = list(base)
-        ok = True
-        for bit, j in enumerate(fractional):
-            if mask >> bit & 1:
-                candidate[j] += 1
-            if candidate[j] > caps[j]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for d in range(dim):
-            if sum(x * g[d] for x, g in zip(candidate, gens)) != residual[d]:
-                break
-        else:
-            return candidate
-    return None

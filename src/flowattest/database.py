@@ -29,7 +29,14 @@ import json
 from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
 
-from .cfg import AnnotatedCfg, _check_int, _check_vector, _require_keys
+from .cfg import (
+    AnnotatedCfg,
+    _check_int,
+    _check_list,
+    _check_vector,
+    _load_endpoints,
+    _require_keys,
+)
 from .errors import BudgetError, DigestMismatchError, SchemaError
 from .events import EventTable, delta_map
 from .expand import (
@@ -447,13 +454,6 @@ def _load_candidate(obj, start: str, end: str, dim: int, what: str) -> PathCandi
     )
 
 
-def _load_endpoints(obj, what: str, extra: tuple[str, ...] = ()) -> tuple[str, str]:
-    _require_keys(obj, required=("start", "end") + extra, optional=(), what=what)
-    if not isinstance(obj["start"], str) or not isinstance(obj["end"], str):
-        raise SchemaError(f"{what}: start and end must be block ids")
-    return obj["start"], obj["end"]
-
-
 def load_database(document: dict | str, expected_digest: str | None = None) -> SegmentDatabase:
     """Parse a database document, refusing it when the digest disagrees
     with the CFG the caller is about to verify against.
@@ -484,17 +484,14 @@ def load_database(document: dict | str, expected_digest: str | None = None) -> S
     if len(counters) != dim:
         raise SchemaError("database dimension disagrees with its counter list")
     for key in ("segments", "skip_segments"):
-        if not isinstance(document[key], list):
-            raise SchemaError(f"database {key} must be an array")
+        _check_list(document[key], f"database {key}")
     entries: dict[tuple[str, str], tuple[PathCandidate, ...]] = {}
     for i, seg in enumerate(document["segments"]):
         what = f"database segment {i}"
         key = _load_endpoints(seg, what, extra=("candidates",))
-        if not isinstance(seg["candidates"], list):
-            raise SchemaError(f"{what}: candidates must be an array")
         candidates = [
             _load_candidate(obj, key[0], key[1], dim, f"{what} candidate {j}")
-            for j, obj in enumerate(seg["candidates"])
+            for j, obj in enumerate(_check_list(seg["candidates"], f"{what}: candidates"))
         ]
         entries[key] = tuple(sorted(candidates, key=PathCandidate.sort_key))
     return SegmentDatabase(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cfg import AnnotatedCfg, BasicBlock, _require_keys
+from .cfg import AnnotatedCfg, BasicBlock, _check_list, _check_str, _check_vector, _require_keys
 from .errors import SchemaError, UnknownMnemonicError
 from .vectors import Vec, vsum
 
@@ -86,13 +86,18 @@ def load_event_table(document: dict | str) -> EventTable:
         document = json.loads(document)
     _require_keys(document, required=("counters", "attribution"), optional=(), what="event table")
     counters = []
-    for obj in document["counters"]:
+    for obj in _check_list(document["counters"], "event table counters"):
         _require_keys(obj, required=("name", "deterministic"), optional=(), what="counter")
+        name = _check_str(obj["name"], "counter name")
         if not isinstance(obj["deterministic"], bool):
-            raise SchemaError(f"counter {obj['name']!r}: deterministic must be a boolean")
-        counters.append(CounterEvent(name=obj["name"], deterministic=obj["deterministic"]))
+            raise SchemaError(f"counter {name!r}: deterministic must be a boolean")
+        counters.append(CounterEvent(name=name, deterministic=obj["deterministic"]))
+    raw = document["attribution"]
+    if not isinstance(raw, dict):
+        raise SchemaError("event table attribution must be an object")
     attribution = {
-        mnemonic: tuple(vec) for mnemonic, vec in document["attribution"].items()
+        mnemonic: _check_vector(vec, len(counters), f"attribution for '{mnemonic}'")
+        for mnemonic, vec in raw.items()
     }
     return make_event_table(counters, attribution)
 

@@ -17,7 +17,7 @@ off.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cfg import Measurement
 from .cone import solve_cone
@@ -31,14 +31,14 @@ from .vectors import Vec, is_nonneg, vsub
 @dataclass(frozen=True)
 class VerificationResult:
     verdict: str  # "accepted" | "rejected"
-    reason: str | None
-    accepting: tuple[str, ...]
-    witness: tuple[int, ...] | None
-    cache_hit: bool
-    candidates_tried: int
-    solver_calls: int
-    solver_nodes: int
-    elapsed: float
+    reason: str | None = None
+    accepting: tuple[str, ...] = ()
+    witness: tuple[int, ...] | None = None
+    cache_hit: bool = False
+    candidates_tried: int = 0
+    solver_calls: int = 0
+    solver_nodes: int = 0
+    elapsed: float = 0.0
 
 
 @dataclass
@@ -72,15 +72,6 @@ class SessionState:
 
     def project(self, v: Vec) -> Vec:
         return project(self.config, v) if self.config is not None else v
-
-
-def new_session(
-    db: SegmentDatabase,
-    config: CounterConfig | None = None,
-    *,
-    use_cache: bool = True,
-) -> SessionState:
-    return SessionState(db=db, config=config, use_cache=use_cache)
 
 
 def _project_generators(state: SessionState, loops: tuple[Vec, ...]):
@@ -128,11 +119,6 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
             verdict="accepted",
             reason="skip",
             accepting=accepting,
-            witness=None,
-            cache_hit=False,
-            candidates_tried=0,
-            solver_calls=0,
-            solver_nodes=0,
             elapsed=time.perf_counter() - started,
         )
 
@@ -147,11 +133,8 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
                 state.feasible = hit.feasible_after
             else:
                 state.rejected = True
-            return VerificationResult(
-                verdict=hit.result.verdict,
-                reason=hit.result.reason,
-                accepting=hit.result.accepting,
-                witness=hit.result.witness,
+            return replace(
+                hit.result,
                 cache_hit=True,
                 candidates_tried=0,
                 solver_calls=0,
@@ -166,12 +149,6 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
         result = VerificationResult(
             verdict="rejected",
             reason="no-such-segment",
-            accepting=(),
-            witness=None,
-            cache_hit=False,
-            candidates_tried=0,
-            solver_calls=0,
-            solver_nodes=0,
             elapsed=time.perf_counter() - started,
         )
         state.rejected = True
@@ -213,10 +190,8 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
         state.feasible = feasible_after
         result = VerificationResult(
             verdict="accepted",
-            reason=None,
             accepting=tuple(accepting),
             witness=witness,
-            cache_hit=False,
             candidates_tried=tried,
             solver_calls=solver_calls,
             solver_nodes=solver_nodes,
@@ -228,9 +203,6 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
         result = VerificationResult(
             verdict="rejected",
             reason=reason,
-            accepting=(),
-            witness=None,
-            cache_hit=False,
             candidates_tried=tried,
             solver_calls=solver_calls,
             solver_nodes=solver_nodes,
@@ -278,7 +250,7 @@ def verify_trace_measurements(
                 f"measurement sequence is not contiguous: segment ending at "
                 f"'{a.end}' is followed by one starting at '{b.start}'"
             )
-    state = new_session(db, config, use_cache=use_cache)
+    state = SessionState(db, config, use_cache=use_cache)
     results: list[VerificationResult] = []
     rejected_at: int | None = None
     for index, m in enumerate(measurements):

@@ -200,6 +200,12 @@ def test_skip_segments_parse_and_validate():
     doc["skip_segments"] = [{"start": "A", "end": "B"}]
     with pytest.raises(SchemaError, match="not a measurement point"):
         load_cfg(doc)
+    doc["skip_segments"] = [{"start": ["A"], "end": "C"}]
+    with pytest.raises(SchemaError, match="block ids"):
+        load_cfg(doc)
+    doc["skip_segments"] = 1
+    with pytest.raises(SchemaError, match="must be an array"):
+        load_cfg(doc)
 
 
 def test_trace_document_round_trip_and_digest_check():

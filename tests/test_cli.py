@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +174,31 @@ def test_verify_malformed_database_is_a_usage_error(capsys, chain_paths, loops):
     )
     assert code == EXIT_ERROR
     assert "error:" in err
+
+
+def test_verify_list_start_is_a_usage_error(capsys, chain_paths):
+    cfg_path, table_path, tmp = chain_paths
+    db_path, measurements_path = _pipeline(capsys, tmp, cfg_path, table_path, ["A", "B", "C"])
+    doc = json.loads(measurements_path.read_text())
+    doc["measurements"][0]["start"] = [doc["measurements"][0]["start"]]
+    broken = _write(tmp / "broken_ms.json", doc)
+    code, _, err = run(capsys, "verify", "--db", str(db_path), "--measurements", broken)
+    assert code == EXIT_ERROR
+    assert "start and end must be block ids" in err
+
+
+@pytest.mark.parametrize("entry", ["1", True], ids=["string", "boolean"])
+def test_preprocess_ill_typed_attribution_is_a_usage_error(capsys, chain_paths, entry):
+    cfg_path, table_path, tmp = chain_paths
+    doc = json.loads(Path(table_path).read_text())
+    doc["attribution"]["beq"][1] = entry
+    broken = _write(tmp / "broken_table.json", doc)
+    code, _, err = run(
+        capsys, "preprocess", "--cfg", cfg_path, "--table", broken,
+        "--out", str(tmp / "db.json"),
+    )
+    assert code == EXIT_ERROR
+    assert "attribution for 'beq'" in err
 
 
 def test_verify_offset_subtraction(capsys, chain_paths):

@@ -3,6 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowattest import cone
 from flowattest.cone import solve_cone
 
 from .oracles import cone_member_bruteforce
@@ -97,3 +98,29 @@ def test_witnesses_always_evaluate_exactly(case):
         assert _evaluates_to(solution.witness, gens, target)
         assert all(x >= 0 for x in solution.witness)
     assert (cone_member_bruteforce(target, gens) is None) == (solution.witness is None)
+
+
+def test_simplex_and_branching_alone_agree_with_bruteforce(monkeypatch):
+    # With no bitset budget, every node that propagation and the lattice
+    # test leave open is decided by the exact simplex plus branching.
+    monkeypatch.setattr(cone, "_DP_BIT_LIMIT", 0)
+    rng = random.Random(20_261_018)
+    simplex_used = 0
+    for trial in range(300):
+        dim = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        gens = tuple(tuple(rng.randint(0, 20) for _ in range(dim)) for _ in range(n))
+        if trial % 3 == 0:
+            xs = [rng.randint(0, 10) for _ in range(n)]
+            target = tuple(
+                min(200, sum(x * g[d] for x, g in zip(xs, gens))) for d in range(dim)
+            )
+        else:
+            target = tuple(rng.randint(0, 200) for _ in range(dim))
+        mine = solve_cone(target, gens)
+        simplex_used += mine.lp_solves > 0
+        reference = cone_member_bruteforce(target, gens)
+        assert (mine.witness is None) == (reference is None), (target, gens)
+        if mine.witness is not None:
+            assert _evaluates_to(mine.witness, gens, target), (target, gens, mine.witness)
+    assert simplex_used

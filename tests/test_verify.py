@@ -7,7 +7,7 @@ from flowattest.events import make_config
 from flowattest.simulate import measure
 from flowattest.vectors import vadd
 from flowattest.verify import (
-    new_session,
+    SessionState,
     report_document,
     verify_segment,
     verify_trace_measurements,
@@ -32,7 +32,7 @@ def _m(delta):
 
 def test_exact_base_match_accepts_with_empty_witness(chain):
     cfg, db = chain
-    state = new_session(db)
+    state = SessionState(db)
     result = verify_segment(state, _m(BASE))
     assert result.verdict == "accepted"
     assert result.witness == (0, 0)
@@ -42,19 +42,19 @@ def test_exact_base_match_accepts_with_empty_witness(chain):
 def test_loop_combination_accepts_with_expected_witness(chain):
     cfg, db = chain
     delta = vadd(vadd(BASE, tuple(2 * x for x in LOOP1)), tuple(3 * x for x in LOOP2))
-    result = verify_segment(new_session(db), _m(delta))
+    result = verify_segment(SessionState(db), _m(delta))
     assert result.verdict == "accepted"
     # Candidate loops are sorted ascending, so LOOP1 (5,1,1) comes first.
     assert result.witness == (2, 3)
     # The depended-on loop alone is also fine: reaching the second loop
     # through the first is not enforced, by design.
     outer_only = vadd(BASE, tuple(3 * x for x in LOOP2))
-    assert verify_segment(new_session(db), _m(outer_only)).verdict == "accepted"
+    assert verify_segment(SessionState(db), _m(outer_only)).verdict == "accepted"
 
 
 def test_delta_below_base_rejects(chain):
     cfg, db = chain
-    state = new_session(db)
+    state = SessionState(db)
     result = verify_segment(state, _m((2, 0, 0)))
     assert result.verdict == "rejected"
     assert result.reason == "cone-infeasible"
@@ -65,7 +65,7 @@ def test_delta_below_base_rejects(chain):
 
 def test_unknown_segment_rejects_with_reason(chain):
     cfg, db = chain
-    result = verify_segment(new_session(db), Measurement("C", "A", (1, 0, 0)))
+    result = verify_segment(SessionState(db), Measurement("C", "A", (1, 0, 0)))
     assert result.verdict == "rejected"
     assert result.reason == "no-such-segment"
 
@@ -114,7 +114,7 @@ def test_valid_prefix_then_mutated_segment_rejects_at_index(tiny_table):
     mutated = measure_segment(cfg, tiny_table, None, BlockTrace(mutants[0].steps))
     # The chain graph has no C->A edge, so replay the same segment by
     # stitching fresh sessions per segment index instead.
-    state = new_session(db)
+    state = SessionState(db)
     assert verify_segment(state, valid).verdict == "accepted"
     result = verify_segment(state, Measurement("A", "C", mutated.delta))
     assert result.verdict == "rejected"
@@ -130,7 +130,7 @@ def test_contiguity_is_enforced(chain):
 def test_dimension_mismatch_is_an_error(chain):
     cfg, db = chain
     with pytest.raises(SchemaError, match="dimension"):
-        verify_segment(new_session(db), _m((1, 2)))
+        verify_segment(SessionState(db), _m((1, 2)))
 
 
 def test_cache_replay_is_verdict_identical(chain, tiny_table):
@@ -149,7 +149,7 @@ def test_cache_replay_is_verdict_identical(chain, tiny_table):
 
 
 def verify_segment_state(db, measurements, use_cache):
-    state = new_session(db, use_cache=use_cache)
+    state = SessionState(db, use_cache=use_cache)
     verdicts = []
     for m in measurements:
         result = verify_segment(state, m)
@@ -177,7 +177,7 @@ def test_feasible_set_constrains_candidates(tiny_table):
 def test_feasible_update_is_candidate_order_independent(chain):
     cfg, db = chain
     delta = vadd(BASE, LOOP1)
-    baseline = new_session(db)
+    baseline = SessionState(db)
     verify_segment(baseline, _m(delta))
     shuffled_db = SegmentDatabase(
         cfg_digest=db.cfg_digest,
@@ -185,7 +185,7 @@ def test_feasible_update_is_candidate_order_independent(chain):
         entries={k: tuple(reversed(v)) for k, v in db.entries.items()},
         skip_segments=db.skip_segments,
     )
-    other = new_session(shuffled_db)
+    other = SessionState(shuffled_db)
     verify_segment(other, _m(delta))
     assert baseline.feasible == other.feasible
 
@@ -195,7 +195,7 @@ def test_skip_segment_accepts_vacuously(tiny_table):
     doc["skip_segments"] = [{"start": "A", "end": "C"}]
     cfg = load_cfg(doc)
     db = enumerate_segments(cfg, tiny_table)
-    state = new_session(db)
+    state = SessionState(db)
     # A wildly wrong delta is accepted because the segment is skipped.
     result = verify_segment(state, _m((999, 999, 999)))
     assert result.verdict == "accepted"
@@ -209,7 +209,7 @@ def test_skip_segment_without_candidates_unconstrains_the_stack(tiny_table):
     doc["skip_segments"] = [{"start": "C", "end": "A"}]
     cfg = load_cfg(doc)
     db = enumerate_segments(cfg, tiny_table)
-    state = new_session(db)
+    state = SessionState(db)
     assert verify_segment(state, Measurement("C", "A", (5, 5, 5))).verdict == "accepted"
     assert state.feasible is None
     # The next, known segment still verifies: any entry stack matches.
