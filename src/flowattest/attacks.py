@@ -2,10 +2,14 @@
 
 Five mutation classes probe the verifier with traces whose control flow has
 genuinely been violated: block-level edits (replace, replace-with-unique,
-insert-unique, remove) are re-measured through the simulator, while
+insert-unique, remove) change one interior block of a valid segment, while
 ``random_change`` perturbs the measured counter values directly, modeling
 injected code.  Block-level mutants that would still be structurally valid
-walks are discarded - those are not violations.  Mutants are deduplicated
+walks are discarded - those are not violations.  One edit can only break
+a valid segment through the adjacent pairs it creates or a zero-length
+inserted block, and it changes the segment's measurement by exactly the
+removed and inserted blocks' deltas, so neither the check nor the
+measurement revisits the rest of the segment.  Mutants are deduplicated
 and seed-deterministic; when a segment admits fewer distinct mutants than
 the requested repetitions, all of them are used.
 
@@ -24,7 +28,7 @@ report header.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cfg import (
@@ -39,8 +43,8 @@ from .database import SegmentDatabase
 from .errors import FlowAttestError, SchemaError
 from .events import CounterConfig, EventTable, delta_map, project
 from .expand import CallStack
-from .simulate import measure, measure_segment
-from .vectors import Vec
+from .simulate import measure
+from .vectors import Vec, vadd, vsub, vsum
 from .verify import SessionState, verify_segment
 
 MUTATION_KINDS = (
@@ -81,10 +85,11 @@ class MutationSpec:
 
 @dataclass(frozen=True)
 class Mutant:
-    """Either a rewritten block sequence or a directly-perturbed measurement."""
+    """The measurement a mutant shows the verifier and, for block-level
+    kinds, the edited block sequence that produces it."""
 
+    measurement: Measurement
     steps: tuple[str, ...] | None = None
-    measurement: Measurement | None = None
 
 
 @dataclass
@@ -133,20 +138,8 @@ def combine_rates(outcomes: list[SegmentOutcome]) -> tuple[Fraction, Fraction]:
     return uniform, weighted
 
 
-def _projected_deltas(
-    cfg: AnnotatedCfg, table: EventTable, config: CounterConfig | None
-) -> dict[str, Vec]:
-    full = delta_map(cfg, table)
-    if config is None:
-        return full
-    return {bid: project(config, v) for bid, v in full.items()}
-
-
-def _unique_delta_blocks(
-    cfg: AnnotatedCfg, table: EventTable, config: CounterConfig | None
-) -> list[str]:
+def _unique_delta_blocks(cfg: AnnotatedCfg, deltas: dict[str, Vec]) -> list[str]:
     """Non-measurement blocks whose projected delta no other block shares."""
-    deltas = _projected_deltas(cfg, table, config)
     tally: dict[Vec, int] = {}
     for v in deltas.values():
         tally[v] = tally.get(v, 0) + 1
@@ -161,47 +154,62 @@ def _block_pool(cfg: AnnotatedCfg) -> list[str]:
     return sorted(bid for bid in cfg.blocks if not cfg.is_measurement_point(bid))
 
 
-def _sequence_variants(cfg: AnnotatedCfg, segment: BlockTrace, kind: str, pool: list[str]):
-    """All candidate edited sequences, in a deterministic order."""
-    steps = segment.steps
+def _breaking_edits(cfg: AnnotatedCfg, steps: tuple[str, ...], kind: str, pool: list[str]):
+    """Every interior edit of a valid segment that breaks its validity, in a
+    deterministic order, as (edited steps, removed block, inserted block).
+
+    The endpoints and every untouched adjacent pair stay valid, so an edit
+    breaks the segment only through a pair it creates that is not an edge,
+    or an inserted block with no instructions.
+    """
+    pairs = cfg.edge_pairs
+
+    def fits(bid: str, before: str, after: str) -> bool:
+        return (
+            cfg.blocks[bid].instruction_count > 0
+            and (before, bid) in pairs
+            and (bid, after) in pairs
+        )
+
     interior = range(1, len(steps) - 1)
     if kind == "remove_block":
         for pos in interior:
-            yield steps[:pos] + steps[pos + 1 :]
+            if (steps[pos - 1], steps[pos + 1]) not in pairs:
+                yield steps[:pos] + steps[pos + 1 :], steps[pos], None
     elif kind in ("replace_block", "replace_unique"):
         for pos in interior:
             for bid in pool:
-                if bid != steps[pos]:
-                    yield steps[:pos] + (bid,) + steps[pos + 1 :]
+                if bid != steps[pos] and not fits(bid, steps[pos - 1], steps[pos + 1]):
+                    yield steps[:pos] + (bid,) + steps[pos + 1 :], steps[pos], bid
     elif kind == "insert_unique":
         for gap in range(1, len(steps)):
             for bid in pool:
-                yield steps[:gap] + (bid,) + steps[gap:]
+                if not fits(bid, steps[gap - 1], steps[gap]):
+                    yield steps[:gap] + (bid,) + steps[gap:], None, bid
     else:  # pragma: no cover - guarded by MutationSpec
         raise SchemaError(f"'{kind}' has no sequence variants")
 
 
-def _structurally_invalid(cfg: AnnotatedCfg, steps: tuple[str, ...]) -> bool:
-    return not validate_trace(cfg, BlockTrace(steps=steps))
-
-
 def mutate(
     cfg: AnnotatedCfg,
-    table: EventTable,
+    deltas: dict[str, Vec],
     segment: BlockTrace,
     spec: MutationSpec,
     *,
-    config: CounterConfig | None = None,
     measurement: Measurement | None = None,
 ) -> list[Mutant]:
     """Distinct, seed-deterministic mutants of one valid segment.
 
+    ``deltas`` maps every block to its delta as the verifier measures it
+    (projected through the register file in use), and ``measurement`` is
+    the segment's own measurement, summed from ``deltas`` when not given.
     Block-level kinds edit interior positions only (endpoints identify the
     segment) and keep only edits that break structural validity; the
     unique-delta kinds additionally restrict the drawn blocks to those with
-    a projected delta no other block shares.  ``random_change`` needs the
-    segment's measurement and perturbs it directly.  An empty result means
-    the segment admits no applicable mutation.
+    a delta no other block shares.  ``random_change`` needs the segment's
+    measurement and perturbs it directly.  An empty result means the
+    segment admits no applicable mutation.  Raises :class:`SchemaError`
+    when a block-level kind is given an invalid segment.
     """
     rng = random.Random(spec.seed)
     reps = spec.reps
@@ -233,30 +241,38 @@ def mutate(
                 if any(u) and u not in seen:
                     seen.add(u)
                     perturbations.append(u)
+        values = measurement.delta
         return [
-            Mutant(
-                measurement=Measurement(
-                    start=measurement.start,
-                    end=measurement.end,
-                    delta=tuple(v + du for v, du in zip(measurement.delta, u)),
-                )
-            )
+            Mutant(replace(measurement, delta=tuple(v + du for v, du in zip(values, u))))
             for u in perturbations
         ]
 
+    if not validate_trace(cfg, segment):
+        raise SchemaError("cannot mutate an invalid segment")
+    steps = segment.steps
+    if measurement is None:
+        delta = vsum((deltas[s] for s in steps[1:]), len(deltas[steps[0]]))
+        measurement = Measurement(start=steps[0], end=steps[-1], delta=delta)
     if spec.kind in ("replace_unique", "insert_unique"):
-        pool = _unique_delta_blocks(cfg, table, config)
+        pool = _unique_delta_blocks(cfg, deltas)
     else:
         pool = _block_pool(cfg)
-    variants: list[tuple[str, ...]] = []
-    seen_steps: set[tuple[str, ...]] = set()
-    for steps in _sequence_variants(cfg, segment, spec.kind, pool):
-        if steps not in seen_steps and _structurally_invalid(cfg, steps):
-            seen_steps.add(steps)
-            variants.append(steps)
+    edits: dict[tuple[str, ...], tuple[str | None, str | None]] = {}
+    for edited, removed, inserted in _breaking_edits(cfg, steps, spec.kind, pool):
+        edits.setdefault(edited, (removed, inserted))
+    variants = list(edits)
     if len(variants) > reps:
         variants = rng.sample(variants, reps)
-    return [Mutant(steps=steps) for steps in variants]
+    mutants = []
+    for edited in variants:
+        removed, inserted = edits[edited]
+        delta = measurement.delta
+        if removed is not None:
+            delta = vsub(delta, deltas[removed])
+        if inserted is not None:
+            delta = vadd(delta, deltas[inserted])
+        mutants.append(Mutant(replace(measurement, delta=delta), steps=edited))
+    return mutants
 
 
 @dataclass
@@ -308,36 +324,6 @@ def _segment_classes(
     return ordered
 
 
-def _verify_mutant(
-    cfg: AnnotatedCfg,
-    db: SegmentDatabase,
-    table: EventTable,
-    config: CounterConfig | None,
-    cls: _SegmentClass,
-    mutant: Mutant,
-    deltas: dict[str, Vec],
-    cache: dict,
-) -> bool:
-    """True when the verifier rejects the mutant (detection).
-
-    Distinct mutants frequently produce identical observations (removing
-    any one of many equal-delta blocks, say), so all probes share one
-    dedup-keyed cache; the key covers endpoints, values, and feasible
-    stacks, making the sharing verdict-neutral.
-    """
-    if mutant.measurement is not None:
-        observed = mutant.measurement
-    else:
-        observed = measure_segment(
-            cfg, table, config, BlockTrace(steps=mutant.steps), deltas=deltas
-        )
-    probe = SessionState(
-        db=db, config=config, use_cache=True, feasible=cls.feasible, cache=cache
-    )
-    result = verify_segment(probe, observed)
-    return result.verdict == "rejected"
-
-
 def evaluate(
     cfg: AnnotatedCfg,
     db: SegmentDatabase,
@@ -350,19 +336,18 @@ def evaluate(
     """Run every mutation experiment over every segment of a valid trace."""
     classes = _segment_classes(cfg, db, table, trace, config)
     deltas = delta_map(cfg, table)
+    if config is not None:
+        deltas = {bid: project(config, v) for bid, v in deltas.items()}
+    # Distinct mutants frequently produce identical observations (removing
+    # any one of many equal-delta blocks, say), so all probes share one
+    # dedup-keyed cache; the key covers endpoints, values, and feasible
+    # stacks, making the sharing verdict-neutral.
     probe_cache: dict = {}
     reports: dict[str, ReliabilityReport] = {}
     for spec in specs:
         outcomes: list[SegmentOutcome] = []
         for cls in classes:
-            mutants = mutate(
-                cfg,
-                table,
-                cls.segment,
-                spec,
-                config=config,
-                measurement=cls.measurement,
-            )
+            mutants = mutate(cfg, deltas, cls.segment, spec, measurement=cls.measurement)
             outcome = SegmentOutcome(
                 first_index=cls.first_index,
                 frequency=cls.frequency,
@@ -375,9 +360,10 @@ def evaluate(
                 outcome.exclusion_reason = "no applicable mutation"
             else:
                 for mutant in mutants:
-                    if _verify_mutant(
-                        cfg, db, table, config, cls, mutant, deltas, probe_cache
-                    ):
+                    probe = SessionState(
+                        db=db, config=config, feasible=cls.feasible, cache=probe_cache
+                    )
+                    if verify_segment(probe, mutant.measurement).verdict == "rejected":
                         outcome.detected += 1
             outcomes.append(outcome)
         uniform, weighted = combine_rates(outcomes)

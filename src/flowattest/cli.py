@@ -21,6 +21,9 @@ from pathlib import Path
 
 from . import attacks, demos, protocol
 from .cfg import (
+    _check_int,
+    _check_str,
+    _require_keys,
     load_cfg,
     load_measurements,
     load_trace,
@@ -122,7 +125,7 @@ def cmd_verify(args) -> int:
             f"for {db.cfg_digest[:12]}..."
         )
     table = load_event_table(_read_json(args.table)) if args.table else None
-    config = _load_config(table, args.counters) if table else None
+    config = _load_config(table, args.counters)
     offset = _parse_offset(args.offset)
     if offset is not None:
         measurements = [
@@ -174,18 +177,43 @@ def cmd_walk(args) -> int:
 
 
 def _run_manifest(path: str, reps_override: int | None = None):
+    """Run one attack-eval manifest: ``cfg``, ``table`` and ``trace`` name
+    documents beside it; ``label``, ``counters`` (a register spec), ``db``
+    (a database file, built and written when missing), ``seed``, ``reps``
+    and ``budgets`` (``paths``, ``cycles``, ``nodes``) are optional, and
+    null means absent.  Every field is checked before any work starts."""
     manifest = _read_json(path)
+    _require_keys(
+        manifest,
+        required=("cfg", "table", "trace"),
+        optional=("label", "counters", "db", "seed", "reps", "budgets"),
+        what="manifest",
+    )
+
+    def optional(key, check, default=None):
+        value = manifest.get(key)
+        return default if value is None else check(value, f"manifest {key}")
+
+    def check_budgets(value, what):
+        _require_keys(value, required=(), optional=("paths", "cycles", "nodes"), what=what)
+        return {key: _check_int(v, f"{what} {key}") for key, v in value.items()}
+
     base = Path(path).parent
+    files = {
+        key: base / _check_str(manifest[key], f"manifest {key}") for key in ("cfg", "table", "trace")
+    }
+    label = optional("label", _check_str, Path(path).stem)
+    counters = optional("counters", _check_str)
+    db_name = optional("db", _check_str)
+    seed = optional("seed", _check_int, 0)
+    reps = optional("reps", lambda v, what: _check_int(v, what, minimum=1))
+    budgets = optional("budgets", check_budgets, {})
 
-    def resolve(name):
-        value = manifest.get(name)
-        return None if value is None else base / value
-
-    cfg = load_cfg(_read_json(resolve("cfg")))
-    table = load_event_table(_read_json(resolve("table")))
-    trace = load_trace(_read_json(resolve("trace")), cfg)
-    budgets = manifest.get("budgets") or {}
-    db_path = resolve("db")
+    cfg = load_cfg(_read_json(files["cfg"]))
+    table = load_event_table(_read_json(files["table"]))
+    trace = load_trace(_read_json(files["trace"]), cfg)
+    config = _load_config(table, counters)
+    db_path = None if db_name is None else base / db_name
     if db_path is not None and db_path.exists():
         db = load_database(_read_json(db_path), expected_digest=cfg.digest)
     else:
@@ -198,11 +226,10 @@ def _run_manifest(path: str, reps_override: int | None = None):
         )
         if db_path is not None:
             _write_json(db_path, serialize_database(db))
-    config = _load_config(table, manifest.get("counters"))
-    reps = reps_override if reps_override is not None else manifest.get("reps")
-    specs = attacks.default_specs(seed=manifest.get("seed", 0), repetitions=reps)
-    reports = attacks.evaluate(cfg, db, table, trace, specs, config=config)
-    return manifest.get("label", Path(path).stem), reports
+    if reps_override is not None:
+        reps = reps_override
+    specs = attacks.default_specs(seed=seed, repetitions=reps)
+    return label, attacks.evaluate(cfg, db, table, trace, specs, config=config)
 
 
 def cmd_attack_eval(args) -> int:
@@ -374,6 +401,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "protocol" and not args.explore and not args.scenario:
         parser.error("protocol needs --scenario or --explore")
+    if args.command == "verify" and args.counters and not args.table:
+        parser.error("verify --counters needs --table")
     try:
         return args.func(args)
     except DigestMismatchError as exc:

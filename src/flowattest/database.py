@@ -46,7 +46,7 @@ from .expand import (
     ExpandedNode,
     expand,
 )
-from .vectors import Vec, is_zero, vsum
+from .vectors import Vec, is_zero, vadd, vsum
 
 DEFAULT_PATH_BUDGET = 100_000
 DEFAULT_CYCLE_BUDGET = 10_000
@@ -281,29 +281,6 @@ def _loop_groups(cycles: list[_Cycle]) -> tuple[dict[ExpandedNode, int], list[di
     return {node: group_of[find(node)] for node in parent}, groups
 
 
-def _candidate_from_path(
-    path: list[ExpandedNode],
-    cfg: AnnotatedCfg,
-    deltas: dict[str, Vec],
-    group_of: dict[ExpandedNode, int],
-    groups: list[dict[Vec, int]],
-) -> PathCandidate:
-    base = vsum((deltas[n.block] for n in path[1:]), cfg.dimension)
-    base_instr = sum(cfg.blocks[n.block].instruction_count for n in path[1:])
-    loop_vecs: dict[Vec, int] = {}
-    for index in {group_of[n] for n in path if n in group_of}:
-        loop_vecs.update(groups[index])
-    ordered = sorted(loop_vecs)
-    return PathCandidate(
-        start=path[0],
-        end=path[-1],
-        base=base,
-        loops=tuple(ordered),
-        base_instruction_count=base_instr,
-        loop_instruction_counts=tuple(loop_vecs[v] for v in ordered),
-    )
-
-
 def enumerate_segments(
     cfg: AnnotatedCfg,
     table: EventTable,
@@ -324,21 +301,36 @@ def enumerate_segments(
     deltas = delta_map(cfg, table)
     graph = expand(cfg, node_budget)
     group_of, groups = _loop_groups(_cycle_universe(graph, cfg, deltas, cycle_budget))
+    counts = {bid: block.instruction_count for bid, block in cfg.blocks.items()}
+    points = {bid for bid, block in cfg.blocks.items() if block.is_measurement_point}
+    merged_loops: dict[frozenset[int], tuple[tuple[Vec, ...], tuple[int, ...]]] = {}
 
-    sources = [n for n in graph.succ if cfg.is_measurement_point(n.block)]
-    raw: dict[tuple[str, str], list[PathCandidate]] = {}
+    def loops_of(touched: frozenset[int]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+        """Sorted loop vectors of a set of loop groups, and their instruction counts."""
+        if touched not in merged_loops:
+            loop_vecs: dict[Vec, int] = {}
+            for index in touched:
+                loop_vecs.update(groups[index])
+            ordered = sorted(loop_vecs)
+            merged_loops[touched] = (tuple(ordered), tuple(loop_vecs[v] for v in ordered))
+        return merged_loops[touched]
+
+    found: dict[tuple[str, str], dict[tuple, PathCandidate]] = {}
     per_key_count: dict[tuple[str, str], int] = {}
-
-    for source in sources:
-        # Iterative DFS; path holds the current stack, on_path its node set
-        # (the source itself may be re-entered only as a terminal).
-        path = [source]
+    zero = (0,) * cfg.dimension
+    for source in graph.succ:
+        if source.block not in points:
+            continue
+        # Iterative DFS.  A frame is a path node, its unexplored successors,
+        # and the path's counter sum after the source, instruction count and
+        # touched loop groups (measurement points lie on no cycle).  The
+        # source may be re-entered only as a terminal.
         on_path = {source}
-        iters = [iter(graph.succ[source])]
-        while iters:
-            advanced = False
-            for nxt in iters[-1]:
-                if cfg.is_measurement_point(nxt.block):
+        frames = [(source, iter(graph.succ[source]), zero, 0, frozenset())]
+        while frames:
+            node, nexts, base, instr, touched = frames[-1]
+            for nxt in nexts:
+                if nxt.block in points:
                     key = (source.block, nxt.block)
                     per_key_count[key] = per_key_count.get(key, 0) + 1
                     if per_key_count[key] > path_budget:
@@ -349,26 +341,29 @@ def enumerate_segments(
                             budget=path_budget,
                             reached=per_key_count[key],
                         )
-                    raw.setdefault(key, []).append(
-                        _candidate_from_path(path + [nxt], cfg, deltas, group_of, groups)
-                    )
+                    end_base = vadd(base, deltas[nxt.block])
+                    loops, loop_counts = loops_of(touched)
+                    unique = found.setdefault(key, {})
+                    if (source, nxt, end_base, loops) not in unique:
+                        unique[source, nxt, end_base, loops] = PathCandidate(
+                            source, nxt, end_base, loops, instr + counts[nxt.block], loop_counts
+                        )
                 elif nxt not in on_path:
-                    path.append(nxt)
                     on_path.add(nxt)
-                    iters.append(iter(graph.succ[nxt]))
-                    advanced = True
+                    group = group_of.get(nxt)
+                    if group is not None and group not in touched:
+                        touched = touched | {group}
+                    sums = vadd(base, deltas[nxt.block]), instr + counts[nxt.block]
+                    frames.append((nxt, iter(graph.succ[nxt]), *sums, touched))
                     break
-            if not advanced:
-                iters.pop()
-                dropped = path.pop()
-                on_path.discard(dropped)
+            else:
+                frames.pop()
+                on_path.discard(node)
 
-    entries: dict[tuple[str, str], tuple[PathCandidate, ...]] = {}
-    for key in sorted(raw):
-        unique: dict[tuple, PathCandidate] = {}
-        for cand in raw[key]:
-            unique.setdefault((cand.start, cand.end, cand.base, cand.loops), cand)
-        entries[key] = tuple(sorted(unique.values(), key=PathCandidate.sort_key))
+    entries = {
+        key: tuple(sorted(found[key].values(), key=PathCandidate.sort_key))
+        for key in sorted(found)
+    }
     return SegmentDatabase(
         cfg_digest=cfg.digest,
         counters=cfg.counters,

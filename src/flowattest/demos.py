@@ -320,7 +320,6 @@ def write_demo(name: str, out_dir: str | Path, *, iterations: int = 60) -> list[
                     "db": None,
                     "seed": 7,
                     "reps": 100,
-                    "offset": None,
                     "budgets": None,
                 }
             )

@@ -187,14 +187,12 @@ class CounterConfig:
 def make_config(
     table: EventTable,
     registers: list[tuple[str, ...]] | None = None,
-    *,
-    allow_nondeterministic: bool = False,
 ) -> CounterConfig:
     """Build a config for ``table``; defaults to the identity register file.
 
-    Unless ``allow_nondeterministic`` is set, selecting a counter flagged
-    nondeterministic is refused: only counters that report identical values
-    for identical instruction sequences can back verification.
+    Selecting a counter flagged nondeterministic is refused: only counters
+    that report identical values for identical instruction sequences can
+    back verification.
     """
     names = table.counter_names
     index = {name: i for i, name in enumerate(names)}
@@ -213,7 +211,7 @@ def make_config(
             if name in used:
                 raise SchemaError(f"counter '{name}' appears in two registers")
             used.add(name)
-            if not table.counters[index[name]].deterministic and not allow_nondeterministic:
+            if not table.counters[index[name]].deterministic:
                 raise SchemaError(
                     f"counter '{name}' is nondeterministic and cannot back verification"
                 )

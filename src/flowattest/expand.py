@@ -36,10 +36,6 @@ class ExpandedGraph:
     entry: ExpandedNode
     succ: dict[ExpandedNode, tuple[ExpandedNode, ...]]
 
-    @property
-    def nodes(self) -> list[ExpandedNode]:
-        return list(self.succ)
-
     def __len__(self) -> int:
         return len(self.succ)
 

@@ -35,8 +35,8 @@ def measure_segment(
 ) -> Measurement:
     """One measurement for a block sequence running between two snapshots.
 
-    Unlike :func:`measure` this does not require the sequence to be a valid
-    walk; the attack harness uses it to observe deliberately broken ones.
+    Unlike :func:`measure` this does not check that the sequence is a valid
+    walk, so it also measures deliberately broken ones.
     """
     if deltas is None:
         deltas = delta_map(cfg, table)

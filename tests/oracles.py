@@ -2,8 +2,8 @@
 
 Nothing here shares machinery with the package: the cone oracle is plain
 bounded enumeration, delta tallies are per-instruction loops, simple
-cycles come from trying every node sequence, and lattice covolumes come
-from sympy.
+cycles come from trying every node sequence, segment candidates from
+recursion over every simple path, and lattice covolumes come from sympy.
 """
 
 from fractions import Fraction
@@ -133,3 +133,84 @@ def covolume_sympy(vectors, subset):
     root = sympy.sqrt(gram)
     assert root.is_integer, "oracle only used on perfect-square cases"
     return Fraction(int(root))
+
+
+def segment_candidates_bruteforce(cfg, table, graph):
+    """Every segment's distinct candidates, one simple path at a time.
+
+    ``graph`` is the call-string expansion of ``cfg``.  Paths come from
+    plain recursion from every measurement point to the first measurement
+    point reached, and each path is summed from scratch.  Its loops are
+    the nonzero simple cycles of the measurement-point-free subgraph that
+    share a node with the path or, transitively, with an attached cycle;
+    cycles are listed from their least node.  Returns {(start block, end
+    block): {(start stack, end stack, base, loops, base instructions, loop
+    instructions)}} with loops sorted.
+    """
+    delta = {b: tally_instructions(table, blk.instructions) for b, blk in cfg.blocks.items()}
+
+    def point(node):
+        return cfg.blocks[node.block].is_measurement_point
+
+    def total(nodes):
+        vec = [0] * table.dimension
+        for node in nodes:
+            for i, x in enumerate(delta[node.block]):
+                vec[i] += x
+        return tuple(vec)
+
+    def instructions(nodes):
+        return sum(cfg.blocks[node.block].instruction_count for node in nodes)
+
+    inner = {
+        node: set(n for n in nexts if not point(n))
+        for node, nexts in graph.succ.items()
+        if not point(node)
+    }
+    cycles = []
+
+    def close(path):
+        for nxt in inner[path[-1]]:
+            if nxt == path[0]:
+                if any(total(path)):
+                    cycles.append((set(path), total(path), instructions(path)))
+            elif nxt > path[0] and nxt not in path:
+                close(path + [nxt])
+
+    for node in sorted(inner):
+        close([node])
+
+    found = {}
+
+    def walk(path):
+        for nxt in graph.succ[path[-1]]:
+            if point(nxt):
+                attached = []
+                touched = set(path)
+                grew = True
+                while grew:
+                    grew = False
+                    for cycle in cycles:
+                        if cycle not in attached and cycle[0] & touched:
+                            attached.append(cycle)
+                            touched |= cycle[0]
+                            grew = True
+                loops = dict((vec, count) for _, vec, count in attached)
+                ordered = tuple(sorted(loops))
+                found.setdefault((path[0].block, nxt.block), set()).add(
+                    (
+                        path[0].stack,
+                        nxt.stack,
+                        total(path[1:] + [nxt]),
+                        ordered,
+                        instructions(path[1:] + [nxt]),
+                        tuple(loops[v] for v in ordered),
+                    )
+                )
+            elif nxt not in path:
+                walk(path + [nxt])
+
+    for node in graph.succ:
+        if point(node):
+            walk([node])
+    return found

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,11 +17,22 @@ from flowattest.cfg import BlockTrace, Measurement, load_cfg, split_trace, valid
 from flowattest.database import enumerate_segments
 from flowattest.demos import signer_cfg, signer_trace
 from flowattest.errors import SchemaError
-from flowattest.events import default_event_table
-from flowattest.simulate import measure, measure_segment
+from flowattest.events import (
+    default_event_table,
+    delta_map,
+    identity_config,
+    make_config,
+    make_event_table,
+    project,
+    three_register_config,
+)
+from flowattest.simulate import measure_segment, random_valid_walk
 from flowattest.verify import SessionState, verify_segment
 
-from .conftest import TINY_COUNTERS, block, edge
+from .conftest import TINY_COUNTERS, block, edge, tiny_table_doc
+from .randcfg import random_cfg_and_table
+
+BLOCK_KINDS = ("remove_block", "replace_block", "replace_unique", "insert_unique")
 
 
 def _long_chain_doc(interior=8):
@@ -46,7 +59,7 @@ def test_remove_caps_at_available_blocks(tiny_table):
     cfg = load_cfg(_long_chain_doc(8))
     segment = BlockTrace(tuple(b["id"] for b in _long_chain_doc(8)["blocks"]))
     spec = MutationSpec(kind="remove_block", repetitions=100, seed=1)
-    mutants = mutate(cfg, tiny_table, segment, spec)
+    mutants = mutate(cfg, delta_map(cfg, tiny_table), segment, spec)
     assert len(mutants) == 8
     assert len({m.steps for m in mutants}) == 8
 
@@ -55,7 +68,8 @@ def test_block_mutants_are_structurally_invalid(tiny_table):
     cfg = load_cfg(_long_chain_doc(6))
     segment = BlockTrace(tuple(b["id"] for b in _long_chain_doc(6)["blocks"]))
     for kind in ("remove_block", "replace_block", "replace_unique", "insert_unique"):
-        for mutant in mutate(cfg, tiny_table, segment, MutationSpec(kind=kind, seed=3)):
+        spec = MutationSpec(kind=kind, seed=3)
+        for mutant in mutate(cfg, delta_map(cfg, tiny_table), segment, spec):
             assert not validate_trace(cfg, BlockTrace(mutant.steps))
             assert mutant.steps[0] == segment.steps[0]
             assert mutant.steps[-1] == segment.steps[-1]
@@ -65,8 +79,8 @@ def test_mutants_are_seed_deterministic_and_distinct(tiny_table):
     cfg = load_cfg(_long_chain_doc(8))
     segment = BlockTrace(tuple(b["id"] for b in _long_chain_doc(8)["blocks"]))
     spec = MutationSpec(kind="replace_block", repetitions=20, seed=5)
-    first = mutate(cfg, tiny_table, segment, spec)
-    second = mutate(cfg, tiny_table, segment, spec)
+    first = mutate(cfg, delta_map(cfg, tiny_table), segment, spec)
+    second = mutate(cfg, delta_map(cfg, tiny_table), segment, spec)
     assert [m.steps for m in first] == [m.steps for m in second]
     assert len({m.steps for m in first}) == 20
 
@@ -103,7 +117,8 @@ def test_two_block_segment_has_no_remove_mutants(tiny_table):
     doc = _long_chain_doc(0)
     cfg = load_cfg(doc)
     segment = BlockTrace(("h.0", "h.end"))
-    assert mutate(cfg, tiny_table, segment, MutationSpec(kind="remove_block")) == []
+    spec = MutationSpec(kind="remove_block")
+    assert mutate(cfg, delta_map(cfg, tiny_table), segment, spec) == []
 
 
 def test_detection_flag_equals_verifier_rejection(tiny_table):
@@ -113,7 +128,7 @@ def test_detection_flag_equals_verifier_rejection(tiny_table):
     trace = BlockTrace(tuple(b["id"] for b in _long_chain_doc(6)["blocks"]))
     (segment,) = split_trace(cfg, trace)
     spec = MutationSpec(kind="insert_unique", repetitions=30, seed=4)
-    mutants = mutate(cfg, table, segment, spec)
+    mutants = mutate(cfg, delta_map(cfg, table), segment, spec)
     assert mutants
     for mutant in mutants:
         observed = measure_segment(cfg, table, None, BlockTrace(mutant.steps))
@@ -219,3 +234,96 @@ def test_render_table_mentions_policy(tiny_table):
     text = render_table([("chain", reports)])
     assert "independent-per-counter" in text
     assert "remove_block" in text
+
+
+def _full_validation_mutants(cfg, deltas, segment, spec):
+    """Every interior edit of the segment, kept when validating the whole
+    edited sequence fails, deduplicated in order, then sampled."""
+    steps = segment.steps
+    points = {b for b, blk in cfg.blocks.items() if blk.is_measurement_point}
+    if spec.kind in ("replace_unique", "insert_unique"):
+        tally = Counter(deltas.values())
+        pool = sorted(b for b, v in deltas.items() if tally[v] == 1 and b not in points)
+    else:
+        pool = sorted(set(cfg.blocks) - points)
+    interior = range(1, len(steps) - 1)
+    if spec.kind == "remove_block":
+        edited = [steps[:p] + steps[p + 1 :] for p in interior]
+    elif spec.kind == "insert_unique":
+        edited = [steps[:g] + (b,) + steps[g:] for g in range(1, len(steps)) for b in pool]
+    else:
+        edited = [
+            steps[:p] + (b,) + steps[p + 1 :] for p in interior for b in pool if b != steps[p]
+        ]
+    kept = list(dict.fromkeys(e for e in edited if not validate_trace(cfg, BlockTrace(e))))
+    if len(kept) > spec.reps:
+        kept = random.Random(spec.seed).sample(kept, spec.reps)
+    return kept
+
+
+def _zero_block_doc():
+    """A chain whose only detour, z, has no instructions: putting z back
+    between its neighbours follows edges but is still no valid walk."""
+    doc = _long_chain_doc(3)
+    doc["blocks"].append(block("z", "main", []))
+    doc["functions"][0]["blocks"].append("z")
+    doc["edges"] += [edge("h.1", "z"), edge("z", "h.2"), edge("h.2", "z"), edge("z", "h.3")]
+    return doc
+
+
+def _mutation_cases():
+    """(cfg, table, valid segments, register configs): a chain with a
+    zero-instruction block, short signer runs under the identity and
+    three-register files, and random programs' walks under the identity and
+    a composite two-register file."""
+    counters, attribution = tiny_table_doc()
+    table = make_event_table(counters, attribution)
+    cfg = load_cfg(_zero_block_doc())
+    segment = BlockTrace(("h.0", "h.1", "h.2", "h.3", "h.end"))
+    yield cfg, table, [segment], (identity_config(table), make_config(table, [TINY_COUNTERS]))
+    table = default_event_table()
+    for in_loop in (False, True):
+        cfg = load_cfg(signer_cfg(in_loop))
+        trace = BlockTrace(tuple(signer_trace(4, 2, in_loop)))
+        configs = (identity_config(table), three_register_config(table))
+        yield cfg, table, split_trace(cfg, trace), configs
+    for seed in range(40):
+        cfg, table = random_cfg_and_table(seed, max_blocks=30)
+        trace = random_valid_walk(cfg, seed, max_segments=3)
+        names = table.counter_names
+        configs = (identity_config(table), make_config(table, [names[:1], names[1:]]))
+        yield cfg, table, split_trace(cfg, trace), configs
+
+
+def test_block_mutants_are_checked_and_measured_by_their_edit():
+    """Checking only an edit's new pairs keeps exactly the mutants that
+    full-trace validation keeps, and each mutant's measurement is what
+    measuring its whole edited sequence gives."""
+    checked = Counter()
+    for cfg, table, segments, configs in _mutation_cases():
+        for config in configs:
+            deltas = {b: project(config, v) for b, v in delta_map(cfg, table).items()}
+            for segment in segments:
+                measured = measure_segment(cfg, table, config, segment)
+                for kind in BLOCK_KINDS:
+                    for reps in (7, None):
+                        spec = MutationSpec(kind, reps, seed=len(segment.steps))
+                        mutants = mutate(cfg, deltas, segment, spec)
+                        assert mutants == mutate(cfg, deltas, segment, spec, measurement=measured)
+                        expected = _full_validation_mutants(cfg, deltas, segment, spec)
+                        assert [m.steps for m in mutants] == expected
+                        for mutant in mutants:
+                            steps = BlockTrace(mutant.steps)
+                            assert not validate_trace(cfg, steps)
+                            assert mutant.measurement == measure_segment(cfg, table, config, steps)
+                        checked[kind] += len(mutants)
+    assert min(checked.values()) >= 500, checked
+
+
+def test_mutating_an_invalid_segment_is_a_schema_error(tiny_table):
+    cfg = load_cfg(_long_chain_doc(4))
+    deltas = delta_map(cfg, tiny_table)
+    broken = BlockTrace(("h.0", "h.2", "h.3", "h.end"))  # no edge h.0 -> h.2
+    for kind in BLOCK_KINDS:
+        with pytest.raises(SchemaError, match="invalid segment"):
+            mutate(cfg, deltas, broken, MutationSpec(kind))

@@ -187,6 +187,21 @@ def test_verify_list_start_is_a_usage_error(capsys, chain_paths):
     assert "start and end must be block ids" in err
 
 
+def test_verify_counters_without_table_is_a_usage_error(capsys, chain_paths):
+    cfg_path, table_path, tmp = chain_paths
+    db_path, measurements_path = _pipeline(capsys, tmp, cfg_path, table_path, ["A", "B", "C"])
+    argv = [
+        "verify", "--db", str(db_path), "--measurements", str(measurements_path),
+        "--counters", ",".join(TINY_COUNTERS),
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    assert "--counters needs --table" in capsys.readouterr().err
+    code, _, _ = run(capsys, *argv, "--table", table_path)
+    assert code == EXIT_OK
+
+
 @pytest.mark.parametrize("entry", ["1", True], ids=["string", "boolean"])
 def test_preprocess_ill_typed_attribution_is_a_usage_error(capsys, chain_paths, entry):
     cfg_path, table_path, tmp = chain_paths
@@ -295,6 +310,42 @@ def test_attack_eval_runs_a_small_manifest(capsys, tmp_path):
     assert "remove_block" in doc[0]["experiments"]
     code, out, _ = run(capsys, "attack-eval", str(manifest_path))
     assert "added-ecalls" in out
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"budgets": [1]},
+        {"budgets": {"paths": "x"}},
+        {"budgets": {"depth": 3}},
+        {"reps": "2"},
+        {"reps": 0},
+        {"seed": 1.5},
+        {"cfg": 1},
+        {"counters": 5},
+        {"label": [1]},
+        {"db": True},
+        {"offset": None},
+        None,
+    ],
+    ids=[
+        "budgets-array", "budget-string", "budget-unknown", "reps-string", "reps-zero",
+        "seed-float", "cfg-number", "counters-number", "label-array", "db-boolean",
+        "unknown-key", "top-level-array",
+    ],
+)
+def test_attack_eval_malformed_manifest_is_a_usage_error(capsys, tmp_path, change):
+    run(capsys, "demo", "--name", "signer", "--out", str(tmp_path), "--iterations", "4")
+    manifest_path = tmp_path / "manifest_basic.json"
+    manifest = json.loads(manifest_path.read_text())
+    if change is None:
+        manifest = [manifest]
+    else:
+        manifest.update(change)
+    manifest_path.write_text(json.dumps(manifest))
+    code, _, err = run(capsys, "attack-eval", str(manifest_path))
+    assert code == EXIT_ERROR
+    assert "error:" in err and "manifest" in err
 
 
 def test_machine_output_is_byte_identical(capsys, chain_paths, tmp_path):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,10 @@ from flowattest.database import (
     load_database,
     serialize_database,
 )
+from flowattest.demos import greeter_cfg, signer_cfg
 from flowattest.errors import BudgetError, DigestMismatchError, SchemaError
+from flowattest.events import default_event_table
+from flowattest.expand import expand
 from flowattest.simulate import measure
 
 from .conftest import (
@@ -27,7 +31,8 @@ from .conftest import (
     straight_line_doc,
     two_loop_chain_doc,
 )
-from .oracles import simple_cycles_bruteforce
+from .oracles import segment_candidates_bruteforce, simple_cycles_bruteforce
+from .randcfg import random_cfg_and_table
 
 
 def test_two_loop_chain_enumeration(tiny_table):
@@ -298,3 +303,48 @@ def test_skip_segments_survive_preprocessing(tiny_table):
     db = enumerate_segments(cfg, tiny_table)
     assert ("A", "C") in db.skip_segments
     assert ("A", "C") in load_database(serialize_database(db)).skip_segments
+
+
+def _candidate_sets(db):
+    return {
+        key: {
+            (
+                c.start.stack,
+                c.end.stack,
+                c.base,
+                c.loops,
+                c.base_instruction_count,
+                c.loop_instruction_counts,
+            )
+            for c in candidates
+        }
+        for key, candidates in db.entries.items()
+    }
+
+
+def _assert_matches_per_path_oracle(cfg, table):
+    db = enumerate_segments(cfg, table)
+    expected = segment_candidates_bruteforce(cfg, table, expand(cfg))
+    assert _candidate_sets(db) == expected
+    # Each distinct candidate once.
+    assert all(len(cands) == len(expected[key]) for key, cands in db.entries.items())
+    return db
+
+
+def test_candidates_match_per_path_oracle():
+    """The prefix sums and loop groups carried through the path search give
+    what summing and closing every simple path from scratch gives."""
+    table = default_event_table()
+    for doc in (greeter_cfg(), signer_cfg(False), signer_cfg(True)):
+        _assert_matches_per_path_oracle(load_cfg(doc), table)
+    seen = Counter()
+    for seed in range(300):
+        cfg, table = random_cfg_and_table(seed)
+        db = _assert_matches_per_path_oracle(cfg, table)
+        candidates = [c for cands in db.entries.values() for c in cands]
+        seen["loops"] += any(c.loops for c in candidates)
+        seen["calls"] += any(c.start.stack or c.end.stack for c in candidates)
+        seen["in-loop points"] += any(
+            c.start.block == c.end.block and c.start.stack == c.end.stack for c in candidates
+        )
+    assert min(seen.values()) >= 30, seen

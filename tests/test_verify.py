@@ -100,6 +100,7 @@ def test_rejection_stops_the_fold(tiny_table):
 
 def test_valid_prefix_then_mutated_segment_rejects_at_index(tiny_table):
     from flowattest.attacks import MutationSpec, mutate
+    from flowattest.events import delta_map
     from flowattest.simulate import measure_segment
 
     cfg = load_cfg(two_loop_chain_doc())
@@ -109,7 +110,9 @@ def test_valid_prefix_then_mutated_segment_rejects_at_index(tiny_table):
     trace = BlockTrace(("A", "B", "C"))
     valid = measure(cfg, tiny_table, None, trace)[0]
     segment = BlockTrace(steps)
-    mutants = mutate(cfg, tiny_table, segment, MutationSpec(kind="remove_block", seed=0))
+    mutants = mutate(
+        cfg, delta_map(cfg, tiny_table), segment, MutationSpec(kind="remove_block", seed=0)
+    )
     assert mutants
     mutated = measure_segment(cfg, tiny_table, None, BlockTrace(mutants[0].steps))
     # The chain graph has no C->A edge, so replay the same segment by
