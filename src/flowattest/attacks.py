@@ -28,7 +28,8 @@ report header.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cfg import (
@@ -138,7 +139,7 @@ def combine_rates(outcomes: list[SegmentOutcome]) -> tuple[Fraction, Fraction]:
     return uniform, weighted
 
 
-def _unique_delta_blocks(cfg: AnnotatedCfg, deltas: dict[str, Vec]) -> list[str]:
+def _unique_delta_blocks(cfg: AnnotatedCfg, deltas: Mapping[str, Vec]) -> list[str]:
     """Non-measurement blocks whose projected delta no other block shares."""
     tally: dict[Vec, int] = {}
     for v in deltas.values():
@@ -192,7 +193,7 @@ def _breaking_edits(cfg: AnnotatedCfg, steps: tuple[str, ...], kind: str, pool: 
 
 def mutate(
     cfg: AnnotatedCfg,
-    deltas: dict[str, Vec],
+    deltas: Mapping[str, Vec],
     segment: BlockTrace,
     spec: MutationSpec,
     *,
@@ -241,9 +242,9 @@ def mutate(
                 if any(u) and u not in seen:
                     seen.add(u)
                     perturbations.append(u)
-        values = measurement.delta
+        start, end, values = measurement.start, measurement.end, measurement.delta
         return [
-            Mutant(replace(measurement, delta=tuple(v + du for v, du in zip(values, u))))
+            Mutant(Measurement(start, end, tuple(v + du for v, du in zip(values, u))))
             for u in perturbations
         ]
 
@@ -271,7 +272,7 @@ def mutate(
             delta = vsub(delta, deltas[removed])
         if inserted is not None:
             delta = vadd(delta, deltas[inserted])
-        mutants.append(Mutant(replace(measurement, delta=delta), steps=edited))
+        mutants.append(Mutant(Measurement(measurement.start, measurement.end, delta), steps=edited))
     return mutants
 
 

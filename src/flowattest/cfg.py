@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import RecursionDetectedError, SchemaError, UnknownBlockError
@@ -100,6 +101,11 @@ class AnnotatedCfg:
     succ: dict[str, tuple[Edge, ...]] = field(default_factory=dict)
     edge_pairs: frozenset[tuple[str, str]] = frozenset()
     digest: str = ""
+    # Memo of events.delta_map: id(table) -> (table, read-only deltas).  The
+    # entry holds the table so that its id cannot be reused by another one.
+    _deltas: dict[int, tuple[object, Mapping[str, Vec]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dimension(self) -> int:

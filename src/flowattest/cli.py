@@ -10,6 +10,8 @@ status encodes the verifier verdict so pipelines can gate on it:
 * 2: usage, schema, or input errors
 * 3: digest mismatch between artifacts
 * 4: an enumeration budget was exceeded
+* 5: an internal error, a defect in flowattest rather than in the inputs,
+  reported as one ``internal error:`` line on stderr
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ EXIT_REJECTED = 1
 EXIT_ERROR = 2
 EXIT_DIGEST = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 def _read_json(path: str):
@@ -414,6 +417,10 @@ def main(argv=None) -> int:
     except (FlowAttestError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        # Never the traceback's exit status 1, which means "rejected".
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

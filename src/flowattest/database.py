@@ -26,8 +26,8 @@ what makes online verification sound.
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable, Iterator
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterator, Mapping
+from dataclasses import dataclass, field
 
 from .cfg import (
     AnnotatedCfg,
@@ -38,7 +38,7 @@ from .cfg import (
     _require_keys,
 )
 from .errors import BudgetError, DigestMismatchError, SchemaError
-from .events import EventTable, delta_map
+from .events import CounterConfig, EventTable, delta_map
 from .expand import (
     DEFAULT_NODE_BUDGET,
     CallStack,
@@ -75,6 +75,12 @@ class SegmentDatabase:
     counters: tuple[str, ...]
     entries: dict[tuple[str, str], tuple[PathCandidate, ...]]
     skip_segments: frozenset[tuple[str, str]]
+    # Memo of verify's candidate projections: register file (None for the
+    # identity file) -> segment key -> one (base, generators, owner) per
+    # candidate.  Filled lazily during verification.
+    _projected: dict[CounterConfig | None, dict[tuple[str, str], tuple]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dimension(self) -> int:
@@ -209,7 +215,7 @@ def _simple_cycles(succ: dict[Node, list[Node]]) -> Iterator[list[Node]]:
 def _cycle_universe(
     graph: ExpandedGraph,
     cfg: AnnotatedCfg,
-    deltas: dict[str, Vec],
+    deltas: Mapping[str, Vec],
     cycle_budget: int,
 ) -> list[_Cycle]:
     """All simple cycles of the expanded graph that avoid measurement points.

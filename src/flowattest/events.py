@@ -14,7 +14,9 @@ The table document is ``{"counters": [{"name", "deterministic"}],
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .cfg import AnnotatedCfg, BasicBlock, _check_list, _check_str, _check_vector, _require_keys
 from .errors import SchemaError, UnknownMnemonicError
@@ -136,14 +138,22 @@ def block_delta(table: EventTable, block: BasicBlock) -> Vec:
     return delta
 
 
-def delta_map(cfg: AnnotatedCfg, table: EventTable) -> dict[str, Vec]:
+def delta_map(cfg: AnnotatedCfg, table: EventTable) -> Mapping[str, Vec]:
     """Resolve every block to its counter delta under the given table.
 
     Validates in one pass that the CFG and table agree on the counter list,
     that all mnemonics are known, that any stored deltas are consistent,
     and that each delta's instructions-retired component matches the
     block's instruction count.
+
+    The result is memoized on the CFG per table object (by identity, so a
+    value-equal table is resolved on its own) and returned as a read-only
+    mapping shared by every caller.  A call that raises caches nothing, so
+    every call with the same bad pair raises again.
     """
+    cached = cfg._deltas.get(id(table))
+    if cached is not None:
+        return cached[1]
     if cfg.counters != table.counter_names:
         raise SchemaError(
             "CFG and event table disagree on the counter list: "
@@ -159,7 +169,9 @@ def delta_map(cfg: AnnotatedCfg, table: EventTable) -> dict[str, Vec]:
                 f"instructions but instruction_count is {block.instruction_count}"
             )
         result[bid] = delta
-    return result
+    deltas = MappingProxyType(result)
+    cfg._deltas[id(table)] = (table, deltas)
+    return deltas
 
 
 @dataclass(frozen=True)

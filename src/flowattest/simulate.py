@@ -31,15 +31,14 @@ def measure_segment(
     segment: BlockTrace,
     *,
     offset: Vec | None = None,
-    deltas: dict[str, Vec] | None = None,
 ) -> Measurement:
     """One measurement for a block sequence running between two snapshots.
 
-    Unlike :func:`measure` this does not check that the sequence is a valid
-    walk, so it also measures deliberately broken ones.
+    Block deltas come from :func:`delta_map`, which resolves each (CFG,
+    table) pair once.  Unlike :func:`measure` this does not check that the
+    sequence is a valid walk, so it also measures deliberately broken ones.
     """
-    if deltas is None:
-        deltas = delta_map(cfg, table)
+    deltas = delta_map(cfg, table)
     raw = vsum((deltas[s] for s in segment.steps[1:]), cfg.dimension)
     value = project(config, raw) if config is not None else raw
     if offset is not None:
@@ -60,9 +59,10 @@ def measure(
     Raises :class:`SchemaError` when the trace is not a valid walk.
     """
     segments = split_trace(cfg, trace)
-    deltas = delta_map(cfg, table)
+    # Checks the pair even when the trace has no segment to measure.
+    delta_map(cfg, table)
     return [
-        measure_segment(cfg, table, config, segment, offset=offset, deltas=deltas)
+        measure_segment(cfg, table, config, segment, offset=offset)
         for segment in segments
     ]
 

@@ -12,6 +12,14 @@ Identical observations (same endpoints, same measured values, same feasible
 entry stacks) are answered from a cache keyed by content, including the
 feasible-set update, so replay is verdict-identical with the cache on or
 off.
+
+Each candidate's base and loop vectors are projected through the register
+file once per database and file: the database memoizes, per
+``CounterConfig`` (``None`` for the identity file) and segment key, the
+projected base, the deduplicated nonzero generators and the witness remap
+of every candidate.  The memo fills on a segment key's first verification,
+is shared by every session over that database, and is invisible to the
+database's equality and serialization.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 from .cfg import Measurement
 from .cone import solve_cone
-from .database import DedupKey, SegmentDatabase, dedup_key
+from .database import DedupKey, PathCandidate, SegmentDatabase, dedup_key
 from .errors import SchemaError
 from .events import CounterConfig, project
 from .expand import CallStack
@@ -88,7 +96,21 @@ def _project_generators(state: SessionState, loops: tuple[Vec, ...]):
             seen[pv] = len(unique)
             unique.append(pv)
             owner.append(j)
-    return tuple(unique), owner
+    return tuple(unique), tuple(owner)
+
+
+def _projected_candidates(
+    state: SessionState, key: tuple[str, str], candidates: tuple[PathCandidate, ...]
+) -> tuple[tuple[Vec, tuple[Vec, ...], tuple[int, ...]], ...]:
+    """Per candidate of ``key``: projected base, generators and witness
+    remap, computed once per database and register file."""
+    per_key = state.db._projected.setdefault(state.config, {})
+    projected = per_key.get(key)
+    if projected is None:
+        projected = per_key[key] = tuple(
+            (state.project(c.base), *_project_generators(state, c.loops)) for c in candidates
+        )
+    return projected
 
 
 def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
@@ -163,14 +185,14 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
     exits: set[CallStack] = set()
     witness: tuple[int, ...] | None = None
     have_witness = False
-    for index, cand in enumerate(candidates):
+    projected = _projected_candidates(state, key, candidates)
+    for index, (cand, (base, generators, owner)) in enumerate(zip(candidates, projected)):
         if state.feasible is not None and cand.start.stack not in state.feasible:
             continue
         tried += 1
-        target = vsub(m.delta, state.project(cand.base))
+        target = vsub(m.delta, base)
         if not is_nonneg(target):
             continue
-        generators, owner = _project_generators(state, cand.loops)
         solver_calls += 1
         solution = solve_cone(target, generators)
         solver_nodes += solution.lp_solves

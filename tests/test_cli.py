@@ -3,10 +3,12 @@ from pathlib import Path
 
 import pytest
 
+import flowattest.cli
 from flowattest.cli import (
     EXIT_BUDGET,
     EXIT_DIGEST,
     EXIT_ERROR,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REJECTED,
     main,
@@ -377,3 +379,15 @@ def test_bad_input_is_a_usage_error(capsys, tmp_path):
     )
     assert code == EXIT_ERROR
     assert "error:" in err
+
+
+def test_internal_error_is_not_a_rejection(capsys, monkeypatch, chain_paths):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(flowattest.cli, "cmd_walk", broken)
+    cfg_path, _, _ = chain_paths
+    code, out, err = run(capsys, "walk", "--cfg", cfg_path, "--seed", "1")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "internal error: KeyError('lost')\n"

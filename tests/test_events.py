@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowattest.cfg import BasicBlock, load_cfg
+from flowattest.cfg import BasicBlock, load_cfg, serialize_cfg
 from flowattest.errors import SchemaError, UnknownMnemonicError
 from flowattest.events import (
     CounterEvent,
@@ -22,7 +23,7 @@ from flowattest.events import (
 )
 from flowattest.vectors import vadd
 
-from .conftest import straight_line_doc
+from .conftest import straight_line_doc, tiny_table_doc
 from .oracles import tally_instructions
 
 
@@ -80,8 +81,48 @@ def test_delta_map_checks_instret_consistency(tiny_table):
         "delta": [2, 0, 1],  # claims 2 retired instructions, count says 3
     }
     cfg = load_cfg(doc)
-    with pytest.raises(SchemaError, match="instruction_count"):
-        delta_map(cfg, tiny_table)
+    # A failed call caches nothing, so the second call checks again.
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="instruction_count"):
+            delta_map(cfg, tiny_table)
+
+
+def test_delta_map_is_per_table_object(tiny_table):
+    cfg = load_cfg(straight_line_doc())
+    counters, attribution = tiny_table_doc()
+    # Same counter names, but loads also count as conditional branches.
+    attribution["lw"] = (1, 1, 1)
+    other = make_event_table(counters, attribution)
+    twin = make_event_table(*tiny_table_doc())
+    assert twin == tiny_table and twin is not tiny_table
+    expected = {"s.0": (1, 0, 0), "s.1": (2, 0, 1), "s.2": (1, 0, 0)}
+    for table, want in [
+        (tiny_table, expected),
+        (other, {**expected, "s.1": (2, 1, 1)}),
+        (tiny_table, expected),
+        (twin, expected),
+        (other, {**expected, "s.1": (2, 1, 1)}),
+    ]:
+        assert dict(delta_map(cfg, table)) == want
+    assert delta_map(cfg, tiny_table) is delta_map(cfg, tiny_table)
+
+
+def test_delta_map_result_is_read_only(tiny_table):
+    deltas = delta_map(load_cfg(straight_line_doc()), tiny_table)
+    with pytest.raises(TypeError):
+        deltas["s.1"] = (0, 0, 0)
+    with pytest.raises(TypeError):
+        del deltas["s.1"]
+
+
+def test_replaced_cfg_starts_with_an_empty_memo(tiny_table):
+    cfg = load_cfg(straight_line_doc())
+    deltas = delta_map(cfg, tiny_table)
+    copy = dataclasses.replace(cfg)
+    assert copy == cfg and copy._deltas == {}
+    assert delta_map(copy, tiny_table) == deltas
+    assert serialize_cfg(copy) == serialize_cfg(cfg)
+    assert "_deltas" not in repr(cfg)
 
 
 def test_delta_map_requires_matching_counter_lists(tiny_table):

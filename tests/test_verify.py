@@ -1,9 +1,15 @@
 import pytest
 
 from flowattest.cfg import BlockTrace, Measurement, load_cfg
-from flowattest.database import SegmentDatabase, enumerate_segments
+from flowattest.database import (
+    SegmentDatabase,
+    enumerate_segments,
+    load_database,
+    serialize_database,
+)
+from flowattest.demos import signer_cfg, signer_trace
 from flowattest.errors import SchemaError
-from flowattest.events import make_config
+from flowattest.events import default_event_table, make_config, three_register_config
 from flowattest.simulate import measure
 from flowattest.vectors import vadd
 from flowattest.verify import (
@@ -241,3 +247,25 @@ def test_report_document_is_stable(chain, tiny_table):
         verify_trace_measurements(db, measurements), include_timings=True
     )
     assert "elapsed" in timed["segments"][0]
+
+
+def test_projection_memo_is_per_register_file():
+    """One database verified under the identity file, the three-register
+    file, then the identity file again reports exactly what a freshly
+    loaded copy of it reports."""
+    table = default_event_table()
+    cfg = load_cfg(signer_cfg(True))
+    db = enumerate_segments(cfg, table)
+    trace = BlockTrace(tuple(signer_trace(12, 5, True)))
+    for config in (None, three_register_config(table), None):
+        valid = measure(cfg, table, config, trace)
+        bumped = [Measurement(m.start, m.end, (m.delta[0] + 1,) + m.delta[1:]) for m in valid]
+        for measurements, rejected_at in ((valid, None), (valid[:3] + bumped[3:], 3)):
+            report = verify_trace_measurements(db, measurements, config=config)
+            assert report.rejected_at == rejected_at
+            fresh = load_database(serialize_database(db))
+            assert report_document(report) == report_document(
+                verify_trace_measurements(fresh, measurements, config=config)
+            )
+    assert set(db._projected) == {None, three_register_config(table)}
+    assert db == load_database(serialize_database(db))
