@@ -11,16 +11,20 @@ through one exact pipeline:
 
 1. integer propagation: support reduction, per-dimension gcd and capacity
    pruning, forced-variable fixing (resolves most instances outright);
-2. the lattice test: a residual outside the integer lattice of the free
-   generators has no combination at all, so the node is pruned;
-3. bitset reachability over the residual box, when the box is small enough
+2. bitset reachability over the residual box, when the box is small enough
    to afford it - generators are nonnegative, so partial sums never leave
    the box and saturating one generator at a time is complete.  This is
    the workhorse for low-dimension/many-generator instances, where pure
    branch-and-bound degenerates;
-4. an exact rational phase-1 simplex plus branching on a fractional
+3. an exact rational phase-1 simplex plus branching on a fractional
    variable for everything else (high-dimension instances, where the
    equality rows prune hard).
+
+A lattice test runs between steps 1 and 2 only for boxes of more than
+``_LATTICE_FIRST_BITS`` states and for nodes headed to the simplex: a
+residual outside the integer lattice of the free generators has no
+combination at all, so the node is pruned.  The bitset sweep is exact, so
+on a small box that test could only repeat its verdict at a higher price.
 
 The decision problem is NP-hard in general, so adversarial inputs outside
 the reachability budget can still be slow; they remain exactly decided.
@@ -36,10 +40,14 @@ from .lattice import lattice_basis
 from .vectors import Vec
 
 # Bitset reachability is used when the box holds at most this many states
-# and the estimated sweep work (saturation passes times bitmap words) is
-# affordable.
+# and the estimated sweep work (one pass per copy of each generator, times
+# bitmap words) is affordable.  Saturation doubles, so the estimate is a
+# loose upper bound; it stays as it is so that no node changes engine.
 _DP_BIT_LIMIT = 1 << 26
 _DP_WORK_LIMIT = 80_000_000
+# Boxes of at most this many states go straight to the bitset sweep; the
+# lattice test runs first only on larger boxes and before the simplex.
+_LATTICE_FIRST_BITS = 1 << 19
 
 
 @dataclass
@@ -151,9 +159,13 @@ def _dp_reachable(residual: list[int], gens: list[Vec], plan) -> list[int] | Non
     One big integer is the bitmap of reachable box states.  Because the
     generators are componentwise nonnegative, any sum can be built one
     generator at a time without ever leaving the box, so saturating each
-    generator once (repeating its masked shift to a fixed point) covers
-    every combination.  Snapshots per generator let the witness be read
-    back afterwards.
+    generator once covers every combination.  Saturation doubles: after
+    step j every state gained 0..2^j - 1 copies of the generator, and the
+    mask keeps the states that can still take 2^j more, so about
+    log2(cap) steps reach the fixed point of one-copy-at-a-time shifting.
+    Snapshots per generator let the witness be read back afterwards.
+    Every generator must be nonzero and fit inside the box once, as
+    ``solve_cone`` guarantees; a zero shift would never clear its mask.
     """
     bits, strides = plan
     dim = len(residual)
@@ -170,11 +182,10 @@ def _dp_reachable(residual: list[int], gens: list[Vec], plan) -> list[int] | Non
     reach = 1  # only the origin, before any generator is applied
     snapshots = []
     for shift, mask in zip(shifts, masks):
-        while True:
-            grown = reach | ((reach & mask) << shift)
-            if grown == reach:
-                break
-            reach = grown
+        while mask:
+            reach |= (reach & mask) << shift
+            mask &= mask >> shift
+            shift <<= 1
         snapshots.append(reach)
     goal = sum(r * s for r, s in zip(residual, strides))
     if not (reach >> goal) & 1:
@@ -300,21 +311,22 @@ def solve_cone(target: Vec, generators: tuple[Vec, ...]) -> ConeSolution:
             return assemble(outcome[1], lp_solves)
         _, lb, ub, residual = outcome
         free = [i for i in range(k) if ub[i] > lb[i]]
-        free_gens = [gens[i] for i in free]
+        usable = [i for i in free if all(v <= r for v, r in zip(gens[i], residual))]
+        usable_gens = [gens[i] for i in usable]
+        plan = _dp_plan(residual, usable_gens)
 
         # A residual outside the generators' integer lattice has no
-        # combination at all, nonnegative or otherwise.
-        if not _in_lattice(residual, lattice_basis(free_gens)):
-            continue
+        # combination at all, nonnegative or otherwise.  The bitset sweep
+        # would reject it too, so small boxes skip this test.
+        if plan is None or plan[0] > _LATTICE_FIRST_BITS:
+            if not _in_lattice(residual, lattice_basis([gens[i] for i in free])):
+                continue
 
         # When the residual box is small enough, bitset reachability decides
         # this node outright.  Generators that do not fit inside the box even
         # once can never be used and are left out.  A witness it finds
         # ignores branching bounds, but any nonnegative exact combination is
         # globally valid, and an unreachable residual prunes the node exactly.
-        usable = [i for i in free if all(v <= r for v, r in zip(gens[i], residual))]
-        usable_gens = [gens[i] for i in usable]
-        plan = _dp_plan(residual, usable_gens)
         if plan is not None:
             counts = _dp_reachable(residual, usable_gens, plan)
             if counts is None:

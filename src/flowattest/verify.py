@@ -25,7 +25,7 @@ database's equality and serialization.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cfg import Measurement
 from .cone import solve_cone
@@ -155,12 +155,13 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
                 state.feasible = hit.feasible_after
             else:
                 state.rejected = True
-            return replace(
-                hit.result,
+            cached = hit.result
+            return VerificationResult(
+                verdict=cached.verdict,
+                reason=cached.reason,
+                accepting=cached.accepting,
+                witness=cached.witness,
                 cache_hit=True,
-                candidates_tried=0,
-                solver_calls=0,
-                solver_nodes=0,
                 elapsed=time.perf_counter() - started,
             )
 

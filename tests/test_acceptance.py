@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria complete.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -70,6 +71,10 @@ def test_criterion_2_oracle_equivalence():
     agreements = 0
     trials = 10_000
     first_mismatch = None
+    # Witnesses and simplex counts are pinned by digest, so an engine
+    # change that moves nodes between engines cannot alter them unseen.
+    witness_digest = hashlib.sha256()
+    lp_digest = hashlib.sha256()
     for trial in range(trials):
         dim = rng.randint(1, 4)
         count = rng.randint(1, 5)
@@ -85,6 +90,8 @@ def test_criterion_2_oracle_equivalence():
         else:
             target = tuple(rng.randint(0, 200) for _ in range(dim))
         solution = solve_cone(target, generators)
+        witness_digest.update(repr((target, generators, solution.witness)).encode())
+        lp_digest.update(repr(solution.lp_solves).encode())
         reference = cone_member_bruteforce(target, generators)
         witness_ok = True
         if solution.witness is not None:
@@ -105,6 +112,12 @@ def test_criterion_2_oracle_equivalence():
         agreements == trials and elapsed < 120,
         f"{agreements}/{trials} cone verdicts agree with brute force in "
         f"{elapsed:.1f}s (first mismatch: {first_mismatch})",
+    )
+    assert witness_digest.hexdigest() == (
+        "5d772f6ba6fef2c7457f5eef8f6d2a702496f003ff3f38463a2ebb2302528e86"
+    )
+    assert lp_digest.hexdigest() == (
+        "d2bbb0a697978bee8027cc8f9d61a815b4800a1ce33455f24f2f27f40ac5bdec"
     )
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from flowattest import cone
 from flowattest.cone import solve_cone
+from flowattest.lattice import lattice_basis
 
 from .oracles import cone_member_bruteforce
 
@@ -100,23 +101,27 @@ def test_witnesses_always_evaluate_exactly(case):
     assert (cone_member_bruteforce(target, gens) is None) == (solution.witness is None)
 
 
+def _criterion_2_shaped(rng, trial):
+    dim = rng.randint(1, 4)
+    count = rng.randint(1, 5)
+    gens = tuple(tuple(rng.randint(0, 20) for _ in range(dim)) for _ in range(count))
+    if trial % 3 == 0:
+        xs = [rng.randint(0, 10) for _ in range(count)]
+        target = tuple(min(200, sum(x * g[d] for x, g in zip(xs, gens))) for d in range(dim))
+    else:
+        target = tuple(rng.randint(0, 200) for _ in range(dim))
+    return target, gens
+
+
 def test_simplex_and_branching_alone_agree_with_bruteforce(monkeypatch):
-    # With no bitset budget, every node that propagation and the lattice
-    # test leave open is decided by the exact simplex plus branching.
+    # With no bitset budget, every node takes the lattice test after
+    # propagation, and every node those two leave open is decided by the
+    # exact simplex plus branching.
     monkeypatch.setattr(cone, "_DP_BIT_LIMIT", 0)
     rng = random.Random(20_261_018)
     simplex_used = 0
     for trial in range(300):
-        dim = rng.randint(1, 4)
-        n = rng.randint(1, 5)
-        gens = tuple(tuple(rng.randint(0, 20) for _ in range(dim)) for _ in range(n))
-        if trial % 3 == 0:
-            xs = [rng.randint(0, 10) for _ in range(n)]
-            target = tuple(
-                min(200, sum(x * g[d] for x, g in zip(xs, gens))) for d in range(dim)
-            )
-        else:
-            target = tuple(rng.randint(0, 200) for _ in range(dim))
+        target, gens = _criterion_2_shaped(rng, trial)
         mine = solve_cone(target, gens)
         simplex_used += mine.lp_solves > 0
         reference = cone_member_bruteforce(target, gens)
@@ -124,3 +129,129 @@ def test_simplex_and_branching_alone_agree_with_bruteforce(monkeypatch):
         if mine.witness is not None:
             assert _evaluates_to(mine.witness, gens, target), (target, gens, mine.witness)
     assert simplex_used
+
+
+def _dp_reachable_one_copy_at_a_time(residual, gens, plan):
+    """Reference bitset sweep: each generator's masked shift repeats, one
+    copy per pass, until the bitmap stops growing.  The doubling sweep
+    must reach the same fixed point and read back the same counts."""
+    bits, strides = plan
+    dim = len(residual)
+    shifts = []
+    masks = []
+    for g in gens:
+        shifts.append(sum(v * s for v, s in zip(g, strides)))
+        mask = (1 << (residual[dim - 1] - g[dim - 1] + 1)) - 1
+        for d in reversed(range(dim - 1)):
+            mask = cone._repeat_pattern(mask, strides[d], residual[d] - g[d] + 1)
+        masks.append(mask)
+    reach = 1
+    snapshots = []
+    for shift, mask in zip(shifts, masks):
+        while True:
+            grown = reach | ((reach & mask) << shift)
+            if grown == reach:
+                break
+            reach = grown
+        snapshots.append(reach)
+    goal = sum(r * s for r, s in zip(residual, strides))
+    if not (reach >> goal) & 1:
+        return None
+    counts = [0] * len(gens)
+    index = goal
+    for i in reversed(range(len(gens))):
+        previous = snapshots[i - 1] if i else 1
+        while not (previous >> index) & 1:
+            counts[i] += 1
+            index -= shifts[i]
+    return counts
+
+
+_EDGE_SIDES = (0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17)
+
+
+def test_doubling_sweep_matches_one_copy_at_a_time():
+    # A generator's cap is how many copies of it fit in the box.  Doubling
+    # must stop exactly at the cap whether it is a power of two, one below
+    # or one above; cap 0 is a generator one past the box's last side,
+    # whose mask is empty from the start.
+    rng = random.Random(20_261_019)
+    caps_seen = set()
+    zero_coordinate_seen = False
+    outcomes = {True: 0, False: 0}
+    for _ in range(2_000):
+        dim = rng.randint(1, 4)
+        residual = [
+            rng.choice(_EDGE_SIDES) if rng.random() < 0.6 else rng.randint(0, 24)
+            for _ in range(dim)
+        ]
+        if not any(residual):
+            residual[rng.randrange(dim)] = rng.randint(1, 17)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            g = [rng.randint(0, r) if rng.random() < 0.7 else min(r, 1) for r in residual]
+            if rng.random() < 0.1:
+                g[-1] = residual[-1] + 1
+            if not any(g):
+                d = rng.choice([d for d in range(dim) if residual[d]])
+                g[d] = rng.randint(1, residual[d])
+            zero_coordinate_seen |= 0 in g and any(g)
+            caps_seen.add(min(r // v for r, v in zip(residual, g) if v > 0))
+            gens.append(tuple(g))
+        plan = cone._dp_plan(residual, gens)
+        assert plan is not None
+        mine = cone._dp_reachable(residual, gens, plan)
+        assert mine == _dp_reachable_one_copy_at_a_time(residual, gens, plan), (
+            residual,
+            gens,
+        )
+        outcomes[mine is not None] += 1
+        if mine is not None:
+            assert [sum(x * g[d] for x, g in zip(mine, gens)) for d in range(dim)] == residual
+    assert {0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17} <= caps_seen
+    assert zero_coordinate_seen
+    assert min(outcomes.values()) > 100
+
+
+def test_lattice_test_is_only_a_shortcut(monkeypatch):
+    # Running the lattice test before every bitset node, or before none,
+    # must not change a witness or the simplex count: the sweep is exact.
+    calls = {"n": 0}
+
+    def counting_lattice_basis(vectors):
+        calls["n"] += 1
+        return lattice_basis(vectors)
+
+    monkeypatch.setattr(cone, "lattice_basis", counting_lattice_basis)
+    rng = random.Random(20_261_020)
+    instances = [_criterion_2_shaped(rng, trial) for trial in range(300)]
+    results = {}
+    lattice_calls = {}
+    for threshold in (0, cone._DP_BIT_LIMIT + 1):
+        monkeypatch.setattr(cone, "_LATTICE_FIRST_BITS", threshold)
+        calls["n"] = 0
+        results[threshold] = [solve_cone(t, g) for t, g in instances]
+        lattice_calls[threshold] = calls["n"]
+    always, never = results[0], results[cone._DP_BIT_LIMIT + 1]
+    assert [(s.witness, s.lp_solves) for s in always] == [
+        (s.witness, s.lp_solves) for s in never
+    ]
+    assert lattice_calls[cone._DP_BIT_LIMIT + 1] < lattice_calls[0]
+    for (target, gens), solution in zip(instances, always):
+        reference = cone_member_bruteforce(target, gens)
+        assert (solution.witness is None) == (reference is None), (target, gens)
+        if solution.witness is not None:
+            assert _evaluates_to(solution.witness, gens, target)
+
+
+def test_lattice_test_still_runs_before_the_simplex(monkeypatch):
+    # Every vector in the lattice of (1, 1) and (1, 3) has an even
+    # difference of coordinates, and (3, 4) has an odd one.  Propagation
+    # leaves it open and the relaxation x + y = 3, x + 3y = 4 is feasible,
+    # so only the lattice test keeps the simplex from running.
+    monkeypatch.setattr(cone, "_DP_BIT_LIMIT", 0)
+    target, gens = (3, 4), ((1, 1), (1, 3))
+    assert cone_member_bruteforce(target, gens) is None
+    solution = solve_cone(target, gens)
+    assert solution.witness is None
+    assert solution.lp_solves == 0
