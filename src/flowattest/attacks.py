@@ -28,9 +28,11 @@ report header.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .cfg import (
     AnnotatedCfg,
@@ -156,12 +158,18 @@ def _block_pool(cfg: AnnotatedCfg) -> list[str]:
 
 
 def _breaking_edits(cfg: AnnotatedCfg, steps: tuple[str, ...], kind: str, pool: list[str]):
-    """Every interior edit of a valid segment that breaks its validity, in a
-    deterministic order, as (edited steps, removed block, inserted block).
+    """Every distinct interior edit of a valid segment that breaks its
+    validity, grouped by edit site, in a deterministic order.
 
-    The endpoints and every untouched adjacent pair stay valid, so an edit
-    breaks the segment only through a pair it creates that is not an edge,
-    or an inserted block with no instructions.
+    Yields (start, stop, removed block, inserted blocks): each inserted
+    block (``None`` for a plain removal) makes the edited steps
+    ``steps[:start] + (block,) + steps[stop:]``.  The endpoints and every
+    untouched adjacent pair stay valid, so an edit breaks the segment only
+    through a pair it creates that is not an edge, or an inserted block
+    with no instructions.  Inserting a block just after a copy of itself
+    gives the same steps as inserting it just before that copy, so only
+    the first of such inserts is listed; removals and replacements at
+    different sites or with different blocks always differ.
     """
     pairs = cfg.edge_pairs
 
@@ -176,17 +184,23 @@ def _breaking_edits(cfg: AnnotatedCfg, steps: tuple[str, ...], kind: str, pool: 
     if kind == "remove_block":
         for pos in interior:
             if (steps[pos - 1], steps[pos + 1]) not in pairs:
-                yield steps[:pos] + steps[pos + 1 :], steps[pos], None
+                yield pos, pos + 1, steps[pos], (None,)
     elif kind in ("replace_block", "replace_unique"):
         for pos in interior:
-            for bid in pool:
-                if bid != steps[pos] and not fits(bid, steps[pos - 1], steps[pos + 1]):
-                    yield steps[:pos] + (bid,) + steps[pos + 1 :], steps[pos], bid
+            before, replaced, after = steps[pos - 1 : pos + 2]
+            blocks = [bid for bid in pool if bid != replaced and not fits(bid, before, after)]
+            if blocks:
+                yield pos, pos + 1, replaced, blocks
     elif kind == "insert_unique":
         for gap in range(1, len(steps)):
-            for bid in pool:
-                if not fits(bid, steps[gap - 1], steps[gap]):
-                    yield steps[:gap] + (bid,) + steps[gap:], None, bid
+            before, after = steps[gap - 1], steps[gap]
+            blocks = [
+                bid
+                for bid in pool
+                if not fits(bid, before, after) and not (gap >= 2 and bid == before)
+            ]
+            if blocks:
+                yield gap, gap, None, blocks
     else:  # pragma: no cover - guarded by MutationSpec
         raise SchemaError(f"'{kind}' has no sequence variants")
 
@@ -258,20 +272,25 @@ def mutate(
         pool = _unique_delta_blocks(cfg, deltas)
     else:
         pool = _block_pool(cfg)
-    edits: dict[tuple[str, ...], tuple[str | None, str | None]] = {}
-    for edited, removed, inserted in _breaking_edits(cfg, steps, spec.kind, pool):
-        edits.setdefault(edited, (removed, inserted))
-    variants = list(edits)
-    if len(variants) > reps:
-        variants = rng.sample(variants, reps)
+    # Draw edit indices first (``random.sample`` reads only the population's
+    # length) and build the edited steps of the drawn edits alone.
+    sites = list(_breaking_edits(cfg, steps, spec.kind, pool))
+    ends = list(accumulate(len(site[3]) for site in sites))
+    total = ends[-1] if ends else 0
+    picks = rng.sample(range(total), reps) if total > reps else range(total)
     mutants = []
-    for edited in variants:
-        removed, inserted = edits[edited]
+    for pick in picks:
+        index = bisect_right(ends, pick)
+        start, stop, removed, blocks = sites[index]
+        inserted = blocks[pick - ends[index] + len(blocks)]
         delta = measurement.delta
         if removed is not None:
             delta = vsub(delta, deltas[removed])
-        if inserted is not None:
+        if inserted is None:
+            edited = steps[:start] + steps[stop:]
+        else:
             delta = vadd(delta, deltas[inserted])
+            edited = steps[:start] + (inserted,) + steps[stop:]
         mutants.append(Mutant(Measurement(measurement.start, measurement.end, delta), steps=edited))
     return mutants
 

@@ -3,20 +3,30 @@ measurement points.
 
 For every ordered pair of measurement-point expanded nodes that execution
 can connect without crossing another measurement point, the database holds
-one candidate per simple path.  Each candidate carries the path's counter
-delta (excluding the start snapshot block, including the end one), plus the
-loop vectors of the cycles attached to it: every cycle sharing a node with
-the path, or with an already-attached cycle, transitively.  Cycles never
-contain a measurement point - a walk looping through one would have been
-split into two segments.
+one candidate per distinct simple-path value.  Each candidate carries the
+path's counter delta (excluding the start snapshot block, including the end
+one), plus the loop vectors of the cycles attached to it: every cycle
+sharing a node with the path, or with an already-attached cycle,
+transitively.  Cycles never contain a measurement point - a walk looping
+through one would have been split into two segments.
 
-The simple cycles of the measurement-point-free subgraph are enumerated
-once per build with Johnson's circuit search over Tarjan's strongly
-connected components, and cycles with a zero counter delta are dropped.
-The remaining cycles are grouped once by shared nodes (union-find); a
-path's loops are the union of the groups its nodes belong to.  Groups are
-not strongly connected components: a component can hold nonzero cycles
-linked only through a dropped zero-delta cycle, and those stay apart.
+The measurement-point-free subgraph is split once per build into Tarjan's
+strongly connected components.  Its simple cycles are enumerated with
+Johnson's circuit search over those components, and cycles with a zero
+counter delta are dropped.  The remaining cycles are grouped once by shared
+nodes (union-find); a path's loops are the union of the groups its nodes
+belong to.  Groups are not strongly connected components: a component can
+hold nonzero cycles linked only through a dropped zero-delta cycle, and
+those stay apart.
+
+Paths are not walked one at a time.  A simple path crosses each component
+in one contiguous stretch, so every node where a path can enter a component
+gets one tail set: the distinct (terminal point, counter sum, touched loop
+groups) values of the simple paths from it, built from the stretches inside
+its component and the tail sets of the components they step into.  This is
+Ball-Larus path numbering (Ball & Larus, MICRO 1996) with values in place of
+path ids.  The number of simple paths behind each tail is counted before
+any value is built, and the path budget is checked against those counts.
 
 Any walk between consecutive measurement points therefore decomposes into
 one of these simple paths plus a multiset of its attached cycles, which is
@@ -26,7 +36,7 @@ what makes online verification sound.
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .cfg import (
@@ -153,20 +163,26 @@ def _strong_components(succ: dict[Node, list[Node]], nodes: list[Node]) -> list[
     return components
 
 
-def _simple_cycles(succ: dict[Node, list[Node]]) -> Iterator[list[Node]]:
+def _simple_cycles(
+    succ: dict[Node, list[Node]], components: list[list[Node]] | None = None
+) -> Iterator[list[Node]]:
     """Every simple cycle of a directed graph, each exactly once.
 
-    ``succ`` maps every node to its successors, without repeats.  Self-loops
-    come first; the rest is Johnson's blocked circuit search (Johnson 1975):
-    take a node ``s`` of a nontrivial strongly connected component, list the
-    circuits through ``s`` inside that component, then drop ``s`` and repeat
-    on the components that remain.  A node stays blocked while no circuit
-    can be completed through it, which bounds the work per circuit found.
+    ``succ`` maps every node to its successors, without repeats, and
+    ``components`` are its strongly connected components when the caller
+    already has them.  Self-loops come first; the rest is Johnson's blocked
+    circuit search (Johnson 1975): take a node ``s`` of a nontrivial
+    strongly connected component, list the circuits through ``s`` inside
+    that component, then drop ``s`` and repeat on the components that
+    remain.  A node stays blocked while no circuit can be completed through
+    it, which bounds the work per circuit found.
     """
     for node, nexts in succ.items():
         if node in nexts:
             yield [node]
-    pending = [c for c in _strong_components(succ, list(succ)) if len(c) > 1]
+    if components is None:
+        components = _strong_components(succ, list(succ))
+    pending = [c for c in components if len(c) > 1]
     while pending:
         component = pending.pop()
         start = component[-1]
@@ -213,25 +229,22 @@ def _simple_cycles(succ: dict[Node, list[Node]]) -> Iterator[list[Node]]:
 
 
 def _cycle_universe(
-    graph: ExpandedGraph,
+    succ: dict[ExpandedNode, list[ExpandedNode]],
+    components: list[list[ExpandedNode]],
     cfg: AnnotatedCfg,
     deltas: Mapping[str, Vec],
     cycle_budget: int,
 ) -> list[_Cycle]:
-    """All simple cycles of the expanded graph that avoid measurement points.
+    """All simple cycles of the measurement-point-free subgraph ``succ``,
+    whose strongly connected components are ``components``.
 
     Every simple cycle counts against the budget.  Cycles whose counter
     delta is zero are then dropped: they cannot change any measurement and
     would only pad the generator sets.
     """
-    succ = {
-        node: list(dict.fromkeys(n for n in nexts if not cfg.is_measurement_point(n.block)))
-        for node, nexts in graph.succ.items()
-        if not cfg.is_measurement_point(node.block)
-    }
     cycles: list[_Cycle] = []
     count = 0
-    for nodes in _simple_cycles(succ):
+    for nodes in _simple_cycles(succ, components):
         count += 1
         if count > cycle_budget:
             raise BudgetError(
@@ -287,6 +300,181 @@ def _loop_groups(cycles: list[_Cycle]) -> tuple[dict[ExpandedNode, int], list[di
     return {node: group_of[find(node)] for node in parent}, groups
 
 
+def _path_budget_error(start: str, end: str, budget: int, reached: int) -> BudgetError:
+    return BudgetError(
+        f"segment {start} -> {end} exceeded the simple-path budget (budget {budget}); "
+        "add measurement points to split this region or raise --budget-paths",
+        budget=budget,
+        reached=reached,
+    )
+
+
+# A tail: (terminal point, counter sum up to and including it, loop groups touched).
+_Tail = tuple[ExpandedNode, Vec, frozenset[int]]
+# A step out of a component: (counter sum and loop groups so far, next node).
+_Step = tuple[Vec, frozenset[int], ExpandedNode]
+
+
+class _Tails:
+    """Tail sets of the component entries of one build.
+
+    An entry is an inner (non-measurement-point) node entered from a
+    measurement point or from another strongly connected component.  A
+    simple path crosses each component in one contiguous stretch, so the
+    simple paths from an entry are a simple stretch inside its component
+    followed by a step to a measurement point or by a simple path from an
+    entry of a later component; the two parts never share a node.
+    Construction counts those paths per entry and terminal block, component
+    by component in reverse topological order (Tarjan's output order),
+    keeping each entry's steps out of its component; :meth:`build` then
+    turns the steps into value sets.  The program entry is a measurement
+    point, so a measurement point reaches every entry.
+    """
+
+    def __init__(
+        self,
+        graph: ExpandedGraph,
+        points: set[str],
+        components: list[list[ExpandedNode]],
+        deltas: Mapping[str, Vec],
+        group_of: dict[ExpandedNode, int],
+        path_budget: int,
+    ):
+        self.succ = succ = graph.succ
+        self.points = points
+        self.deltas = deltas
+        self.group_of = group_of
+        self.path_budget = path_budget
+        # The members of each node's component, for components of two or more.
+        self.cyclic: dict[ExpandedNode, frozenset[ExpandedNode]] = {}
+        for members in components:
+            if len(members) > 1:
+                shared = frozenset(members)
+                self.cyclic.update(dict.fromkeys(members, shared))
+        cyclic = self.cyclic
+        entered = {
+            nxt
+            for node, nexts in succ.items()
+            for nxt in nexts
+            if nxt in cyclic and node not in cyclic[nxt]
+        }
+        self.order: list[ExpandedNode] = []
+        self.steps: dict[ExpandedNode, list[_Step]] = {}
+        self.counts: dict[ExpandedNode, dict[str, int]] = {}
+        self.tails: dict[ExpandedNode, set[_Tail]] = {}
+        for members in components:
+            single = len(members) == 1
+            for entry in members:
+                if not single and entry not in entered:
+                    continue
+                base = deltas[entry.block]
+                group = group_of.get(entry)
+                touched = frozenset() if group is None else frozenset((group,))
+                if single:
+                    out = [(base, touched, nxt) for nxt in succ[entry] if nxt != entry]
+                else:
+                    out = self._stretches(entry, base, touched)
+                self.steps[entry], self.counts[entry] = self.count(out, entry)
+                self.order.append(entry)
+
+    def _origin(self, entry: ExpandedNode) -> str:
+        """The block of a measurement point whose paths reach ``entry``
+        through inner nodes of earlier components only.  Each simple path
+        from the entry then extends to a simple path of that point's
+        segments, so the entry's counts bound that segment's count."""
+        preds: dict[ExpandedNode, list[ExpandedNode]] = {}
+        for node, nexts in self.succ.items():
+            for nxt in nexts:
+                preds.setdefault(nxt, []).append(node)
+        own = self.cyclic.get(entry, (entry,))
+        todo = [node for node in preds[entry] if node not in own]
+        seen = set(todo)
+        while True:
+            node = todo.pop()
+            if node.block in self.points:
+                return node.block
+            for pred in preds[node]:
+                if pred not in seen:
+                    seen.add(pred)
+                    todo.append(pred)
+
+    def _stretches(
+        self, start: ExpandedNode, base: Vec, touched: frozenset[int]
+    ) -> Iterator[_Step]:
+        """The steps out of ``start``'s component of every simple path from
+        ``start`` inside it (iterative DFS).  ``base`` and ``touched`` are
+        the counter sum and loop groups of ``start`` itself."""
+        succ, deltas, group_of = self.succ, self.deltas, self.group_of
+        members = self.cyclic[start]
+        on_path = {start}
+        frames = [(start, iter(succ[start]), base, touched)]
+        while frames:
+            node, nexts, base, touched = frames[-1]
+            for nxt in nexts:
+                if nxt not in members:
+                    yield base, touched, nxt
+                elif nxt not in on_path:
+                    on_path.add(nxt)
+                    group = group_of.get(nxt)
+                    if group is not None and group not in touched:
+                        touched = touched | {group}
+                    frames.append((nxt, iter(succ[nxt]), vadd(base, deltas[nxt.block]), touched))
+                    break
+            else:
+                frames.pop()
+                on_path.discard(node)
+
+    def count(
+        self, steps: Iterable[_Step], entry: ExpandedNode | None
+    ) -> tuple[list[_Step], dict[str, int]]:
+        """Keep the steps that lead to a measurement point, and count the
+        simple paths they make per terminal block.
+
+        A step's next node is a measurement point or an entry whose counts
+        are known.  For an ``entry``'s steps (``None`` for a measurement
+        point's), a count passing the path budget raises at once: some
+        segment into that terminal block has at least that many simple
+        paths.  ``steps`` is consumed lazily, so a component with too many
+        simple paths is not walked to its end.
+        """
+        points, counts_of, budget = self.points, self.counts, self.path_budget
+        kept: list[_Step] = []
+        counts: dict[str, int] = {}
+        for step in steps:
+            nxt = step[2]
+            if nxt.block in points:
+                reach = ((nxt.block, 1),)
+            else:
+                reach = counts_of[nxt].items()
+                if not reach:
+                    continue
+            kept.append(step)
+            for block, n in reach:
+                counts[block] = total = counts.get(block, 0) + n
+                if entry is not None and total > budget:
+                    raise _path_budget_error(self._origin(entry), block, budget, total)
+        return kept, counts
+
+    def values(self, steps: list[_Step]) -> set[_Tail]:
+        """The distinct tails that steps lead to."""
+        points, deltas, tails = self.points, self.deltas, self.tails
+        out: set[_Tail] = set()
+        for base, touched, nxt in steps:
+            if nxt.block in points:
+                out.add((nxt, vadd(base, deltas[nxt.block]), touched))
+                continue
+            for end, tail, groups in tails[nxt]:
+                if groups and touched:
+                    groups = touched | groups
+                out.add((end, vadd(base, tail), groups or touched))
+        return out
+
+    def build(self) -> None:
+        """Every entry's tail set, later components first."""
+        for entry in self.order:
+            self.tails[entry] = self.values(self.steps.pop(entry))
+
+
 def enumerate_segments(
     cfg: AnnotatedCfg,
     table: EventTable,
@@ -297,74 +485,66 @@ def enumerate_segments(
 ) -> SegmentDatabase:
     """Build the segment database for a validated CFG.
 
-    One depth-first search per measurement-point expanded node enumerates
-    every simple path that ends at the first measurement point it reaches
-    (revisiting the source is allowed only as that terminal, which covers
-    in-loop measurement points).  Path counts are capped per segment; the
-    error names the offending segment because the practical remedy is
-    adding measurement points there.
+    A segment's simple paths run from a measurement-point expanded node to
+    the first measurement point they reach (the source itself included,
+    which covers in-loop measurement points).  They are not walked one at
+    a time: every node where a path enters a strongly connected component
+    of the measurement-point-free subgraph gets one memoized tail set, the
+    distinct (terminal, counter sum, touched loop groups) values of the
+    simple paths from it, and each source merges the tail sets of its
+    successors into its candidates.
+
+    The path budget caps the simple paths of each (start block, end block)
+    segment, summed over call stacks.  Paths are counted, not walked, and
+    the counts are checked before any value is built; the error names the
+    offending segment, because the practical remedy is adding measurement
+    points there.
     """
     deltas = delta_map(cfg, table)
     graph = expand(cfg, node_budget)
-    group_of, groups = _loop_groups(_cycle_universe(graph, cfg, deltas, cycle_budget))
-    counts = {bid: block.instruction_count for bid, block in cfg.blocks.items()}
     points = {bid for bid, block in cfg.blocks.items() if block.is_measurement_point}
-    merged_loops: dict[frozenset[int], tuple[tuple[Vec, ...], tuple[int, ...]]] = {}
+    inner = {
+        node: list(dict.fromkeys(n for n in nexts if n.block not in points))
+        for node, nexts in graph.succ.items()
+        if node.block not in points
+    }
+    components = _strong_components(inner, list(inner))
+    group_of, groups = _loop_groups(_cycle_universe(inner, components, cfg, deltas, cycle_budget))
+    tails = _Tails(graph, points, components, deltas, group_of, path_budget)
 
-    def loops_of(touched: frozenset[int]) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-        """Sorted loop vectors of a set of loop groups, and their instruction counts."""
-        if touched not in merged_loops:
-            loop_vecs: dict[Vec, int] = {}
-            for index in touched:
-                loop_vecs.update(groups[index])
-            ordered = sorted(loop_vecs)
-            merged_loops[touched] = (tuple(ordered), tuple(loop_vecs[v] for v in ordered))
-        return merged_loops[touched]
-
-    found: dict[tuple[str, str], dict[tuple, PathCandidate]] = {}
-    per_key_count: dict[tuple[str, str], int] = {}
-    zero = (0,) * cfg.dimension
+    sources = []
+    segment_paths: dict[tuple[str, str], int] = {}
+    zero, empty = (0,) * cfg.dimension, frozenset()
     for source in graph.succ:
-        if source.block not in points:
-            continue
-        # Iterative DFS.  A frame is a path node, its unexplored successors,
-        # and the path's counter sum after the source, instruction count and
-        # touched loop groups (measurement points lie on no cycle).  The
-        # source may be re-entered only as a terminal.
-        on_path = {source}
-        frames = [(source, iter(graph.succ[source]), zero, 0, frozenset())]
-        while frames:
-            node, nexts, base, instr, touched = frames[-1]
-            for nxt in nexts:
-                if nxt.block in points:
-                    key = (source.block, nxt.block)
-                    per_key_count[key] = per_key_count.get(key, 0) + 1
-                    if per_key_count[key] > path_budget:
-                        raise BudgetError(
-                            f"segment {key[0]} -> {key[1]} exceeded the simple-path "
-                            f"budget (budget {path_budget}); add measurement points "
-                            "to split this region or raise --budget-paths",
-                            budget=path_budget,
-                            reached=per_key_count[key],
-                        )
-                    end_base = vadd(base, deltas[nxt.block])
-                    loops, loop_counts = loops_of(touched)
-                    unique = found.setdefault(key, {})
-                    if (source, nxt, end_base, loops) not in unique:
-                        unique[source, nxt, end_base, loops] = PathCandidate(
-                            source, nxt, end_base, loops, instr + counts[nxt.block], loop_counts
-                        )
-                elif nxt not in on_path:
-                    on_path.add(nxt)
-                    group = group_of.get(nxt)
-                    if group is not None and group not in touched:
-                        touched = touched | {group}
-                    sums = vadd(base, deltas[nxt.block]), instr + counts[nxt.block]
-                    frames.append((nxt, iter(graph.succ[nxt]), *sums, touched))
-                    break
-            else:
-                frames.pop()
-                on_path.discard(node)
+        if source.block in points:
+            steps, counts = tails.count(((zero, empty, nxt) for nxt in graph.succ[source]), None)
+            sources.append((source, steps))
+            for block, n in counts.items():
+                key = (source.block, block)
+                segment_paths[key] = segment_paths.get(key, 0) + n
+    for (start, end), n in segment_paths.items():
+        if n > path_budget:
+            raise _path_budget_error(start, end, path_budget, n)
+    tails.build()
+
+    merged_loops: dict[frozenset[int], tuple[tuple[Vec, ...], tuple[int, ...]]] = {}
+    found: dict[tuple[str, str], dict[tuple, PathCandidate]] = {}
+    instret = table.instret_index
+    for source, steps in sources:
+        for end, base, touched in tails.values(steps):
+            if touched not in merged_loops:
+                loop_vecs: dict[Vec, int] = {}
+                for index in touched:
+                    loop_vecs.update(groups[index])
+                ordered = sorted(loop_vecs)
+                merged_loops[touched] = (tuple(ordered), tuple(loop_vecs[v] for v in ordered))
+            loops, loop_counts = merged_loops[touched]
+            unique = found.setdefault((source.block, end.block), {})
+            if (source, end, base, loops) not in unique:
+                # A block's instructions-retired delta is its instruction count.
+                unique[source, end, base, loops] = PathCandidate(
+                    source, end, base, loops, base[instret], loop_counts
+                )
 
     entries = {
         key: tuple(sorted(found[key].values(), key=PathCandidate.sort_key))

@@ -8,17 +8,22 @@ representation.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Iterable
 
 Vec = tuple[int, ...]
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vectors of dimension {len(a)} and {len(b)}")
+    return tuple(map(add, a, b))
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"vectors of dimension {len(a)} and {len(b)}")
+    return tuple(map(sub, a, b))
 
 
 def vsum(vectors: Iterable[Vec], dim: int) -> Vec:

@@ -136,16 +136,18 @@ def covolume_sympy(vectors, subset):
 
 
 def segment_candidates_bruteforce(cfg, table, graph):
-    """Every segment's distinct candidates, one simple path at a time.
+    """Every segment's distinct candidates and simple-path count, one
+    simple path at a time.
 
     ``graph`` is the call-string expansion of ``cfg``.  Paths come from
     plain recursion from every measurement point to the first measurement
     point reached, and each path is summed from scratch.  Its loops are
     the nonzero simple cycles of the measurement-point-free subgraph that
     share a node with the path or, transitively, with an attached cycle;
-    cycles are listed from their least node.  Returns {(start block, end
+    cycles are listed from their least node.  Returns ({(start block, end
     block): {(start stack, end stack, base, loops, base instructions, loop
-    instructions)}} with loops sorted.
+    instructions)}}, {(start block, end block): simple paths}) with loops
+    sorted; a successor listed twice counts its paths twice.
     """
     delta = {b: tally_instructions(table, blk.instructions) for b, blk in cfg.blocks.items()}
 
@@ -181,10 +183,13 @@ def segment_candidates_bruteforce(cfg, table, graph):
         close([node])
 
     found = {}
+    paths = {}
 
     def walk(path):
         for nxt in graph.succ[path[-1]]:
             if point(nxt):
+                key = (path[0].block, nxt.block)
+                paths[key] = paths.get(key, 0) + 1
                 attached = []
                 touched = set(path)
                 grew = True
@@ -197,7 +202,7 @@ def segment_candidates_bruteforce(cfg, table, graph):
                             grew = True
                 loops = dict((vec, count) for _, vec, count in attached)
                 ordered = tuple(sorted(loops))
-                found.setdefault((path[0].block, nxt.block), set()).add(
+                found.setdefault(key, set()).add(
                     (
                         path[0].stack,
                         nxt.stack,
@@ -213,4 +218,4 @@ def segment_candidates_bruteforce(cfg, table, graph):
     for node in graph.succ:
         if point(node):
             walk([node])
-    return found
+    return found, paths

@@ -64,6 +64,19 @@ def test_remove_caps_at_available_blocks(tiny_table):
     assert len({m.steps for m in mutants}) == 8
 
 
+def test_inserting_a_block_beside_its_copy_is_one_mutant(tiny_table):
+    """Inserting a block just before or just after a copy of itself gives
+    the same steps; the mutant is drawn once, at the first gap."""
+    doc = _long_chain_doc(8)
+    cfg = load_cfg(doc)
+    segment = BlockTrace(tuple(b["id"] for b in doc["blocks"]))
+    spec = MutationSpec(kind="insert_unique", repetitions=1000, seed=1)
+    edited = [m.steps for m in mutate(cfg, delta_map(cfg, tiny_table), segment, spec)]
+    assert len(edited) == len(set(edited))
+    beside = [steps for steps in edited if any(a == b for a, b in zip(steps, steps[1:]))]
+    assert len(beside) >= 5
+
+
 def test_block_mutants_are_structurally_invalid(tiny_table):
     cfg = load_cfg(_long_chain_doc(6))
     segment = BlockTrace(tuple(b["id"] for b in _long_chain_doc(6)["blocks"]))

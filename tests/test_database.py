@@ -1,5 +1,8 @@
+import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -8,19 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowattest
+from flowattest import database
 from flowattest.cfg import BlockTrace, load_cfg
 from flowattest.database import (
+    DEFAULT_PATH_BUDGET,
     _simple_cycles,
     dedup_key,
     enumerate_segments,
     load_database,
     serialize_database,
 )
-from flowattest.demos import greeter_cfg, signer_cfg
+from flowattest.demos import greeter_cfg, pathburst_cfg, signer_cfg
 from flowattest.errors import BudgetError, DigestMismatchError, SchemaError
-from flowattest.events import default_event_table
+from flowattest.events import CounterEvent, default_event_table, make_event_table
 from flowattest.expand import expand
 from flowattest.simulate import measure
+from flowattest.vectors import vadd
 
 from .conftest import (
     LOOP1,
@@ -323,28 +329,209 @@ def _candidate_sets(db):
 
 
 def _assert_matches_per_path_oracle(cfg, table):
-    db = enumerate_segments(cfg, table)
-    expected = segment_candidates_bruteforce(cfg, table, expand(cfg))
+    """The database holds the oracle's candidates, each once, and the path
+    budget admits exactly the oracle's largest segment: a budget of that
+    many simple paths builds, and a smaller one raises naming a segment
+    that has more.  Returns the database and the oracle's path counts."""
+    expected, paths = segment_candidates_bruteforce(cfg, table, expand(cfg))
+    most = max(paths.values(), default=0)
+    db = enumerate_segments(cfg, table, path_budget=most)
     assert _candidate_sets(db) == expected
     # Each distinct candidate once.
     assert all(len(cands) == len(expected[key]) for key, cands in db.entries.items())
-    return db
+    for budget in {most - 1, most // 2, 1} & set(range(most)):
+        with pytest.raises(BudgetError) as err:
+            enumerate_segments(cfg, table, path_budget=budget)
+        named = re.match(r"segment (\S+) -> (\S+) exceeded", str(err.value)).groups()
+        assert err.value.budget == budget
+        assert budget < err.value.reached <= paths[named]
+    return db, paths
 
 
 def test_candidates_match_per_path_oracle():
-    """The prefix sums and loop groups carried through the path search give
-    what summing and closing every simple path from scratch gives."""
+    """The tail sets merged per component entry give what summing and
+    closing every simple path from scratch gives, and the path budget
+    counts every simple path."""
     table = default_event_table()
     for doc in (greeter_cfg(), signer_cfg(False), signer_cfg(True)):
         _assert_matches_per_path_oracle(load_cfg(doc), table)
     seen = Counter()
     for seed in range(300):
         cfg, table = random_cfg_and_table(seed)
-        db = _assert_matches_per_path_oracle(cfg, table)
+        db, paths = _assert_matches_per_path_oracle(cfg, table)
         candidates = [c for cands in db.entries.values() for c in cands]
         seen["loops"] += any(c.loops for c in candidates)
         seen["calls"] += any(c.start.stack or c.end.stack for c in candidates)
         seen["in-loop points"] += any(
             c.start.block == c.end.block and c.start.stack == c.end.stack for c in candidates
         )
+        seen["several paths"] += max(paths.values(), default=0) > 1
     assert min(seen.values()) >= 30, seen
+
+
+def _random_digraph_doc(rng):
+    """One function over 3-7 blocks with random branch and fallthrough
+    edges (both kinds between one pair make parallel edges), random
+    instruction mixes (some empty, so zero-delta cycles occur) and random
+    measurement points besides the entry."""
+    n = rng.randint(3, 7)
+    ids = [f"g.{i}" for i in range(n)]
+    mnemonics = ("add", "lw", "beq")
+    blocks = [block(ids[0], "main", ["addi"], mp=True)]
+    for bid in ids[1:]:
+        instructions = rng.choices(mnemonics, k=rng.choice((0, 1, 1, 2)))
+        blocks.append(block(bid, "main", instructions, mp=rng.random() < 0.3))
+    density = rng.uniform(0.15, 0.45)
+    edges = [
+        edge(src, dst, kind)
+        for src in ids
+        for dst in ids
+        for kind in ("branch", "fallthrough")
+        if rng.random() < density / (2 if kind == "fallthrough" else 1)
+    ]
+    return {
+        "counters": TINY_COUNTERS,
+        "functions": [{"name": "main", "entry": "g.0", "blocks": ids}],
+        "blocks": blocks,
+        "edges": edges,
+        "entry": "g.0",
+    }
+
+
+def test_tail_sets_match_per_path_oracle_on_random_digraphs(tiny_table):
+    """Arbitrary strongly connected components, several entries per
+    component, parallel edges and self-loops: the candidates and the path
+    budget agree with walking every simple path."""
+    rng = random.Random(20_261_019)
+    seen = Counter()
+    for _ in range(400):
+        cfg = load_cfg(_random_digraph_doc(rng))
+        db, paths = _assert_matches_per_path_oracle(cfg, tiny_table)
+        seen["several paths"] += max(paths.values(), default=0) > 1
+        seen["loops"] += any(c.loops for cands in db.entries.values() for c in cands)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_pathburst_budget_error_counts_every_path():
+    """The shipped cascade has 2**17 simple paths; the error reports all of
+    them, counted without walking any."""
+    cfg = load_cfg(pathburst_cfg())
+    with pytest.raises(BudgetError, match=r"p\.s -> p\.t") as err:
+        enumerate_segments(cfg, default_event_table())
+    assert err.value.budget == DEFAULT_PATH_BUDGET
+    assert err.value.reached == 2**17
+
+
+def _chain_doc(inner: int) -> dict:
+    """Two measurement points joined by a straight line of ``inner`` blocks."""
+    ids = ["c.s"] + [f"c.{i}" for i in range(inner)] + ["c.t"]
+    blocks = [block("c.s", "main", ["addi"], mp=True)]
+    blocks += [block(bid, "main", ["add", "lw"][: 1 + i % 2]) for i, bid in enumerate(ids[1:-1])]
+    blocks.append(block("c.t", "main", ["jalr"], mp=True))
+    return {
+        "counters": TINY_COUNTERS,
+        "functions": [{"name": "main", "entry": "c.s", "blocks": ids}],
+        "blocks": blocks,
+        "edges": [edge(a, b) for a, b in zip(ids, ids[1:])],
+        "entry": "c.s",
+    }
+
+
+def test_long_chain_builds_without_recursion(tiny_table):
+    inner = 3000
+    db = enumerate_segments(load_cfg(_chain_doc(inner)), tiny_table)
+    (candidate,) = db.entries[("c.s", "c.t")]
+    loads = inner // 2
+    assert candidate.base == (inner + loads + 1, 0, loads)
+    assert candidate.base_instruction_count == inner + loads + 1
+
+
+def _distinct_cascade(layers: int):
+    """A cascade of ``layers`` ranks of two blocks each, fully connected
+    rank to rank, whose 2**layers simple paths all have distinct sums: the
+    blocks of rank i retire one or two instructions counted only by
+    counter i.  Returns the CFG and its event table."""
+    counters = [CounterEvent("instret")] + [CounterEvent(f"rank{i}") for i in range(layers)]
+    unit = [0] * (layers + 1)
+    attribution = {"nop": tuple([1] + unit[1:])}
+    for i in range(layers):
+        vec = [1] + unit[1:]
+        vec[i + 1] = 1
+        attribution[f"r{i}"] = tuple(vec)
+    table = make_event_table(counters, attribution)
+    ids, blocks, edges, prev = ["x.s"], [block("x.s", "main", ["nop"], mp=True)], [], ["x.s"]
+    for i in range(layers):
+        rank = [f"x.a{i}", f"x.b{i}"]
+        blocks += [block(rank[0], "main", [f"r{i}"]), block(rank[1], "main", [f"r{i}"] * 2)]
+        edges += [edge(src, dst, "branch") for src in prev for dst in rank]
+        ids += rank
+        prev = rank
+    ids.append("x.t")
+    blocks.append(block("x.t", "main", ["nop"], mp=True))
+    edges += [edge(src, "x.t", "branch") for src in prev]
+    doc = {
+        "counters": [c.name for c in counters],
+        "functions": [{"name": "main", "entry": "x.s", "blocks": ids}],
+        "blocks": blocks,
+        "edges": edges,
+        "entry": "x.s",
+    }
+    return load_cfg(doc), table
+
+
+def test_distinct_cascade_keeps_every_path_value():
+    cfg, table = _distinct_cascade(10)
+    candidates = enumerate_segments(cfg, table).entries[("x.s", "x.t")]
+    assert len(candidates) == 2**10
+    assert len({c.base for c in candidates}) == 2**10
+
+
+def test_distinct_cascade_over_budget_raises_before_building_values():
+    """2**20 distinct path sums: the budget error comes from the counts
+    alone, before any tail value is built."""
+    cfg, table = _distinct_cascade(20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=r"x\.s -> x\.t") as err:
+            enumerate_segments(cfg, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.budget == DEFAULT_PATH_BUDGET < err.value.reached
+    # One tail value alone is a 21-counter tuple of about 200 bytes.
+    assert peak < 2_000_000, peak
+
+
+
+def test_component_walk_stops_at_the_budget(tiny_table, monkeypatch):
+    """Seven blocks, all linked both ways, each with an exit: 1,957 simple
+    paths cross the component.  A budget of 100 stops the walk inside it
+    at the 101st, not at the end."""
+    ids = [f"k.{i}" for i in range(7)]
+    doc = {
+        "counters": TINY_COUNTERS,
+        "functions": [{"name": "main", "entry": "k.s", "blocks": ["k.s", *ids, "k.t"]}],
+        "blocks": [block("k.s", "main", ["addi"], mp=True)]
+        + [block(bid, "main", ["add"]) for bid in ids]
+        + [block("k.t", "main", ["jalr"], mp=True)],
+        "edges": [edge("k.s", "k.0")]
+        + [edge(a, b, "branch") for a in ids for b in ids if a != b]
+        + [edge(a, "k.t", "fallthrough") for a in ids],
+        "entry": "k.s",
+    }
+    cfg = load_cfg(doc)
+    steps = Counter()
+
+    def counted_vadd(a, b):
+        steps["vadd"] += 1
+        return vadd(a, b)
+
+    monkeypatch.setattr(database, "vadd", counted_vadd)
+    with pytest.raises(BudgetError, match=r"k\.s -> k\.t") as err:
+        enumerate_segments(cfg, tiny_table, path_budget=100)
+    assert err.value.reached == 101
+    assert steps["vadd"] < 300, steps
+    enumerate_segments(cfg, tiny_table, path_budget=1_957)
+    with pytest.raises(BudgetError) as err:
+        enumerate_segments(cfg, tiny_table, path_budget=1_956)
+    assert err.value.reached == 1_957
