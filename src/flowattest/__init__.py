@@ -46,7 +46,6 @@ from .events import (
     three_register_config,
 )
 from .expand import ExpandedGraph, ExpandedNode, expand
-from .lattice import lattice_density_score, rank_counter_subsets
 from .simulate import measure, measure_segment, random_valid_walk
 from .verify import (
     SessionState,
@@ -77,7 +76,6 @@ __all__ = [
     "enumerate_segments",
     "expand",
     "identity_config",
-    "lattice_density_score",
     "load_cfg",
     "load_database",
     "load_event_table",
@@ -89,7 +87,6 @@ __all__ = [
     "parse_register_spec",
     "project",
     "random_valid_walk",
-    "rank_counter_subsets",
     "serialize_cfg",
     "serialize_database",
     "serialize_measurements",

@@ -11,14 +11,22 @@ inserted block, and it changes the segment's measurement by exactly the
 removed and inserted blocks' deltas, so neither the check nor the
 measurement revisits the rest of the segment.  Mutants are deduplicated
 and seed-deterministic; when a segment admits fewer distinct mutants than
-the requested repetitions, all of them are used.
+the requested repetitions, all of them are used.  The blocks an edit may
+draw from are listed once per evaluation, and each edit site's blocks
+that would still make a valid step are listed once per site.
+
+Each mutant is a probe that asks the verifier for its verdict alone
+(:func:`flowattest.verify.accepts`, which stops at the first accepting
+candidate), from the feasible call stacks the segment starts from in the
+valid run.  Only the valid run itself goes through a full session.
 
 Reliability is "fraction of mutants the verifier rejects", summarized two
 ways: ``metric_uniform`` averages per-segment rates evenly and
 ``metric_weighted`` weighs each segment by its original instruction count,
 which exposes a single long undefended segment that the uniform average
 hides.  Segments that repeat (in-loop measurement points) are evaluated
-once and weighted by their occurrence frequency.
+once and weighted by their occurrence frequency.  Both metrics are exact
+fractions built from integer sums.
 
 ``random_change`` perturbs each counter independently by a uniform integer
 in [-floor(v/10), +floor(v/10)]; this per-counter policy is recorded in the
@@ -33,6 +41,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from .cfg import (
     AnnotatedCfg,
@@ -42,13 +51,13 @@ from .cfg import (
     split_trace,
     validate_trace,
 )
-from .database import SegmentDatabase
+from .database import DedupKey, SegmentDatabase, dedup_key
 from .errors import FlowAttestError, SchemaError
 from .events import CounterConfig, EventTable, delta_map, project
 from .expand import CallStack
 from .simulate import measure
 from .vectors import Vec, vadd, vsub, vsum
-from .verify import SessionState, verify_segment
+from .verify import SessionState, accepts, verify_segment
 
 MUTATION_KINDS = (
     "replace_block",
@@ -59,6 +68,9 @@ MUTATION_KINDS = (
 )
 
 RANDOM_CHANGE_POLICY = "independent-per-counter"
+
+# Kinds that draw only blocks whose delta no other block shares.
+_UNIQUE_KINDS = ("replace_unique", "insert_unique")
 
 _DEFAULT_REPS = {
     "replace_block": 1000,
@@ -124,19 +136,25 @@ def combine_rates(outcomes: list[SegmentOutcome]) -> tuple[Fraction, Fraction]:
     """Both reliability metrics over the included segments, exactly.
 
     Frequencies multiply through both sums, so evaluating a repeated
-    segment once is identical to scoring every occurrence.
+    segment once is identical to scoring every occurrence.  Every rate is
+    scaled to the common denominator ``lcm`` of the ``attempted`` counts,
+    so both sums are over integers and each metric is one ``Fraction``.
     """
     included = [o for o in outcomes if not o.excluded]
     if not included:
         return Fraction(0), Fraction(0)
+    scale = lcm(*(o.attempted for o in included if o.attempted))
+    # Each segment's rate times ``scale``; a segment with no attempts rates 0.
+    scaled = [
+        (o.detected * (scale // o.attempted) if o.attempted else 0, o) for o in included
+    ]
     total_freq = sum(o.frequency for o in included)
-    uniform = sum((o.rate * o.frequency for o in included), Fraction(0)) / total_freq
+    uniform = Fraction(sum(r * o.frequency for r, o in scaled), scale * total_freq)
     weight = sum(o.frequency * o.instruction_count for o in included)
     if weight == 0:
         return uniform, Fraction(0)
-    weighted = (
-        sum((o.rate * o.frequency * o.instruction_count for o in included), Fraction(0))
-        / weight
+    weighted = Fraction(
+        sum(r * o.frequency * o.instruction_count for r, o in scaled), scale * weight
     )
     return uniform, weighted
 
@@ -173,12 +191,15 @@ def _breaking_edits(cfg: AnnotatedCfg, steps: tuple[str, ...], kind: str, pool: 
     """
     pairs = cfg.edge_pairs
 
-    def fits(bid: str, before: str, after: str) -> bool:
-        return (
-            cfg.blocks[bid].instruction_count > 0
-            and (before, bid) in pairs
-            and (bid, after) in pairs
-        )
+    def fitting(before: str, after: str) -> set[str]:
+        """The blocks that make a valid step between ``before`` and
+        ``after``: successors of ``before`` with an edge to ``after`` and
+        at least one instruction."""
+        return {
+            e.dst
+            for e in cfg.succ[before]
+            if (e.dst, after) in pairs and cfg.blocks[e.dst].instruction_count > 0
+        }
 
     interior = range(1, len(steps) - 1)
     if kind == "remove_block":
@@ -188,16 +209,16 @@ def _breaking_edits(cfg: AnnotatedCfg, steps: tuple[str, ...], kind: str, pool: 
     elif kind in ("replace_block", "replace_unique"):
         for pos in interior:
             before, replaced, after = steps[pos - 1 : pos + 2]
-            blocks = [bid for bid in pool if bid != replaced and not fits(bid, before, after)]
+            fit = fitting(before, after)
+            blocks = [bid for bid in pool if bid != replaced and bid not in fit]
             if blocks:
                 yield pos, pos + 1, replaced, blocks
     elif kind == "insert_unique":
         for gap in range(1, len(steps)):
             before, after = steps[gap - 1], steps[gap]
+            fit = fitting(before, after)
             blocks = [
-                bid
-                for bid in pool
-                if not fits(bid, before, after) and not (gap >= 2 and bid == before)
+                bid for bid in pool if bid not in fit and not (gap >= 2 and bid == before)
             ]
             if blocks:
                 yield gap, gap, None, blocks
@@ -226,6 +247,26 @@ def mutate(
     segment admits no applicable mutation.  Raises :class:`SchemaError`
     when a block-level kind is given an invalid segment.
     """
+    if spec.kind == "random_change":
+        pool = []
+    elif spec.kind in _UNIQUE_KINDS:
+        pool = _unique_delta_blocks(cfg, deltas)
+    else:
+        pool = _block_pool(cfg)
+    return _mutate(cfg, deltas, segment, spec, measurement, pool)
+
+
+def _mutate(
+    cfg: AnnotatedCfg,
+    deltas: Mapping[str, Vec],
+    segment: BlockTrace,
+    spec: MutationSpec,
+    measurement: Measurement | None,
+    pool: list[str],
+) -> list[Mutant]:
+    """:func:`mutate` with the kind's block pool given: every
+    non-measurement block, or for the unique-delta kinds only those whose
+    delta no other block shares (``random_change`` draws no blocks)."""
     rng = random.Random(spec.seed)
     reps = spec.reps
     if spec.kind == "random_change":
@@ -268,10 +309,6 @@ def mutate(
     if measurement is None:
         delta = vsum((deltas[s] for s in steps[1:]), len(deltas[steps[0]]))
         measurement = Measurement(start=steps[0], end=steps[-1], delta=delta)
-    if spec.kind in ("replace_unique", "insert_unique"):
-        pool = _unique_delta_blocks(cfg, deltas)
-    else:
-        pool = _block_pool(cfg)
     # Draw edit indices first (``random.sample`` reads only the population's
     # length) and build the edited steps of the drawn edits alone.
     sites = list(_breaking_edits(cfg, steps, spec.kind, pool))
@@ -358,16 +395,20 @@ def evaluate(
     deltas = delta_map(cfg, table)
     if config is not None:
         deltas = {bid: project(config, v) for bid, v in deltas.items()}
-    # Distinct mutants frequently produce identical observations (removing
-    # any one of many equal-delta blocks, say), so all probes share one
-    # dedup-keyed cache; the key covers endpoints, values, and feasible
-    # stacks, making the sharing verdict-neutral.
-    probe_cache: dict = {}
+    block_pool = _block_pool(cfg)
+    unique_pool = _unique_delta_blocks(cfg, deltas)
+    # A probe needs only the verdict, so it asks ``accepts``, which stops
+    # at the first accepting candidate.  Distinct mutants frequently
+    # produce identical observations (removing any one of many equal-delta
+    # blocks, say), so verdicts are cached by dedup key; the key covers
+    # endpoints, values, and feasible stacks, which decide the verdict.
+    verdicts: dict[DedupKey, bool] = {}
     reports: dict[str, ReliabilityReport] = {}
     for spec in specs:
+        pool = unique_pool if spec.kind in _UNIQUE_KINDS else block_pool
         outcomes: list[SegmentOutcome] = []
         for cls in classes:
-            mutants = mutate(cfg, deltas, cls.segment, spec, measurement=cls.measurement)
+            mutants = _mutate(cfg, deltas, cls.segment, spec, cls.measurement, pool)
             outcome = SegmentOutcome(
                 first_index=cls.first_index,
                 frequency=cls.frequency,
@@ -380,10 +421,12 @@ def evaluate(
                 outcome.exclusion_reason = "no applicable mutation"
             else:
                 for mutant in mutants:
-                    probe = SessionState(
-                        db=db, config=config, feasible=cls.feasible, cache=probe_cache
-                    )
-                    if verify_segment(probe, mutant.measurement).verdict == "rejected":
+                    m = mutant.measurement
+                    key = dedup_key(m.start, m.end, m.delta, cls.feasible)
+                    verdict = verdicts.get(key)
+                    if verdict is None:
+                        verdict = verdicts[key] = accepts(db, m, cls.feasible, config=config)
+                    if not verdict:
                         outcome.detected += 1
             outcomes.append(outcome)
         uniform, weighted = combine_rates(outcomes)

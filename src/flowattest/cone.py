@@ -288,6 +288,9 @@ def solve_cone(target: Vec, generators: tuple[Vec, ...]) -> ConeSolution:
     if all(t == 0 for t in target):
         return ConeSolution((0,) * n, 0)
     active = [i for i, g in enumerate(generators) if any(g)]
+    if not active:
+        # A nonzero target and no nonzero generator: nothing to search.
+        return ConeSolution(None, 0)
     gens = [generators[i] for i in active]
     k = len(gens)
 

@@ -1,26 +1,14 @@
-"""Integer lattice machinery for scoring counter subsets.
+"""Integer lattice bases.
 
-The verification cone generated by a segment's loop vectors sits inside the
-lattice those vectors span.  A dense lattice means many counter values are
-reachable and attacks hide easily; a sparse one (large covolume) means the
-cone pins measurements down.  Counter subsets are therefore ranked so that
-lower-rank projections come first (whole dimensions pinned exactly) and,
-within a rank, larger covolume wins.
-
-All computations are exact: bases come from integer row reduction and
-determinants from fraction-free (Bareiss) elimination.
+The cone solver prunes a search node whose residual lies outside the
+integer lattice spanned by its free generators: no integer combination,
+nonnegative or otherwise, reaches it.  :func:`lattice_basis` gives that
+lattice an echelon basis by exact integer row reduction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
-from math import isqrt
-
 from .vectors import Vec
-
-# Fixed-point denominator for covolumes whose exact value is irrational.
-_SQRT_SCALE = 1 << 32
 
 
 def lattice_basis(vectors: list[Vec]) -> list[Vec]:
@@ -54,87 +42,3 @@ def lattice_basis(vectors: list[Vec]) -> list[Vec]:
                 row = [-a for a in row]
             basis.append(tuple(row))
     return basis
-
-
-def _det_bareiss(matrix: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def gram_determinant(basis: list[Vec]) -> int:
-    """det(B Bᵀ): the squared covolume of the lattice spanned by ``basis``."""
-    if not basis:
-        return 1
-    gram = [
-        [sum(a * b for a, b in zip(u, v)) for v in basis]
-        for u in basis
-    ]
-    return _det_bareiss(gram)
-
-
-def _project(vectors: list[Vec] | set[Vec] | frozenset[Vec], subset: tuple[int, ...]) -> list[Vec]:
-    return [tuple(v[i] for i in subset) for v in vectors]
-
-
-def projected_profile(loops, subset: tuple[int, ...]) -> tuple[int, int]:
-    """(rank, gram determinant) of the loop set projected onto ``subset``."""
-    basis = lattice_basis(_project(loops, subset))
-    return len(basis), gram_determinant(basis)
-
-
-def lattice_density_score(loops, subset: tuple[int, ...]) -> Fraction:
-    """Covolume of the lattice the projected loop vectors generate.
-
-    Larger covolume means a sparser lattice, hence a harder-to-fool counter
-    subset.  Rank-deficient generator sets are scored within their span as
-    the square root of the Gram determinant of an integer basis; when that
-    root is irrational, a deterministic fixed-point approximation is
-    returned (ranking uses the exact rank/Gram pair, never this rounding).
-    An empty or all-zero projection scores 0 by convention - see
-    :func:`rank_counter_subsets` for how such subsets are ordered.
-    """
-    rank, gram = projected_profile(loops, subset)
-    if rank == 0:
-        return Fraction(0)
-    root = isqrt(gram)
-    if root * root == gram:
-        return Fraction(root)
-    return Fraction(isqrt(gram * _SQRT_SCALE * _SQRT_SCALE), _SQRT_SCALE)
-
-
-def rank_counter_subsets(loops, k: int, dim: int) -> list[tuple[int, ...]]:
-    """All size-``k`` counter subsets, best detection potential first.
-
-    Tie policy: subsets whose projected loop set has *lower rank* come
-    first (each missing rank pins a whole dimension of the measurement, the
-    strongest possible constraint, and an empty projection pins them all);
-    within a rank, subsets are ordered by descending covolume; remaining
-    ties break lexicographically on the index tuple.
-    """
-    if not 1 <= k <= dim:
-        raise ValueError(f"subset size must satisfy 1 <= k <= {dim}, got {k}")
-    loops = list(loops)
-    scored = []
-    for subset in combinations(range(dim), k):
-        rank, gram = projected_profile(loops, subset)
-        scored.append((rank, -gram, subset))
-    scored.sort()
-    return [subset for _, _, subset in scored]

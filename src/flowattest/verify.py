@@ -13,6 +13,12 @@ entry stacks) are answered from a cache keyed by content, including the
 feasible-set update, so replay is verdict-identical with the cache on or
 off.
 
+:func:`accepts` is the verdict alone, for probes such as the attack
+harness's mutants: given a measurement and the feasible entry stacks it is
+checked against, it tries the same candidates with the same cone test as
+:func:`verify_segment` but returns at the first accepting one, and keeps
+no session, result or cache.
+
 Each candidate's base and loop vectors are projected through the register
 file once per database and file: the database memoizes, per
 ``CounterConfig`` (``None`` for the identity file) and segment key, the
@@ -69,27 +75,39 @@ class SessionState:
     cache_lookups: int = 0
 
     def __post_init__(self):
-        if self.config is not None and self.config.counter_names != self.db.counters:
-            raise SchemaError(
-                "counter config was built for a different counter list than the database"
-            )
+        _check_config(self.db, self.config)
 
     @property
     def measurement_dimension(self) -> int:
-        return self.config.dimension if self.config is not None else self.db.dimension
-
-    def project(self, v: Vec) -> Vec:
-        return project(self.config, v) if self.config is not None else v
+        return _dimension(self.db, self.config)
 
 
-def _project_generators(state: SessionState, loops: tuple[Vec, ...]):
+def _check_config(db: SegmentDatabase, config: CounterConfig | None) -> None:
+    if config is not None and config.counter_names != db.counters:
+        raise SchemaError(
+            "counter config was built for a different counter list than the database"
+        )
+
+
+def _dimension(db: SegmentDatabase, config: CounterConfig | None) -> int:
+    return config.dimension if config is not None else db.dimension
+
+
+def _check_dimension(m: Measurement, expected: int) -> None:
+    if len(m.delta) != expected:
+        raise SchemaError(
+            f"measurement delta has dimension {len(m.delta)}, session expects {expected}"
+        )
+
+
+def _project_generators(config: CounterConfig | None, loops: tuple[Vec, ...]):
     """Deduplicated nonzero projected loop vectors plus the witness remap:
     for each unique generator, the first original loop index carrying it."""
     unique: list[Vec] = []
     owner: list[int] = []
     seen: dict[Vec, int] = {}
     for j, loop in enumerate(loops):
-        pv = state.project(loop)
+        pv = project(config, loop) if config is not None else loop
         if all(x == 0 for x in pv):
             continue
         if pv not in seen:
@@ -99,29 +117,37 @@ def _project_generators(state: SessionState, loops: tuple[Vec, ...]):
     return tuple(unique), tuple(owner)
 
 
-def _projected_candidates(
-    state: SessionState, key: tuple[str, str], candidates: tuple[PathCandidate, ...]
-) -> tuple[tuple[Vec, tuple[Vec, ...], tuple[int, ...]], ...]:
-    """Per candidate of ``key``: projected base, generators and witness
-    remap, computed once per database and register file."""
-    per_key = state.db._projected.setdefault(state.config, {})
+def _feasible_candidates(
+    db: SegmentDatabase,
+    config: CounterConfig | None,
+    key: tuple[str, str],
+    candidates: tuple[PathCandidate, ...],
+    feasible: frozenset[CallStack] | None,
+):
+    """(index, candidate, (projected base, generators, witness remap)) for
+    each candidate of ``key`` whose entry stack is feasible, in database
+    order.  The projections are computed once per database and register
+    file."""
+    per_key = db._projected.setdefault(config, {})
     projected = per_key.get(key)
     if projected is None:
         projected = per_key[key] = tuple(
-            (state.project(c.base), *_project_generators(state, c.loops)) for c in candidates
+            (
+                project(config, c.base) if config is not None else c.base,
+                *_project_generators(config, c.loops),
+            )
+            for c in candidates
         )
-    return projected
+    for index, (cand, proj) in enumerate(zip(candidates, projected)):
+        if feasible is None or cand.start.stack in feasible:
+            yield index, cand, proj
 
 
 def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
     """Decide one measurement and fold its effect into the session."""
     if state.rejected:
         raise RuntimeError("session is already rejected; state is frozen")
-    if len(m.delta) != state.measurement_dimension:
-        raise SchemaError(
-            f"measurement delta has dimension {len(m.delta)}, "
-            f"session expects {state.measurement_dimension}"
-        )
+    _check_dimension(m, state.measurement_dimension)
     started = time.perf_counter()
     key = (m.start, m.end)
     db = state.db
@@ -186,10 +212,8 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
     exits: set[CallStack] = set()
     witness: tuple[int, ...] | None = None
     have_witness = False
-    projected = _projected_candidates(state, key, candidates)
-    for index, (cand, (base, generators, owner)) in enumerate(zip(candidates, projected)):
-        if state.feasible is not None and cand.start.stack not in state.feasible:
-            continue
+    feasible = _feasible_candidates(db, state.config, key, candidates, state.feasible)
+    for index, cand, (base, generators, owner) in feasible:
         tried += 1
         target = vsub(m.delta, base)
         if not is_nonneg(target):
@@ -235,6 +259,38 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
     if cache_key is not None:
         state.cache[cache_key] = _CacheEntry(result=result, feasible_after=feasible_after)
     return result
+
+
+def accepts(
+    db: SegmentDatabase,
+    m: Measurement,
+    feasible: frozenset[CallStack] | None,
+    *,
+    config: CounterConfig | None = None,
+) -> bool:
+    """The verdict alone: whether a session whose feasible entry stacks are
+    ``feasible`` would accept ``m``.
+
+    Exactly ``verify_segment``'s verdict, from the same candidates and the
+    same cone test, but it stops at the first accepting candidate and keeps
+    no session, result or cache: a probe that only counts rejections needs
+    neither the accepting set nor the feasible-set update.  A skipped
+    segment accepts, an unknown one rejects, and a delta of the wrong
+    dimension raises :class:`SchemaError`.
+    """
+    _check_config(db, config)
+    _check_dimension(m, _dimension(db, config))
+    key = (m.start, m.end)
+    if key in db.skip_segments:
+        return True
+    candidates = db.entries.get(key)
+    if candidates is None:
+        return False
+    for _, _, (base, generators, _) in _feasible_candidates(db, config, key, candidates, feasible):
+        target = vsub(m.delta, base)
+        if is_nonneg(target) and solve_cone(target, generators).witness is not None:
+            return True
+    return False
 
 
 @dataclass

@@ -2,15 +2,11 @@
 
 Nothing here shares machinery with the package: the cone oracle is plain
 bounded enumeration, delta tallies are per-instruction loops, simple
-cycles come from trying every node sequence, segment candidates from
-recursion over every simple path, and lattice covolumes come from sympy.
+cycles come from trying every node sequence, and segment candidates from
+recursion over every simple path.
 """
 
-from fractions import Fraction
 from itertools import permutations
-
-import sympy
-from sympy.matrices.normalforms import hermite_normal_form
 
 
 def cone_member_bruteforce(target, generators):
@@ -104,35 +100,6 @@ def count_call_strings(call_sites, entry_fn):
 
     walk(entry_fn)
     return counts
-
-
-def lattice_profile_sympy(vectors, subset):
-    """(rank, Gram determinant) of the projected lattice via sympy's HNF.
-
-    The Gram determinant is a lattice invariant, so any basis - here the
-    column-style Hermite normal form - gives the same value as the
-    package's own row reduction.
-    """
-    rows = [[v[i] for i in subset] for v in vectors]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0, 1
-    basis = hermite_normal_form(sympy.Matrix(rows).T)
-    rank = basis.cols
-    if rank == 0:
-        return 0, 1
-    gram = basis.T * basis
-    return rank, int(gram.det())
-
-
-def covolume_sympy(vectors, subset):
-    """Exact covolume (as a Fraction) when the Gram determinant is square."""
-    rank, gram = lattice_profile_sympy(vectors, subset)
-    if rank == 0:
-        return Fraction(0)
-    root = sympy.sqrt(gram)
-    assert root.is_integer, "oracle only used on perfect-square cases"
-    return Fraction(int(root))
 
 
 def segment_candidates_bruteforce(cfg, table, graph):

@@ -3,6 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowattest.attacks import (
     MutationSpec,
@@ -16,7 +18,7 @@ from flowattest.attacks import (
 from flowattest.cfg import BlockTrace, Measurement, load_cfg, split_trace, validate_trace
 from flowattest.database import enumerate_segments
 from flowattest.demos import signer_cfg, signer_trace
-from flowattest.errors import SchemaError
+from flowattest.errors import SchemaError, WalkError
 from flowattest.events import (
     default_event_table,
     delta_map,
@@ -26,10 +28,10 @@ from flowattest.events import (
     project,
     three_register_config,
 )
-from flowattest.simulate import measure_segment, random_valid_walk
-from flowattest.verify import SessionState, verify_segment
+from flowattest.simulate import measure, measure_segment, random_valid_walk
+from flowattest.verify import SessionState, accepts, verify_segment
 
-from .conftest import TINY_COUNTERS, block, edge, tiny_table_doc
+from .conftest import TINY_COUNTERS, block, edge, tiny_table_doc, two_loop_chain_doc
 from .randcfg import random_cfg_and_table
 
 BLOCK_KINDS = ("remove_block", "replace_block", "replace_unique", "insert_unique")
@@ -340,3 +342,229 @@ def test_mutating_an_invalid_segment_is_a_schema_error(tiny_table):
     for kind in BLOCK_KINDS:
         with pytest.raises(SchemaError, match="invalid segment"):
             mutate(cfg, deltas, broken, MutationSpec(kind))
+
+
+def _combine_rates_per_term(outcomes):
+    """The reference formula: one ``Fraction`` term per segment, summed."""
+    included = [o for o in outcomes if not o.excluded]
+    if not included:
+        return Fraction(0), Fraction(0)
+    total_freq = sum(o.frequency for o in included)
+    uniform = sum((o.rate * o.frequency for o in included), Fraction(0)) / total_freq
+    weight = sum(o.frequency * o.instruction_count for o in included)
+    if weight == 0:
+        return uniform, Fraction(0)
+    weighted = (
+        sum((o.rate * o.frequency * o.instruction_count for o in included), Fraction(0))
+        / weight
+    )
+    return uniform, weighted
+
+
+@st.composite
+def _outcome(draw):
+    attempted = draw(st.integers(min_value=0, max_value=1000))
+    return SegmentOutcome(
+        first_index=0,
+        frequency=draw(st.integers(min_value=1, max_value=50)),
+        instruction_count=draw(st.sampled_from((0, 0, 1, 7, 10_000)) | st.integers(0, 500)),
+        attempted=attempted,
+        detected=draw(st.integers(min_value=0, max_value=attempted)),
+        excluded=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_outcome(), max_size=12))
+def test_combine_rates_matches_per_term_fractions(outcomes):
+    assert combine_rates(outcomes) == _combine_rates_per_term(outcomes)
+
+
+def _probe_oracle(db, config, feasible, m):
+    """The verdict a fresh full session gives: one state, one result."""
+    state = SessionState(db, config, feasible=feasible)
+    return verify_segment(state, m).verdict == "accepted"
+
+
+def _check_probes(cfg, db, table, config, measurements, segments, specs, tally):
+    """Every mutant of every segment: ``accepts`` equals a fresh session's
+    verdict, from the feasible stacks the valid run reaches the segment
+    with.  Tallies verdicts and the mutants whose verdict the feasible-stack
+    filter decides."""
+    deltas = delta_map(cfg, table)
+    if config is not None:
+        deltas = {b: project(config, v) for b, v in deltas.items()}
+    state = SessionState(db, config)
+    seen = set()
+    for segment, m in zip(segments, measurements):
+        feasible = state.feasible
+        assert verify_segment(state, m).verdict == "accepted"
+        if (segment.steps, m.delta, feasible) in seen:
+            continue
+        seen.add((segment.steps, m.delta, feasible))
+        for spec in specs:
+            for mutant in mutate(cfg, deltas, segment, spec, measurement=m):
+                probe = mutant.measurement
+                verdict = accepts(db, probe, feasible, config=config)
+                assert verdict == _probe_oracle(db, config, feasible, probe), (spec, probe)
+                tally[spec.kind, verdict] += 1
+                if feasible is not None and verdict != accepts(db, probe, None, config=config):
+                    tally["filtered"] += 1
+
+
+def test_probe_verdicts_equal_a_full_session_on_the_signer_manifests():
+    table = default_event_table()
+    specs = default_specs(seed=7, repetitions=100)
+    tally = Counter()
+    for in_loop, config in (
+        (False, three_register_config(table)),
+        (False, None),
+        (True, None),
+    ):
+        cfg = load_cfg(signer_cfg(in_loop))
+        db = enumerate_segments(cfg, table)
+        trace = BlockTrace(tuple(signer_trace(60, 25, in_loop)))
+        measurements = measure(cfg, table, config, trace)
+        _check_probes(cfg, db, table, config, measurements, split_trace(cfg, trace), specs, tally)
+    for kind in BLOCK_KINDS + ("random_change",):
+        assert tally[kind, True] + tally[kind, False] > 0, kind
+    assert sum(n for (_, verdict), n in tally.items() if verdict) > 0, tally
+    assert sum(n for (_, verdict), n in tally.items() if not verdict) > 0, tally
+
+
+def test_probe_verdicts_equal_a_full_session_on_random_programs():
+    tally = Counter()
+    programs = 0
+    seed = 0
+    while programs < 200:
+        seed += 1
+        cfg, table = random_cfg_and_table(seed, max_blocks=30)
+        try:
+            trace = random_valid_walk(cfg, seed, max_segments=3)
+        except WalkError:
+            continue  # no walk to mutate; the next program stands in
+        programs += 1
+        db = enumerate_segments(cfg, table)
+        segments = split_trace(cfg, trace)
+        names = table.counter_names
+        specs = default_specs(seed=seed, repetitions=10)
+        for config in (None, make_config(table, [names[:1], names[1:]])):
+            measurements = measure(cfg, table, config, trace)
+            _check_probes(cfg, db, table, config, measurements, segments, specs, tally)
+    for kind in BLOCK_KINDS + ("random_change",):
+        assert tally[kind, True] > 0 and tally[kind, False] > 0, (kind, tally)
+
+
+def _two_caller_doc():
+    """main reaches f through g or through h; f holds a measurement point,
+    so the segment out of f has one candidate per caller.  The first
+    segment's branch (add or beq) pins which caller's stack is feasible."""
+    return {
+        "counters": TINY_COUNTERS,
+        "functions": [
+            {"name": "main", "entry": "m.0", "blocks": ["m.0", "m.a", "m.b", "m.c", "m.end"]},
+            {"name": "g", "entry": "g.0", "blocks": ["g.0", "g.1"]},
+            {"name": "h", "entry": "h.0", "blocks": ["h.0", "h.1"]},
+            {"name": "f", "entry": "f.0", "blocks": ["f.0", "f.1"]},
+        ],
+        "blocks": [
+            block("m.0", "main", ["addi"], mp=True),
+            block("m.a", "main", ["add"]),
+            block("m.b", "main", ["beq"]),
+            block("m.c", "main", ["add"]),
+            block("m.end", "main", ["jalr"], mp=True),
+            block("g.0", "g", ["jal"]),
+            block("g.1", "g", ["lw"]),
+            block("h.0", "h", ["jal"]),
+            block("h.1", "h", ["beq"]),
+            block("f.0", "f", ["add"], mp=True),
+            block("f.1", "f", ["jalr"]),
+        ],
+        "edges": [
+            edge("m.0", "m.a", "branch"),
+            edge("m.0", "m.b", "branch"),
+            edge("m.a", "g.0", "call"),
+            edge("m.b", "h.0", "call"),
+            edge("g.0", "f.0", "call"),
+            edge("h.0", "f.0", "call"),
+            edge("f.0", "f.1"),
+            edge("f.1", "g.1", "return"),
+            edge("f.1", "h.1", "return"),
+            edge("g.1", "m.c", "return"),
+            edge("h.1", "m.c", "return"),
+            edge("m.c", "m.end"),
+        ],
+        "entry": "m.0",
+    }
+
+
+def test_probe_verdicts_follow_the_feasible_stacks(tiny_table):
+    """Replacing g.1 by the unconnected m.b gives exactly the measurement of
+    the path back through h: only the feasible-stack filter rejects it."""
+    cfg = load_cfg(_two_caller_doc())
+    db = enumerate_segments(cfg, tiny_table)
+    trace = BlockTrace(("m.0", "m.a", "g.0", "f.0", "f.1", "g.1", "m.c", "m.end"))
+    tally = Counter()
+    for config in (None, make_config(tiny_table, [TINY_COUNTERS[:2], TINY_COUNTERS[2:]])):
+        measurements = measure(cfg, tiny_table, config, trace)
+        segments = split_trace(cfg, trace)
+        specs = default_specs(seed=1)
+        _check_probes(cfg, db, tiny_table, config, measurements, segments, specs, tally)
+    assert tally["filtered"] >= 2, tally
+
+
+def _chain_with_skip(tiny_table, start, end):
+    doc = two_loop_chain_doc()
+    doc["skip_segments"] = [{"start": start, "end": end}]
+    cfg = load_cfg(doc)
+    return cfg, enumerate_segments(cfg, tiny_table)
+
+
+def test_probe_verdicts_after_and_on_skip_segments(tiny_table):
+    specs = default_specs(seed=3, repetitions=20)
+    steps = BlockTrace(("A", "B", "D", "E", "B", "C"))
+    tally = Counter()
+    # C -> A is never connected but skipped: it accepts anything and leaves
+    # the feasible set unconstrained (None) for the next segment.
+    cfg, db = _chain_with_skip(tiny_table, "C", "A")
+    skipped = Measurement("C", "A", (5, 5, 5))
+    assert accepts(db, skipped, frozenset({()}))
+    state = SessionState(db)
+    verify_segment(state, skipped)
+    assert state.feasible is None
+    m = measure_segment(cfg, tiny_table, None, steps)
+    for spec in specs:
+        for mutant in mutate(cfg, delta_map(cfg, tiny_table), steps, spec, measurement=m):
+            verdict = accepts(db, mutant.measurement, None)
+            assert verdict == _probe_oracle(db, None, None, mutant.measurement)
+            tally[verdict] += 1
+    assert tally[False] > 0
+    assert accepts(db, m, None) and _probe_oracle(db, None, None, m)
+    # A -> C itself skipped: every mutant of it is accepted, as a session does.
+    cfg, db = _chain_with_skip(tiny_table, "A", "C")
+    for spec in specs:
+        for mutant in mutate(cfg, delta_map(cfg, tiny_table), steps, spec, measurement=m):
+            for feasible in (frozenset({()}), None):
+                assert accepts(db, mutant.measurement, feasible)
+                assert _probe_oracle(db, None, feasible, mutant.measurement)
+    assert accepts(db, Measurement("A", "C", (999, 0, 999)), frozenset({()}))
+
+
+def test_probe_of_an_unknown_segment_rejects(tiny_table):
+    cfg = load_cfg(two_loop_chain_doc())
+    db = enumerate_segments(cfg, tiny_table)
+    unknown = Measurement("C", "A", (1, 0, 0))
+    for feasible in (frozenset({()}), None):
+        assert not accepts(db, unknown, feasible)
+        assert not _probe_oracle(db, None, feasible, unknown)
+
+
+def test_probe_with_a_wrong_dimension_is_a_schema_error(tiny_table):
+    cfg = load_cfg(two_loop_chain_doc())
+    db = enumerate_segments(cfg, tiny_table)
+    with pytest.raises(SchemaError, match="dimension"):
+        accepts(db, Measurement("A", "C", (3, 1)), frozenset({()}))
+    config = make_config(tiny_table, [("instret",), ("int_load_retired",)])
+    with pytest.raises(SchemaError, match="dimension"):
+        accepts(db, Measurement("A", "C", (3, 1, 0)), frozenset({()}), config=config)
+    assert accepts(db, Measurement("A", "C", (3, 0)), frozenset({()}), config=config)

@@ -50,6 +50,12 @@ def test_no_generators():
     assert solve_cone((0, 0), ()).witness == ()
 
 
+def test_all_zero_generators_cannot_reach_a_nonzero_target():
+    for target, generators in (((1, 1), ()), ((3, 0, 2), ((0, 0, 0),) * 3), ((5,), ((0,),))):
+        assert solve_cone(target, generators) == cone.ConeSolution(None, 0)
+    assert solve_cone((0, 0), ((0, 0), (0, 0))) == cone.ConeSolution((0, 0), 0)
+
+
 def test_requires_branching_when_relaxation_is_fractional():
     # 5a + 3b = N has rational solutions everywhere but integer ones need
     # search; N = 7 is the largest infeasible value.

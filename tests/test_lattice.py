@@ -1,83 +1,140 @@
+"""``lattice_basis`` checked in pure Python: Leibniz determinants, exact
+rational solves and the gcd of maximal minors, none of which share the
+basis's row reduction."""
+
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd, isqrt, prod
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowattest.lattice import (
-    gram_determinant,
-    lattice_basis,
-    lattice_density_score,
-    projected_profile,
-    rank_counter_subsets,
-)
+from flowattest.lattice import lattice_basis
 
-from .oracles import lattice_profile_sympy
+
+def _det(rows):
+    """Leibniz determinant of a small square integer matrix."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def _gram(basis):
+    """det(B Bᵀ): the squared covolume of the lattice ``basis`` spans."""
+    return _det([[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis])
+
+
+def _covolume(basis):
+    """The covolume of a lattice whose Gram determinant is a square, and 0
+    for the zero lattice."""
+    if not basis:
+        return 0
+    gram = _gram(basis)
+    root = isqrt(gram)
+    assert root * root == gram
+    return root
+
+
+def _solve(basis, v):
+    """The rational x with sum(x_i * basis_i) == v, or None; ``basis`` is
+    linearly independent, so x is unique when it exists."""
+    r, dim = len(basis), len(v)
+    rows = [[Fraction(basis[i][d]) for i in range(r)] + [Fraction(v[d])] for d in range(dim)]
+    pivots = []
+    for col in range(r):
+        at = next((i for i in range(len(pivots), dim) if rows[i][col]), None)
+        if at is None:
+            return None  # dependent rows: not a basis
+        row = len(pivots)
+        rows[row], rows[at] = rows[at], rows[row]
+        rows[row] = [x / rows[row][col] for x in rows[row]]
+        for i in range(dim):
+            if i != row and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[row])]
+        pivots.append(col)
+    if any(rows[i][-1] for i in range(r, dim)):
+        return None
+    return [rows[i][-1] for i in range(r)]
+
+
+def _minor_gcd(vectors, r):
+    """gcd of every r x r minor of the matrix whose rows are ``vectors``."""
+    g = 0
+    dim = len(vectors[0])
+    for picked in combinations(vectors, r):
+        for cols in combinations(range(dim), r):
+            g = gcd(g, _det([[v[c] for c in cols] for v in picked]))
+    return g
+
+
+def _spans_same_lattice(vectors, basis):
+    """Every input is an integer combination of the basis rows, and the
+    inputs' maximal minors have the basis's gcd.  By Cauchy-Binet the
+    inputs' gcd is the basis's times the index of their lattice in the
+    basis's, so equal gcds mean equal lattices."""
+    nonzero = [v for v in vectors if any(v)]
+    if not basis:
+        return not nonzero
+    for v in nonzero:
+        x = _solve(basis, v)
+        if x is None or any(c.denominator != 1 for c in x):
+            return False
+    return _minor_gcd(basis, len(basis)) == _minor_gcd(nonzero, len(basis))
 
 
 def test_diagonal_basis_covolume():
-    assert lattice_density_score([(2, 0), (0, 2)], (0, 1)) == Fraction(4)
+    assert _covolume(lattice_basis([(2, 0), (0, 2)])) == 4
 
 
 def test_unit_lattice_scores_one():
-    assert lattice_density_score([(1, 0), (0, 1)], (0, 1)) == Fraction(1)
+    assert _covolume(lattice_basis([(1, 0), (0, 1)])) == 1
 
 
 def test_sheared_basis_covolume():
     # Row reduction of {(2,1),(1,2)} to a basis; |det| = 3.
-    assert lattice_density_score([(2, 1), (1, 2)], (0, 1)) == Fraction(3)
-    rank, gram = lattice_profile_sympy([(2, 1), (1, 2)], (0, 1))
-    assert (rank, gram) == (2, 9)
+    basis = lattice_basis([(2, 1), (1, 2)])
+    assert (len(basis), _gram(basis)) == (2, 9)
+    assert _covolume(basis) == 3
 
 
 def test_empty_generators_score_zero():
-    assert lattice_density_score([], (0,)) == Fraction(0)
-    assert lattice_density_score([(0, 0)], (0, 1)) == Fraction(0)
+    assert lattice_basis([]) == []
+    assert lattice_basis([(0, 0)]) == []
+    assert _covolume(lattice_basis([(0, 0)])) == 0
 
 
 def test_rank_deficient_scored_in_span():
     # One generator (3,4): Gram det 25, covolume 5 exactly.
-    assert lattice_density_score([(3, 4)], (0, 1)) == Fraction(5)
+    assert _covolume(lattice_basis([(3, 4)])) == 5
 
 
-def test_full_subset_is_the_only_size_two_subset():
-    assert rank_counter_subsets([(1, 2), (3, 4)], 2, 2) == [(0, 1)]
-
-
-def test_zero_rank_projections_rank_first():
-    # A single loop seen only by counter 0: subsets {1} and {2} pin their
-    # dimension entirely (rank 0, nothing reachable) and outrank {0}.
-    order = rank_counter_subsets([(1, 0, 0)], 1, 3)
-    assert order == [(1,), (2,), (0,)]
-
-
-def test_subset_ranking_matches_exhaustive_scoring():
-    rng = random.Random(5)
-    loops = [tuple(rng.randint(0, 6) for _ in range(4)) for _ in range(3)]
-    ranked = rank_counter_subsets(loops, 2, 4)
-    assert len(ranked) == 6
-    # Brute-force the documented policy with the independent profile oracle.
-    scored = []
-    from itertools import combinations
-
-    for subset in combinations(range(4), 2):
-        rank, gram = lattice_profile_sympy(loops, subset)
-        scored.append((rank, -gram, subset))
-    scored.sort()
-    assert ranked == [s for _, _, s in scored]
-
-
-def test_profiles_match_sympy_on_random_sets():
+def test_basis_spans_the_input_lattice_on_random_sets():
     rng = random.Random(11)
-    for _ in range(50):
+    ranks = set()
+    for _ in range(200):
         dim = rng.randint(1, 4)
-        loops = [
-            tuple(rng.randint(0, 5) for _ in range(dim))
-            for _ in range(rng.randint(0, 4))
+        vectors = [
+            tuple(rng.randint(-3, 5) for _ in range(dim)) for _ in range(rng.randint(0, 5))
         ]
-        subset = tuple(sorted(rng.sample(range(dim), rng.randint(1, dim))))
-        assert projected_profile(loops, subset) == lattice_profile_sympy(loops, subset)
+        basis = lattice_basis(vectors)
+        # Echelon form: pivots move strictly right and are positive.
+        pivots = [next(i for i, x in enumerate(row) if x) for row in basis]
+        assert pivots == sorted(set(pivots))
+        assert all(row[p] > 0 for row, p in zip(basis, pivots))
+        assert _spans_same_lattice(vectors, basis)
+        ranks.add(len(basis))
+    assert ranks == {0, 1, 2, 3, 4}
+
+
+def test_a_proper_sublattice_is_told_apart():
+    # The helper itself: (2, 0), (0, 1) spans index 2 inside the unit lattice.
+    assert not _spans_same_lattice([(2, 0), (0, 1)], [(1, 0), (0, 1)])
+    assert _spans_same_lattice([(2, 0), (0, 1), (3, 0)], [(1, 0), (0, 1)])
 
 
 @given(
@@ -89,26 +146,20 @@ def test_profiles_match_sympy_on_random_sets():
     st.randoms(use_true_random=False),
 )
 def test_score_invariant_under_permutation_and_combinations(loops, rng):
-    subset = (0, 1, 2)
-    base = projected_profile(loops, subset)
+    def profile(vectors):
+        basis = lattice_basis(vectors)
+        return len(basis), _gram(basis)
+
+    base = profile(loops)
     shuffled = list(loops)
     rng.shuffle(shuffled)
-    assert projected_profile(shuffled, subset) == base
+    assert profile(shuffled) == base
     # Adding an integer combination of existing generators changes nothing.
     coeffs = [rng.randint(0, 3) for _ in loops]
-    combo = tuple(
-        sum(c * v[d] for c, v in zip(coeffs, loops)) for d in range(3)
-    )
-    assert projected_profile(loops + [combo], subset) == base
+    combo = tuple(sum(c * v[d] for c, v in zip(coeffs, loops)) for d in range(3))
+    assert profile(loops + [combo]) == base
 
 
 def test_gram_determinant_of_known_basis():
     basis = lattice_basis([(2, 0, 0), (0, 3, 0)])
-    assert gram_determinant(basis) == 36
-
-
-def test_subset_size_bounds():
-    with pytest.raises(ValueError):
-        rank_counter_subsets([(1, 0)], 0, 2)
-    with pytest.raises(ValueError):
-        rank_counter_subsets([(1, 0)], 3, 2)
+    assert _gram(basis) == 36
