@@ -54,6 +54,17 @@ EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type of the budget and depth flags: the manifest's rule."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _read_json(path: str):
     return json.loads(Path(path).read_text())
 
@@ -333,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfg", required=True)
     p.add_argument("--table", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--budget-paths", type=int, default=DEFAULT_PATH_BUDGET)
-    p.add_argument("--budget-cycles", type=int, default=DEFAULT_CYCLE_BUDGET)
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget-paths", type=_nonnegative_int, default=DEFAULT_PATH_BUDGET)
+    p.add_argument("--budget-cycles", type=_nonnegative_int, default=DEFAULT_CYCLE_BUDGET)
+    p.add_argument("--budget-nodes", type=_nonnegative_int, default=DEFAULT_NODE_BUDGET)
     common_output(p)
     p.set_defaults(func=cmd_preprocess)
 
@@ -383,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("protocol", help="run a protocol scenario or explore the state space")
     p.add_argument("--scenario")
     p.add_argument("--explore", action="store_true")
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=_nonnegative_int, default=10)
     p.add_argument("--sm-mediated", action="store_true")
     p.add_argument("--db", help="with --measurements: verdicts for 'auto' events")
     p.add_argument("--measurements")

@@ -26,6 +26,16 @@ residual outside the integer lattice of the free generators has no
 combination at all, so the node is pruned.  The bitset sweep is exact, so
 on a small box that test could only repeat its verdict at a higher price.
 
+A caller that decides many targets against one generator tuple can pass
+that tuple's :class:`Reach`, a reachability map grown on demand: the
+bitset sweep over the componentwise maximum of the targets seen so far,
+kept as bit-planes of each state's first reaching stage.  A target inside
+the map's box, or one whose merged box still passes the same bitset plan
+(the map is then swept again over the merged box), is answered by bit
+reads and the same reverse-lexicographic read-back, with the witness and
+``lp_solves`` of the pipeline.  Any other target goes through the pipeline
+and leaves the map as it is.
+
 The decision problem is NP-hard in general, so adversarial inputs outside
 the reachability budget can still be slow; they remain exactly decided.
 """
@@ -153,39 +163,50 @@ def _dp_plan(residual: list[int], gens: list[Vec]):
     return bits, strides
 
 
+def _saturate(box: list[int], gens: list[Vec], strides: list[int]):
+    """Yield each generator's shift and the reachable bitmap after its stage.
+
+    One big integer is the bitmap of reachable box states, starting from
+    the origin alone.  Because the generators are componentwise
+    nonnegative, any sum can be built one generator at a time without ever
+    leaving the box, so saturating each generator once covers every
+    combination.  Saturation doubles: after step j every state gained
+    0..2^j - 1 copies of the generator, and the mask keeps the states that
+    can still take 2^j more, so about log2(cap) steps reach the fixed point
+    of one-copy-at-a-time shifting.  Every generator must be nonzero and
+    fit inside the box once; a zero shift would never clear its mask.
+    """
+    dim = len(box)
+    reach = 1
+    for g in gens:
+        shift = sum(v * s for v, s in zip(g, strides))
+        # Mask of source states s with s + g still inside the box.
+        mask = (1 << (box[dim - 1] - g[dim - 1] + 1)) - 1
+        for d in reversed(range(dim - 1)):
+            mask = _repeat_pattern(mask, strides[d], box[d] - g[d] + 1)
+        step = shift
+        while mask:
+            reach |= (reach & mask) << step
+            mask &= mask >> step
+            step <<= 1
+        yield shift, reach
+
+
 def _dp_reachable(residual: list[int], gens: list[Vec], plan) -> list[int] | None:
     """Exact reachability of ``residual`` by nonnegative generator sums.
 
-    One big integer is the bitmap of reachable box states.  Because the
-    generators are componentwise nonnegative, any sum can be built one
-    generator at a time without ever leaving the box, so saturating each
-    generator once covers every combination.  Saturation doubles: after
-    step j every state gained 0..2^j - 1 copies of the generator, and the
-    mask keeps the states that can still take 2^j more, so about
-    log2(cap) steps reach the fixed point of one-copy-at-a-time shifting.
-    Snapshots per generator let the witness be read back afterwards.
-    Every generator must be nonzero and fit inside the box once, as
-    ``solve_cone`` guarantees; a zero shift would never clear its mask.
+    The bitmap after each generator's stage (:func:`_saturate`) is kept,
+    so the witness can be read back afterwards: the reverse-lexicographic
+    minimum, the fewest copies of the last generator, then of the one
+    before it, and so on.  Every generator must be nonzero and fit inside
+    the box once, as ``solve_cone`` guarantees.
     """
-    bits, strides = plan
-    dim = len(residual)
+    _, strides = plan
     shifts = []
-    masks = []
-    for g in gens:
-        shifts.append(sum(v * s for v, s in zip(g, strides)))
-        # Mask of source states s with s + g still inside the box.
-        mask = (1 << (residual[dim - 1] - g[dim - 1] + 1)) - 1
-        for d in reversed(range(dim - 1)):
-            block = strides[d]
-            mask = _repeat_pattern(mask, block, residual[d] - g[d] + 1)
-        masks.append(mask)
-    reach = 1  # only the origin, before any generator is applied
     snapshots = []
-    for shift, mask in zip(shifts, masks):
-        while mask:
-            reach |= (reach & mask) << shift
-            mask &= mask >> shift
-            shift <<= 1
+    reach = 1  # only the origin, before any generator is applied
+    for shift, reach in _saturate(residual, gens, strides):
+        shifts.append(shift)
         snapshots.append(reach)
     goal = sum(r * s for r, s in zip(residual, strides))
     if not (reach >> goal) & 1:
@@ -201,6 +222,109 @@ def _dp_reachable(residual: list[int], gens: list[Vec], plan) -> list[int] | Non
             index -= shifts[i]
         assert index >= 0
     return counts
+
+
+class Reach:
+    """The reachability map of one generator tuple, grown on demand.
+
+    The map is the bitset sweep over a box: the componentwise maximum of
+    the targets it was asked to cover.  For every state of the box it
+    holds the first stage (the index of the first generator, among those
+    that fit the box) whose sweep reaches the state, or the number of
+    stages for a state no stage reaches, as ``stages.bit_length()``
+    bit-planes of ``bytes`` so that one bit read is O(1).  Partial sums toward a
+    target never leave the box [0, target], so every stage restricted to a
+    sub-box is that sub-box's own stage: one sweep over the box answers
+    every target inside it with the witness the sweep over the target's
+    own box would read back.
+
+    A target outside the box grows it to the merged box, and re-sweeps,
+    only when the merged box passes ``_dp_plan``; otherwise the map is
+    left as it is and :func:`solve_cone` decides the target alone.
+    """
+
+    __slots__ = ("_generators", "_active", "box", "_strides", "_used", "_shifts", "_planes")
+
+    def __init__(self, generators: tuple[Vec, ...]):
+        self._generators = generators
+        self._active = [i for i, g in enumerate(generators) if any(g)]
+        self.box: tuple[int, ...] | None = None
+
+    def covers(self, target: Vec) -> bool:
+        """Whether ``target`` lies in the box, after growing it if the
+        merged box passes the bitset plan."""
+        box = self.box
+        if box is not None and all(t <= b for t, b in zip(target, box)):
+            return True
+        merged = list(target) if box is None else list(map(max, box, target))
+        generators = self._generators
+        used = [
+            i for i in self._active if all(v <= b for v, b in zip(generators[i], merged))
+        ]
+        plan = _dp_plan(merged, [generators[i] for i in used])
+        if plan is None:
+            return False
+        self._sweep(merged, used, plan)
+        return True
+
+    def _sweep(self, box: list[int], used: list[int], plan) -> None:
+        size, strides = plan
+        stages = len(used)
+        planes = [0] * stages.bit_length()
+        shifts = []
+        reach = 1
+        for stage, (shift, after) in enumerate(
+            _saturate(box, [self._generators[i] for i in used], strides)
+        ):
+            shifts.append(shift)
+            fresh = after & ~reach
+            for b in range(len(planes)):
+                if stage >> b & 1:
+                    planes[b] |= fresh
+            reach = after
+        unreached = ((1 << size) - 1) & ~reach
+        for b in range(len(planes)):
+            if stages >> b & 1:
+                planes[b] |= unreached
+        nbytes = (size + 7) // 8
+        self.box = tuple(box)
+        self._strides = strides
+        self._used = used
+        self._shifts = shifts
+        self._planes = [(1 << b, p.to_bytes(nbytes, "little")) for b, p in enumerate(planes)]
+
+    def _stage(self, index: int) -> int:
+        at, bit = index >> 3, index & 7
+        stage = 0
+        for weight, plane in self._planes:
+            if plane[at] >> bit & 1:
+                stage += weight
+        return stage
+
+    def witness(self, target: Vec) -> tuple[int, ...] | None:
+        """The reverse-lexicographic minimum witness of a nonzero target
+        inside the box, or None when no combination reaches it."""
+        used = self._used
+        stages = len(used)
+        index = sum(t * s for t, s in zip(target, self._strides))
+        stage_of = self._stage
+        if stage_of(index) == stages:
+            return None
+        witness = [0] * len(self._generators)
+        shifts = self._shifts
+        for stage in range(stages - 1, 0, -1):
+            # Copies of this stage's generator until the state was reached
+            # by an earlier stage.
+            shift = shifts[stage]
+            count = 0
+            while stage_of(index) >= stage:
+                count += 1
+                index -= shift
+            witness[used[stage]] = count
+        # What is left was first reached by the first stage: copies of its
+        # generator alone.
+        witness[used[0]] = index // shifts[0]
+        return tuple(witness)
 
 
 def _lp_feasible(A: list[list[int]], b: list[int], caps: list[int]) -> list[Fraction] | None:
@@ -277,10 +401,23 @@ def _lp_feasible(A: list[list[int]], b: list[int], caps: list[int]) -> list[Frac
     return solution
 
 
-def solve_cone(target: Vec, generators: tuple[Vec, ...]) -> ConeSolution:
+def solve_cone(
+    target: Vec, generators: tuple[Vec, ...], reach: Reach | None = None
+) -> ConeSolution:
     """Nonnegative integer scalars with ``sum(x_i * v_i) == target`` as the
     witness, or None.  A target negative in some component is simply
-    infeasible."""
+    infeasible.
+
+    ``reach``, the map of this same generator tuple, answers a target
+    inside its box, or inside the merged box when that passes the bitset
+    plan (the map re-sweeps it first), by bit reads with no simplex.
+    Any other target runs the pipeline below and leaves the map as it is.
+    Either way the answer is the same witness and ``lp_solves``: a target
+    the map covers would have passed the plan at the root node as well,
+    where the sweep's reverse-lexicographic minimum is the minimum over all
+    witnesses, since root propagation only removes non-witnesses and fixes
+    what every witness shares.
+    """
     dim = len(target)
     n = len(generators)
     if any(t < 0 for t in target):
@@ -291,6 +428,8 @@ def solve_cone(target: Vec, generators: tuple[Vec, ...]) -> ConeSolution:
     if not active:
         # A nonzero target and no nonzero generator: nothing to search.
         return ConeSolution(None, 0)
+    if reach is not None and reach.covers(target):
+        return ConeSolution(reach.witness(target), 0)
     gens = [generators[i] for i in active]
     k = len(gens)
 

@@ -86,8 +86,9 @@ class SegmentDatabase:
     entries: dict[tuple[str, str], tuple[PathCandidate, ...]]
     skip_segments: frozenset[tuple[str, str]]
     # Memo of verify's candidate projections: register file (None for the
-    # identity file) -> segment key -> one (base, generators, owner) per
-    # candidate.  Filled lazily during verification.
+    # identity file) -> segment key -> one (base, generators, owner, reach)
+    # per candidate.  Filled lazily during verification; the reach maps
+    # grow with it.
     _projected: dict[CounterConfig | None, dict[tuple[str, str], tuple]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -23,9 +23,14 @@ Each candidate's base and loop vectors are projected through the register
 file once per database and file: the database memoizes, per
 ``CounterConfig`` (``None`` for the identity file) and segment key, the
 projected base, the deduplicated nonzero generators and the witness remap
-of every candidate.  The memo fills on a segment key's first verification,
-is shared by every session over that database, and is invisible to the
-database's equality and serialization.
+of every candidate, plus one :class:`~flowattest.cone.Reach` map per
+candidate with two or more generators (a single generator is always
+decided by the cone solver's propagation).  Each map grows with the
+residuals its candidate is asked about, so a repeated or smaller residual
+is answered by bit reads; the answers are the ones ``solve_cone`` gives
+without a map.  The memo fills on a segment key's first verification,
+lives as long as the database object, is shared by every session over
+it, and is invisible to the database's equality and serialization.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cfg import Measurement
-from .cone import solve_cone
+from .cone import Reach, solve_cone
 from .database import DedupKey, PathCandidate, SegmentDatabase, dedup_key
 from .errors import SchemaError
 from .events import CounterConfig, project
@@ -117,6 +122,12 @@ def _project_generators(config: CounterConfig | None, loops: tuple[Vec, ...]):
     return tuple(unique), tuple(owner)
 
 
+def _project_candidate(config: CounterConfig | None, cand: PathCandidate):
+    base = project(config, cand.base) if config is not None else cand.base
+    generators, owner = _project_generators(config, cand.loops)
+    return base, generators, owner, Reach(generators) if len(generators) >= 2 else None
+
+
 def _feasible_candidates(
     db: SegmentDatabase,
     config: CounterConfig | None,
@@ -124,20 +135,15 @@ def _feasible_candidates(
     candidates: tuple[PathCandidate, ...],
     feasible: frozenset[CallStack] | None,
 ):
-    """(index, candidate, (projected base, generators, witness remap)) for
-    each candidate of ``key`` whose entry stack is feasible, in database
-    order.  The projections are computed once per database and register
-    file."""
+    """(index, candidate, (projected base, generators, witness remap,
+    reachability map)) for each candidate of ``key`` whose entry stack is
+    feasible, in database order.  The projections are computed once per
+    database and register file; the map is None for fewer than two
+    generators, which root propagation always decides by itself."""
     per_key = db._projected.setdefault(config, {})
     projected = per_key.get(key)
     if projected is None:
-        projected = per_key[key] = tuple(
-            (
-                project(config, c.base) if config is not None else c.base,
-                *_project_generators(config, c.loops),
-            )
-            for c in candidates
-        )
+        projected = per_key[key] = tuple(_project_candidate(config, c) for c in candidates)
     for index, (cand, proj) in enumerate(zip(candidates, projected)):
         if feasible is None or cand.start.stack in feasible:
             yield index, cand, proj
@@ -213,13 +219,13 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
     witness: tuple[int, ...] | None = None
     have_witness = False
     feasible = _feasible_candidates(db, state.config, key, candidates, state.feasible)
-    for index, cand, (base, generators, owner) in feasible:
+    for index, cand, (base, generators, owner, reach) in feasible:
         tried += 1
         target = vsub(m.delta, base)
         if not is_nonneg(target):
             continue
         solver_calls += 1
-        solution = solve_cone(target, generators)
+        solution = solve_cone(target, generators, reach)
         solver_nodes += solution.lp_solves
         if solution.witness is None:
             continue
@@ -286,9 +292,11 @@ def accepts(
     candidates = db.entries.get(key)
     if candidates is None:
         return False
-    for _, _, (base, generators, _) in _feasible_candidates(db, config, key, candidates, feasible):
+    for _, _, (base, generators, _, reach) in _feasible_candidates(
+        db, config, key, candidates, feasible
+    ):
         target = vsub(m.delta, base)
-        if is_nonneg(target) and solve_cone(target, generators).witness is not None:
+        if is_nonneg(target) and solve_cone(target, generators, reach).witness is not None:
             return True
     return False
 

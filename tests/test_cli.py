@@ -96,6 +96,34 @@ def test_shipped_pathburst_demo_exceeds_default_budget(capsys, tmp_path):
     assert "measurement points" in err
 
 
+@pytest.mark.parametrize("flag", ["--budget-paths", "--budget-cycles", "--budget-nodes"])
+def test_preprocess_negative_budget_is_a_usage_error(capsys, chain_paths, flag):
+    # The same rule, in the same words, as a manifest's ``budgets``; not
+    # the budget-exceeded exit a budget of -1 used to end in.
+    cfg_path, table_path, tmp = chain_paths
+    db_path = tmp / "db.json"
+    argv = ["preprocess", "--cfg", cfg_path, "--table", table_path, "--out", str(db_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "-1"])
+    assert exc.value.code == EXIT_ERROR
+    assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
+    assert not db_path.exists()
+    # Zero is a budget, and this chain exceeds it.
+    code, _, err = run(capsys, *argv, flag, "0")
+    assert code == EXIT_BUDGET
+    assert "(budget 0" in err
+
+
+def test_protocol_negative_depth_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "--explore", "--depth", "-1"])
+    assert exc.value.code == EXIT_ERROR
+    assert "argument --depth: must be >= 0, got -1" in capsys.readouterr().err
+    code, out, _ = run(capsys, "protocol", "--explore", "--depth", "0", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["depth"] == 0
+
+
 def _pipeline(capsys, tmp, cfg_path, table_path, steps):
     db_path = tmp / "db.json"
     trace_doc = {"cfg_ref": _digest_of(cfg_path), "steps": steps}

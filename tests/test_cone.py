@@ -261,3 +261,82 @@ def test_lattice_test_still_runs_before_the_simplex(monkeypatch):
     solution = solve_cone(target, gens)
     assert solution.witness is None
     assert solution.lp_solves == 0
+
+
+def _reach_cases(rng):
+    """(generators, targets) pairs: every tuple shape the map can hold, and
+    target sequences that grow, shrink, repeat and change shape, so that
+    the merged box ends up larger than any single target."""
+    cases = [
+        ((), [(0, 0), (2, 1), (-1, 0)]),
+        (((0, 0), (0, 0)), [(0, 0), (3, 0), (0, -2)]),
+        (((3,),), [(9,), (4,), (0,), (12,), (9,), (-3,)]),
+        (((0, 2), (3, 1), (0, 0)), [(6, 2), (3, 5), (0, 0), (12, 4), (-1, 4), (6, 2)]),
+        (((5,), (3,)), [(7,), (8,), (1,), (22,), (7,), (6,)]),
+        (((1, 1), (1, 3)), [(3, 4), (2, 4), (5, 9), (0, 2), (3, 4)]),
+    ]
+    for _ in range(60):
+        dim = rng.randint(1, 3)
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.15:
+                gens.append((0,) * dim)
+            else:
+                gens.append(tuple(rng.randint(0, 6) for _ in range(dim)))
+
+        def combination(scale):
+            xs = [rng.randint(0, scale) for _ in gens]
+            return tuple(sum(x * g[d] for x, g in zip(xs, gens)) for d in range(dim))
+
+        def anywhere(side):
+            return tuple(rng.randint(0, side) for _ in range(dim))
+
+        growing = [combination(scale) for scale in (1, 2, 3, 5)]
+        shrinking = [anywhere(side) for side in (30, 18, 9, 4)]
+        # One long side per target, a different side each time.
+        shapes = []
+        for d in range(dim):
+            shape = [rng.randint(0, 3) for _ in range(dim)]
+            shape[d] = rng.randint(10, 30)
+            shapes.append(tuple(shape))
+        targets = growing + shrinking + shapes + [growing[-1], shrinking[0]]
+        targets.append((0,) * dim)
+        targets.append(tuple(-1 if d == 0 else t for d, t in enumerate(anywhere(5))))
+        rng.shuffle(targets)
+        cases.append((tuple(gens), targets))
+    return cases
+
+
+def test_reach_map_answers_as_the_solver_does(monkeypatch):
+    # Each tuple's map sees its whole target sequence.  Every answer must be
+    # the map-free solver's, witness and simplex count alike, and agree with
+    # brute force; under small bit limits the map must fall back (or stay
+    # small) exactly where the solver leaves the bitset sweep.
+    rng = random.Random(20_261_021)
+    cases = _reach_cases(rng)
+    seen = {"inside": 0, "grown": 0, "fallback": 0, "simplex": 0, "infeasible": 0}
+    for limit in (cone._DP_BIT_LIMIT, 300, 40, 0):
+        monkeypatch.setattr(cone, "_DP_BIT_LIMIT", limit)
+        for gens, targets in cases:
+            reach = cone.Reach(gens)
+            for target in targets:
+                before = reach.box
+                mine = solve_cone(target, gens, reach)
+                alone = solve_cone(target, gens)
+                assert mine == alone, (limit, gens, target, before, reach.box)
+                reference = cone_member_bruteforce(target, gens)
+                assert (mine.witness is None) == (reference is None), (gens, target)
+                if mine.witness is not None:
+                    assert _evaluates_to(mine.witness, gens, target)
+                else:
+                    seen["infeasible"] += 1
+                seen["simplex"] += mine.lp_solves > 0
+                if reach.box is None or any(t > b for t, b in zip(target, reach.box)):
+                    seen["fallback"] += any(t > 0 for t in target) and all(
+                        t >= 0 for t in target
+                    )
+                elif reach.box != before:
+                    seen["grown"] += before is not None
+                elif all(t >= 0 for t in target) and any(target):
+                    seen["inside"] += 1
+    assert min(seen.values()) > 20, seen

@@ -1,4 +1,10 @@
+import json
+import random
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowattest.cfg import BlockTrace, Measurement, load_cfg
 from flowattest.database import (
@@ -10,16 +16,17 @@ from flowattest.database import (
 from flowattest.demos import signer_cfg, signer_trace
 from flowattest.errors import SchemaError
 from flowattest.events import default_event_table, make_config, three_register_config
-from flowattest.simulate import measure
+from flowattest.simulate import measure, random_valid_walk
 from flowattest.vectors import vadd
 from flowattest.verify import (
     SessionState,
+    accepts,
     report_document,
     verify_segment,
     verify_trace_measurements,
 )
 
-from .conftest import LOOP1, LOOP2, two_loop_chain_doc
+from .conftest import LOOP1, LOOP2, block, edge, two_loop_chain_doc
 from .test_expand import _two_site_doc
 
 
@@ -269,3 +276,160 @@ def test_projection_memo_is_per_register_file():
             )
     assert set(db._projected) == {None, three_register_config(table)}
     assert db == load_database(serialize_database(db))
+
+
+_NEST_MNEMONICS = ("add", "addi", "lw", "sw", "beq", "jal", "jalr", "mul")
+
+
+def _loop_nest_doc(rng):
+    """One function whose only measurement points are its entry and exit,
+    with three loop nests of depth two between them, some holding a
+    diamond: one segment with many loop vectors."""
+    blocks, edges = [], []
+
+    def new(mp=False):
+        bid = f"n{len(blocks)}"
+        instructions = [rng.choice(_NEST_MNEMONICS) for _ in range(rng.randint(1, 3))]
+        blocks.append(block(bid, "main", instructions, mp))
+        return bid
+
+    entry = cur = new(mp=True)
+    for _ in range(3):
+        head, body, inner, inner_body, tail, out = (new() for _ in range(6))
+        edges += [edge(cur, head), edge(head, body, "branch"), edge(head, out, "branch")]
+        edges += [edge(body, inner), edge(inner, inner_body, "branch")]
+        if rng.random() < 0.5:
+            left, right = new(), new()
+            edges += [edge(inner_body, left, "branch"), edge(inner_body, right, "branch")]
+            edges += [edge(left, inner, "branch"), edge(right, inner, "branch")]
+        else:
+            edges.append(edge(inner_body, inner, "branch"))
+        edges += [edge(inner, tail, "branch"), edge(tail, head, "branch")]
+        cur = out
+    exit_block = new(mp=True)
+    edges.append(edge(cur, exit_block))
+    return {
+        "counters": list(default_event_table().counter_names),
+        "functions": [{"name": "main", "entry": entry, "blocks": [b["id"] for b in blocks]}],
+        "blocks": blocks,
+        "edges": edges,
+        "entry": entry,
+    }
+
+
+@cache
+def _nest_pool():
+    """Loop-nest programs under the three-register file and one segment
+    measurement each per walk; every second one perturbed by up to a tenth
+    of each counter, as forged measurements are."""
+    table = default_event_table()
+    config = three_register_config(table)
+    rng = random.Random(20_261_022)
+    cfgs, pool = [], []
+    for p in range(4):
+        cfg = load_cfg(_loop_nest_doc(rng))
+        cfgs.append(cfg)
+        for j in range(10):
+            trace = random_valid_walk(
+                cfg, rng.randrange(1 << 30), max_segments=1,
+                max_loop_iterations=rng.choice((2, 4, 8, 12)),
+            )
+            (m,) = measure(cfg, table, config, trace)
+            if j % 2:
+                delta = tuple(v + rng.randint(-(v // 10), v // 10) for v in m.delta)
+                m = Measurement(m.start, m.end, delta)
+            pool.append((p, m))
+    return table, config, cfgs, pool
+
+
+def _outcome(result):
+    return (
+        result.verdict,
+        result.reason,
+        result.witness,
+        result.accepting,
+        result.candidates_tried,
+        result.solver_calls,
+        result.solver_nodes,
+    )
+
+
+def _verify_alone(db, config, m):
+    return _outcome(verify_trace_measurements(db, [m], config=config).results[0])
+
+
+def _verify_in_order(dbs, config, pool, order):
+    return {i: _verify_alone(dbs[pool[i][0]], config, pool[i][1]) for i in order}
+
+
+def _canonical(db):
+    return json.dumps(serialize_database(db), sort_keys=True)
+
+
+def test_verdicts_do_not_depend_on_what_the_database_verified_before():
+    """Each candidate's reachability map grows with the measurements it
+    has seen; no result may depend on them.  The pool is verified in two
+    orders on fresh databases, then again on databases the other order
+    warmed, and each result must equal the one of a database that has
+    seen nothing but that measurement."""
+    table, config, cfgs, pool = _nest_pool()
+    built = [enumerate_segments(cfg, table) for cfg in cfgs]
+    canonical = [_canonical(db) for db in built]
+
+    def fresh():
+        return [load_database(serialize_database(db)) for db in built]
+
+    alone = {
+        i: _verify_alone(load_database(serialize_database(built[p])), config, m)
+        for i, (p, m) in enumerate(pool)
+    }
+    orders = [list(range(len(pool))) for _ in range(2)]
+    random.Random(7).shuffle(orders[0])
+    random.Random(8).shuffle(orders[1])
+    first, second = fresh(), fresh()
+    assert _verify_in_order(first, config, pool, orders[0]) == alone
+    assert _verify_in_order(second, config, pool, orders[1]) == alone
+    assert _verify_in_order(first, config, pool, orders[1]) == alone
+    assert _verify_in_order(second, config, pool, orders[0]) == alone
+
+    verdicts = [outcome[0] for outcome in alone.values()]
+    assert 0 < verdicts.count("accepted") < len(verdicts)
+    # The maps were used, and some grew past every single residual (each
+    # of which is at most its measured delta).
+    merged = 0
+    for p, db in enumerate(first):
+        deltas = [m.delta for q, m in pool if q == p]
+        for per_key in db._projected[config].values():
+            for *_, reach in per_key:
+                assert reach is not None and reach.box is not None
+                merged += not any(all(b <= v for b, v in zip(reach.box, d)) for d in deltas)
+    assert merged
+    for db, original, cfg, text in zip(first + second, built * 2, cfgs * 2, canonical * 2):
+        assert db == original == enumerate_segments(cfg, table)
+        assert _canonical(db) == text
+
+
+@cache
+def _warmed_nest_databases():
+    table, config, cfgs, pool = _nest_pool()
+    dbs = [enumerate_segments(cfg, table) for cfg in cfgs]
+    for p, m in pool:
+        verify_trace_measurements(dbs[p], [m], config=config)
+    return dbs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_accepts_matches_verify_segment_on_a_warmed_database(data):
+    _, config, _, pool = _nest_pool()
+    dbs = _warmed_nest_databases()
+    p, m = data.draw(st.sampled_from(pool))
+    change = data.draw(
+        st.tuples(*[st.integers(-(v // 5) - 1, v // 5 + 1) for v in m.delta])
+    )
+    probe = Measurement(m.start, m.end, tuple(v + c for v, c in zip(m.delta, change)))
+    feasible = data.draw(st.sampled_from((frozenset({()}), None)))
+    state = SessionState(dbs[p], config)
+    state.feasible = feasible
+    verdict = verify_segment(state, probe).verdict
+    assert accepts(dbs[p], probe, feasible, config=config) == (verdict == "accepted")
