@@ -231,6 +231,7 @@ def mutate(
     deltas: Mapping[str, Vec],
     segment: BlockTrace,
     spec: MutationSpec,
+    pool: list[str],
     *,
     measurement: Measurement | None = None,
 ) -> list[Mutant]:
@@ -239,34 +240,16 @@ def mutate(
     ``deltas`` maps every block to its delta as the verifier measures it
     (projected through the register file in use), and ``measurement`` is
     the segment's own measurement, summed from ``deltas`` when not given.
-    Block-level kinds edit interior positions only (endpoints identify the
-    segment) and keep only edits that break structural validity; the
-    unique-delta kinds additionally restrict the drawn blocks to those with
-    a delta no other block shares.  ``random_change`` needs the segment's
+    ``pool`` lists the blocks an edit may insert: every non-measurement
+    block, or for the unique-delta kinds only those whose delta no other
+    block shares (:func:`evaluate` lists both once per evaluation;
+    ``random_change`` draws no blocks).  Block-level kinds edit interior
+    positions only (endpoints identify the segment) and keep only edits
+    that break structural validity.  ``random_change`` needs the segment's
     measurement and perturbs it directly.  An empty result means the
     segment admits no applicable mutation.  Raises :class:`SchemaError`
     when a block-level kind is given an invalid segment.
     """
-    if spec.kind == "random_change":
-        pool = []
-    elif spec.kind in _UNIQUE_KINDS:
-        pool = _unique_delta_blocks(cfg, deltas)
-    else:
-        pool = _block_pool(cfg)
-    return _mutate(cfg, deltas, segment, spec, measurement, pool)
-
-
-def _mutate(
-    cfg: AnnotatedCfg,
-    deltas: Mapping[str, Vec],
-    segment: BlockTrace,
-    spec: MutationSpec,
-    measurement: Measurement | None,
-    pool: list[str],
-) -> list[Mutant]:
-    """:func:`mutate` with the kind's block pool given: every
-    non-measurement block, or for the unique-delta kinds only those whose
-    delta no other block shares (``random_change`` draws no blocks)."""
     rng = random.Random(spec.seed)
     reps = spec.reps
     if spec.kind == "random_change":
@@ -408,7 +391,7 @@ def evaluate(
         pool = unique_pool if spec.kind in _UNIQUE_KINDS else block_pool
         outcomes: list[SegmentOutcome] = []
         for cls in classes:
-            mutants = _mutate(cfg, deltas, cls.segment, spec, cls.measurement, pool)
+            mutants = mutate(cfg, deltas, cls.segment, spec, pool, measurement=cls.measurement)
             outcome = SegmentOutcome(
                 first_index=cls.first_index,
                 frequency=cls.frequency,

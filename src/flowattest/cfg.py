@@ -111,10 +111,6 @@ class AnnotatedCfg:
     def dimension(self) -> int:
         return len(self.counters)
 
-    @property
-    def entry_function(self) -> str:
-        return self.blocks[self.program_entry].function
-
     def is_measurement_point(self, block_id: str) -> bool:
         return self.blocks[block_id].is_measurement_point
 
@@ -485,10 +481,6 @@ def split_trace(cfg: AnnotatedCfg, trace: BlockTrace) -> list[BlockTrace]:
         BlockTrace(steps=trace.steps[a : b + 1])
         for a, b in zip(marks, marks[1:])
     ]
-
-
-def trace_instruction_count(cfg: AnnotatedCfg, trace: BlockTrace) -> int:
-    return sum(cfg.blocks[s].instruction_count for s in trace.steps)
 
 
 def segment_instruction_counts(cfg: AnnotatedCfg, segments: list[BlockTrace]) -> list[int]:

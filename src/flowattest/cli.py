@@ -55,7 +55,8 @@ EXIT_INTERNAL = 5
 
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type of the budget and depth flags: the manifest's rule."""
+    """argparse type of the budget, depth and iteration flags: the
+    manifest's rule."""
     try:
         value = int(text)
     except ValueError:
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-segments", type=int, default=1)
     p.add_argument("--max-segments", type=int, default=4)
-    p.add_argument("--max-loop-iterations", type=int, default=8)
+    p.add_argument("--max-loop-iterations", type=_nonnegative_int, default=8)
     p.add_argument("--out")
     common_output(p)
     p.set_defaults(func=cmd_walk)
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="write a shipped demo into a directory")
     p.add_argument("--name", choices=demos.DEMO_NAMES, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--iterations", type=int, default=60)
+    p.add_argument("--iterations", type=_nonnegative_int, default=60)
     p.set_defaults(func=cmd_demo)
 
     return parser

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 from .cfg import (
     AnnotatedCfg,
-    _check_int,
     _check_list,
     _check_vector,
     _load_endpoints,
@@ -72,8 +71,6 @@ class PathCandidate:
     end: ExpandedNode
     base: Vec
     loops: tuple[Vec, ...]
-    base_instruction_count: int
-    loop_instruction_counts: tuple[int, ...]
 
     def sort_key(self):
         return (len(self.loops), self.base, self.start.stack, self.end.stack, self.loops)
@@ -115,7 +112,6 @@ class SegmentDatabase:
 class _Cycle:
     nodes: frozenset[ExpandedNode]
     delta: Vec
-    instruction_count: int
 
 
 def _strong_components(succ: dict[Node, list[Node]], nodes: list[Node]) -> list[list[Node]]:
@@ -165,24 +161,22 @@ def _strong_components(succ: dict[Node, list[Node]], nodes: list[Node]) -> list[
 
 
 def _simple_cycles(
-    succ: dict[Node, list[Node]], components: list[list[Node]] | None = None
+    succ: dict[Node, list[Node]], components: list[list[Node]]
 ) -> Iterator[list[Node]]:
     """Every simple cycle of a directed graph, each exactly once.
 
     ``succ`` maps every node to its successors, without repeats, and
-    ``components`` are its strongly connected components when the caller
-    already has them.  Self-loops come first; the rest is Johnson's blocked
-    circuit search (Johnson 1975): take a node ``s`` of a nontrivial
-    strongly connected component, list the circuits through ``s`` inside
-    that component, then drop ``s`` and repeat on the components that
-    remain.  A node stays blocked while no circuit can be completed through
-    it, which bounds the work per circuit found.
+    ``components`` are its strongly connected components.  Self-loops come
+    first; the rest is Johnson's blocked circuit search (Johnson 1975):
+    take a node ``s`` of a nontrivial strongly connected component, list
+    the circuits through ``s`` inside that component, then drop ``s`` and
+    repeat on the components that remain.  A node stays blocked while no
+    circuit can be completed through it, which bounds the work per circuit
+    found.
     """
     for node, nexts in succ.items():
         if node in nexts:
             yield [node]
-    if components is None:
-        components = _strong_components(succ, list(succ))
     pending = [c for c in components if len(c) > 1]
     while pending:
         component = pending.pop()
@@ -232,7 +226,7 @@ def _simple_cycles(
 def _cycle_universe(
     succ: dict[ExpandedNode, list[ExpandedNode]],
     components: list[list[ExpandedNode]],
-    cfg: AnnotatedCfg,
+    dimension: int,
     deltas: Mapping[str, Vec],
     cycle_budget: int,
 ) -> list[_Cycle]:
@@ -255,26 +249,17 @@ def _cycle_universe(
                 budget=cycle_budget,
                 reached=count,
             )
-        delta = vsum((deltas[n.block] for n in nodes), cfg.dimension)
-        if is_zero(delta):
-            continue
-        cycles.append(
-            _Cycle(
-                nodes=frozenset(nodes),
-                delta=delta,
-                instruction_count=sum(cfg.blocks[n.block].instruction_count for n in nodes),
-            )
-        )
+        delta = vsum((deltas[n.block] for n in nodes), dimension)
+        if not is_zero(delta):
+            cycles.append(_Cycle(nodes=frozenset(nodes), delta=delta))
     return cycles
 
 
-def _loop_groups(cycles: list[_Cycle]) -> tuple[dict[ExpandedNode, int], list[dict[Vec, int]]]:
+def _loop_groups(cycles: list[_Cycle]) -> tuple[dict[ExpandedNode, int], list[set[Vec]]]:
     """Group cycles that share nodes, transitively (union-find).
 
-    Returns each cycle node's group index and, per group, its loop vectors
-    with their instruction counts.  A loop's instruction count is its
-    vector's instructions-retired component, so which cycle of the group
-    supplies it does not matter.
+    Returns each cycle node's group index and, per group, its distinct loop
+    vectors.
     """
     parent: dict[ExpandedNode, ExpandedNode] = {}
 
@@ -291,13 +276,13 @@ def _loop_groups(cycles: list[_Cycle]) -> tuple[dict[ExpandedNode, int], list[di
         for node in rest:
             parent[find(node)] = find(first)
     group_of: dict[ExpandedNode, int] = {}
-    groups: list[dict[Vec, int]] = []
+    groups: list[set[Vec]] = []
     for cycle in cycles:
         root = find(next(iter(cycle.nodes)))
         if root not in group_of:
             group_of[root] = len(groups)
-            groups.append({})
-        groups[group_of[root]][cycle.delta] = cycle.instruction_count
+            groups.append(set())
+        groups[group_of[root]].add(cycle.delta)
     return {node: group_of[find(node)] for node in parent}, groups
 
 
@@ -510,7 +495,9 @@ def enumerate_segments(
         if node.block not in points
     }
     components = _strong_components(inner, list(inner))
-    group_of, groups = _loop_groups(_cycle_universe(inner, components, cfg, deltas, cycle_budget))
+    group_of, groups = _loop_groups(
+        _cycle_universe(inner, components, cfg.dimension, deltas, cycle_budget)
+    )
     tails = _Tails(graph, points, components, deltas, group_of, path_budget)
 
     sources = []
@@ -528,27 +515,18 @@ def enumerate_segments(
             raise _path_budget_error(start, end, path_budget, n)
     tails.build()
 
-    merged_loops: dict[frozenset[int], tuple[tuple[Vec, ...], tuple[int, ...]]] = {}
-    found: dict[tuple[str, str], dict[tuple, PathCandidate]] = {}
-    instret = table.instret_index
+    merged_loops: dict[frozenset[int], tuple[Vec, ...]] = {}
+    found: dict[tuple[str, str], set[tuple]] = {}
     for source, steps in sources:
         for end, base, touched in tails.values(steps):
-            if touched not in merged_loops:
-                loop_vecs: dict[Vec, int] = {}
-                for index in touched:
-                    loop_vecs.update(groups[index])
-                ordered = sorted(loop_vecs)
-                merged_loops[touched] = (tuple(ordered), tuple(loop_vecs[v] for v in ordered))
-            loops, loop_counts = merged_loops[touched]
-            unique = found.setdefault((source.block, end.block), {})
-            if (source, end, base, loops) not in unique:
-                # A block's instructions-retired delta is its instruction count.
-                unique[source, end, base, loops] = PathCandidate(
-                    source, end, base, loops, base[instret], loop_counts
-                )
+            loops = merged_loops.get(touched)
+            if loops is None:
+                loops = tuple(sorted(set().union(*(groups[i] for i in touched))))
+                merged_loops[touched] = loops
+            found.setdefault((source.block, end.block), set()).add((source, end, base, loops))
 
     entries = {
-        key: tuple(sorted(found[key].values(), key=PathCandidate.sort_key))
+        key: tuple(sorted((PathCandidate(*c) for c in found[key]), key=PathCandidate.sort_key))
         for key in sorted(found)
     }
     return SegmentDatabase(
@@ -578,6 +556,24 @@ def dedup_key(
 
 
 def serialize_database(db: SegmentDatabase) -> dict:
+    """The database as a JSON document::
+
+        {
+          "cfg_digest": "<sha256 of the CFG document>",
+          "counters": ["instret", "cond_branch_retired", ...],
+          "skip_segments": [{"start": "rt.pre", "end": "rt.post"}],
+          "segments": [
+            {"start": "main.0", "end": "main.4", "candidates": [
+              {"start_stack": [], "end_stack": [],
+               "base": [12, 1, ...], "loops": [[4, 1, ...], ...]}
+            ]}
+          ]
+        }
+
+    A candidate's stacks are the call sites of its endpoints' expanded
+    nodes, and every vector has one entry per counter.  Instruction counts
+    are not stored: a candidate's is its base's instructions-retired entry.
+    """
     segments = []
     for (start, end), candidates in sorted(db.entries.items()):
         segments.append(
@@ -589,9 +585,7 @@ def serialize_database(db: SegmentDatabase) -> dict:
                         "start_stack": list(c.start.stack),
                         "end_stack": list(c.end.stack),
                         "base": list(c.base),
-                        "base_instructions": c.base_instruction_count,
                         "loops": [list(v) for v in c.loops],
-                        "loop_instructions": list(c.loop_instruction_counts),
                     }
                     for c in candidates
                 ],
@@ -600,7 +594,6 @@ def serialize_database(db: SegmentDatabase) -> dict:
     return {
         "cfg_digest": db.cfg_digest,
         "counters": list(db.counters),
-        "dimension": db.dimension,
         "skip_segments": [{"start": s, "end": e} for s, e in sorted(db.skip_segments)],
         "segments": segments,
     }
@@ -608,31 +601,18 @@ def serialize_database(db: SegmentDatabase) -> dict:
 
 def _load_candidate(obj, start: str, end: str, dim: int, what: str) -> PathCandidate:
     _require_keys(
-        obj,
-        required=(
-            "start_stack", "end_stack", "base", "base_instructions",
-            "loops", "loop_instructions",
-        ),
-        optional=(),
-        what=what,
+        obj, required=("start_stack", "end_stack", "base", "loops"), optional=(), what=what
     )
     for key in ("start_stack", "end_stack"):
         stack = obj[key]
         if not isinstance(stack, list) or not all(isinstance(s, str) for s in stack):
             raise SchemaError(f"{what}: {key} must be an array of block ids")
-    loops = obj["loops"]
-    counts = obj["loop_instructions"]
-    if not isinstance(loops, list) or not isinstance(counts, list) or len(loops) != len(counts):
-        raise SchemaError(f"{what}: loops and loop_instructions must be arrays of equal length")
+    loops = _check_list(obj["loops"], f"{what}: loops")
     return PathCandidate(
         start=ExpandedNode(start, tuple(obj["start_stack"])),
         end=ExpandedNode(end, tuple(obj["end_stack"])),
         base=_check_vector(obj["base"], dim, f"{what}: base"),
         loops=tuple(_check_vector(v, dim, f"{what}: loops[{i}]") for i, v in enumerate(loops)),
-        base_instruction_count=_check_int(obj["base_instructions"], f"{what}: base_instructions"),
-        loop_instruction_counts=tuple(
-            _check_int(c, f"{what}: loop_instructions[{i}]") for i, c in enumerate(counts)
-        ),
     )
 
 
@@ -641,14 +621,14 @@ def load_database(document: dict | str, expected_digest: str | None = None) -> S
     with the CFG the caller is about to verify against.
 
     Every object is checked for its exact key set, and every base and loop
-    vector must hold nonnegative integers of the database's dimension, the
-    precondition of the cone solver.
+    vector must hold one nonnegative integer per counter, the precondition
+    of the cone solver.
     """
     if isinstance(document, str):
         document = json.loads(document)
     _require_keys(
         document,
-        required=("cfg_digest", "counters", "dimension", "skip_segments", "segments"),
+        required=("cfg_digest", "counters", "skip_segments", "segments"),
         optional=(),
         what="database document",
     )
@@ -662,9 +642,7 @@ def load_database(document: dict | str, expected_digest: str | None = None) -> S
     counters = document["counters"]
     if not isinstance(counters, list) or not all(isinstance(c, str) for c in counters):
         raise SchemaError("database counters must be an array of names")
-    dim = _check_int(document["dimension"], "database dimension")
-    if len(counters) != dim:
-        raise SchemaError("database dimension disagrees with its counter list")
+    dim = len(counters)
     for key in ("segments", "skip_segments"):
         _check_list(document[key], f"database {key}")
     entries: dict[tuple[str, str], tuple[PathCandidate, ...]] = {}

@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from .cfg import _check_str, _require_keys
 from .errors import SchemaError
 
 
@@ -386,19 +387,15 @@ def bind_verdicts(events: list[ProtocolEvent], accepted: list[bool]) -> list[Pro
     return bound
 
 
-def parse_event(obj: dict) -> ProtocolEvent:
-    known = {"kind", "actor", "target", "value"}
-    unknown = set(obj) - known
-    if unknown:
-        raise SchemaError(f"protocol event has unknown keys {sorted(unknown)}")
-    if "kind" not in obj or "actor" not in obj:
-        raise SchemaError("protocol event needs 'kind' and 'actor'")
-    return ProtocolEvent(
-        kind=obj["kind"],
-        actor=obj["actor"],
-        target=obj.get("target"),
-        value=obj.get("value"),
-    )
+def parse_event(obj) -> ProtocolEvent:
+    """One scenario event: an object with string ``kind`` and ``actor`` and
+    optional ``target`` and ``value``, each a string or null."""
+    what = "protocol event"
+    _require_keys(obj, required=("kind", "actor"), optional=("target", "value"), what=what)
+    for key, value in obj.items():
+        if value is not None or key in ("kind", "actor"):
+            _check_str(value, f"{what} {key}")
+    return ProtocolEvent(**obj)
 
 
 def load_scenario(document: list | str) -> list[ProtocolEvent]:

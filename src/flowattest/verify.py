@@ -82,10 +82,6 @@ class SessionState:
     def __post_init__(self):
         _check_config(self.db, self.config)
 
-    @property
-    def measurement_dimension(self) -> int:
-        return _dimension(self.db, self.config)
-
 
 def _check_config(db: SegmentDatabase, config: CounterConfig | None) -> None:
     if config is not None and config.counter_names != db.counters:
@@ -153,7 +149,7 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
     """Decide one measurement and fold its effect into the session."""
     if state.rejected:
         raise RuntimeError("session is already rejected; state is frozen")
-    _check_dimension(m, state.measurement_dimension)
+    _check_dimension(m, _dimension(state.db, state.config))
     started = time.perf_counter()
     key = (m.start, m.end)
     db = state.db
@@ -217,7 +213,6 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
     accepting: list[str] = []
     exits: set[CallStack] = set()
     witness: tuple[int, ...] | None = None
-    have_witness = False
     feasible = _feasible_candidates(db, state.config, key, candidates, state.feasible)
     for index, cand, (base, generators, owner, reach) in feasible:
         tried += 1
@@ -231,12 +226,11 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
             continue
         accepting.append(db.candidate_id(key, index))
         exits.add(cand.end.stack)
-        if not have_witness:
+        if witness is None:
             full = [0] * len(cand.loops)
             for value, j in zip(solution.witness, owner):
                 full[j] = value
             witness = tuple(full)
-            have_witness = True
 
     if accepting:
         feasible_after = frozenset(exits)

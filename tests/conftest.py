@@ -1,5 +1,6 @@
 import pytest
 
+from flowattest import attacks
 from flowattest.events import CounterEvent, make_event_table
 
 
@@ -99,3 +100,12 @@ def straight_line_doc():
         "edges": [edge("s.0", "s.1"), edge("s.1", "s.2")],
         "entry": "s.0",
     }
+
+
+def mutation_pool(cfg, deltas, kind):
+    """The blocks ``attacks.evaluate`` lets a ``kind`` edit draw from."""
+    if kind == "random_change":
+        return []
+    if kind in attacks._UNIQUE_KINDS:
+        return attacks._unique_delta_blocks(cfg, deltas)
+    return attacks._block_pool(cfg)

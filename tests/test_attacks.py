@@ -31,7 +31,14 @@ from flowattest.events import (
 from flowattest.simulate import measure, measure_segment, random_valid_walk
 from flowattest.verify import SessionState, accepts, verify_segment
 
-from .conftest import TINY_COUNTERS, block, edge, tiny_table_doc, two_loop_chain_doc
+from .conftest import (
+    TINY_COUNTERS,
+    block,
+    edge,
+    mutation_pool,
+    tiny_table_doc,
+    two_loop_chain_doc,
+)
 from .randcfg import random_cfg_and_table
 
 BLOCK_KINDS = ("remove_block", "replace_block", "replace_unique", "insert_unique")
@@ -61,7 +68,8 @@ def test_remove_caps_at_available_blocks(tiny_table):
     cfg = load_cfg(_long_chain_doc(8))
     segment = BlockTrace(tuple(b["id"] for b in _long_chain_doc(8)["blocks"]))
     spec = MutationSpec(kind="remove_block", repetitions=100, seed=1)
-    mutants = mutate(cfg, delta_map(cfg, tiny_table), segment, spec)
+    deltas = delta_map(cfg, tiny_table)
+    mutants = mutate(cfg, deltas, segment, spec, mutation_pool(cfg, deltas, spec.kind))
     assert len(mutants) == 8
     assert len({m.steps for m in mutants}) == 8
 
@@ -73,7 +81,9 @@ def test_inserting_a_block_beside_its_copy_is_one_mutant(tiny_table):
     cfg = load_cfg(doc)
     segment = BlockTrace(tuple(b["id"] for b in doc["blocks"]))
     spec = MutationSpec(kind="insert_unique", repetitions=1000, seed=1)
-    edited = [m.steps for m in mutate(cfg, delta_map(cfg, tiny_table), segment, spec)]
+    deltas = delta_map(cfg, tiny_table)
+    pool = mutation_pool(cfg, deltas, spec.kind)
+    edited = [m.steps for m in mutate(cfg, deltas, segment, spec, pool)]
     assert len(edited) == len(set(edited))
     beside = [steps for steps in edited if any(a == b for a, b in zip(steps, steps[1:]))]
     assert len(beside) >= 5
@@ -82,9 +92,10 @@ def test_inserting_a_block_beside_its_copy_is_one_mutant(tiny_table):
 def test_block_mutants_are_structurally_invalid(tiny_table):
     cfg = load_cfg(_long_chain_doc(6))
     segment = BlockTrace(tuple(b["id"] for b in _long_chain_doc(6)["blocks"]))
+    deltas = delta_map(cfg, tiny_table)
     for kind in ("remove_block", "replace_block", "replace_unique", "insert_unique"):
         spec = MutationSpec(kind=kind, seed=3)
-        for mutant in mutate(cfg, delta_map(cfg, tiny_table), segment, spec):
+        for mutant in mutate(cfg, deltas, segment, spec, mutation_pool(cfg, deltas, kind)):
             assert not validate_trace(cfg, BlockTrace(mutant.steps))
             assert mutant.steps[0] == segment.steps[0]
             assert mutant.steps[-1] == segment.steps[-1]
@@ -94,8 +105,10 @@ def test_mutants_are_seed_deterministic_and_distinct(tiny_table):
     cfg = load_cfg(_long_chain_doc(8))
     segment = BlockTrace(tuple(b["id"] for b in _long_chain_doc(8)["blocks"]))
     spec = MutationSpec(kind="replace_block", repetitions=20, seed=5)
-    first = mutate(cfg, delta_map(cfg, tiny_table), segment, spec)
-    second = mutate(cfg, delta_map(cfg, tiny_table), segment, spec)
+    deltas = delta_map(cfg, tiny_table)
+    pool = mutation_pool(cfg, deltas, spec.kind)
+    first = mutate(cfg, deltas, segment, spec, pool)
+    second = mutate(cfg, deltas, segment, spec, pool)
     assert [m.steps for m in first] == [m.steps for m in second]
     assert len({m.steps for m in first}) == 20
 
@@ -103,7 +116,7 @@ def test_mutants_are_seed_deterministic_and_distinct(tiny_table):
 def test_random_change_respects_componentwise_bounds():
     m = Measurement("a", "b", (100, 50, 7))
     spec = MutationSpec(kind="random_change", repetitions=50, seed=2)
-    mutants = mutate(None, None, None, spec, measurement=m)
+    mutants = mutate(None, None, None, spec, [], measurement=m)
     assert len(mutants) == 50
     seen = set()
     for mutant in mutants:
@@ -113,19 +126,19 @@ def test_random_change_respects_componentwise_bounds():
         diff = tuple(d - v for d, v in zip(delta, (100, 50, 7)))
         assert any(diff)
         assert abs(diff[0]) <= 10 and abs(diff[1]) <= 5 and diff[2] == 0
-    assert mutants == mutate(None, None, None, spec, measurement=m)
+    assert mutants == mutate(None, None, None, spec, [], measurement=m)
 
 
 def test_random_change_enumerates_small_spaces():
     m = Measurement("a", "b", (10, 3))
     spec = MutationSpec(kind="random_change", repetitions=1000, seed=0)
-    mutants = mutate(None, None, None, spec, measurement=m)
+    mutants = mutate(None, None, None, spec, [], measurement=m)
     assert len(mutants) == 2  # perturbations (-1,0) and (+1,0)
 
 
 def test_random_change_with_tiny_values_is_inapplicable():
     m = Measurement("a", "b", (5, 3))
-    assert mutate(None, None, None, MutationSpec(kind="random_change"), measurement=m) == []
+    assert mutate(None, None, None, MutationSpec(kind="random_change"), [], measurement=m) == []
 
 
 def test_two_block_segment_has_no_remove_mutants(tiny_table):
@@ -133,7 +146,8 @@ def test_two_block_segment_has_no_remove_mutants(tiny_table):
     cfg = load_cfg(doc)
     segment = BlockTrace(("h.0", "h.end"))
     spec = MutationSpec(kind="remove_block")
-    assert mutate(cfg, delta_map(cfg, tiny_table), segment, spec) == []
+    deltas = delta_map(cfg, tiny_table)
+    assert mutate(cfg, deltas, segment, spec, mutation_pool(cfg, deltas, spec.kind)) == []
 
 
 def test_detection_flag_equals_verifier_rejection(tiny_table):
@@ -143,7 +157,8 @@ def test_detection_flag_equals_verifier_rejection(tiny_table):
     trace = BlockTrace(tuple(b["id"] for b in _long_chain_doc(6)["blocks"]))
     (segment,) = split_trace(cfg, trace)
     spec = MutationSpec(kind="insert_unique", repetitions=30, seed=4)
-    mutants = mutate(cfg, delta_map(cfg, table), segment, spec)
+    deltas = delta_map(cfg, table)
+    mutants = mutate(cfg, deltas, segment, spec, mutation_pool(cfg, deltas, spec.kind))
     assert mutants
     for mutant in mutants:
         observed = measure_segment(cfg, table, None, BlockTrace(mutant.steps))
@@ -323,8 +338,11 @@ def test_block_mutants_are_checked_and_measured_by_their_edit():
                 for kind in BLOCK_KINDS:
                     for reps in (7, None):
                         spec = MutationSpec(kind, reps, seed=len(segment.steps))
-                        mutants = mutate(cfg, deltas, segment, spec)
-                        assert mutants == mutate(cfg, deltas, segment, spec, measurement=measured)
+                        pool = mutation_pool(cfg, deltas, kind)
+                        mutants = mutate(cfg, deltas, segment, spec, pool)
+                        assert mutants == mutate(
+                            cfg, deltas, segment, spec, pool, measurement=measured
+                        )
                         expected = _full_validation_mutants(cfg, deltas, segment, spec)
                         assert [m.steps for m in mutants] == expected
                         for mutant in mutants:
@@ -341,7 +359,7 @@ def test_mutating_an_invalid_segment_is_a_schema_error(tiny_table):
     broken = BlockTrace(("h.0", "h.2", "h.3", "h.end"))  # no edge h.0 -> h.2
     for kind in BLOCK_KINDS:
         with pytest.raises(SchemaError, match="invalid segment"):
-            mutate(cfg, deltas, broken, MutationSpec(kind))
+            mutate(cfg, deltas, broken, MutationSpec(kind), mutation_pool(cfg, deltas, kind))
 
 
 def _combine_rates_per_term(outcomes):
@@ -403,7 +421,8 @@ def _check_probes(cfg, db, table, config, measurements, segments, specs, tally):
             continue
         seen.add((segment.steps, m.delta, feasible))
         for spec in specs:
-            for mutant in mutate(cfg, deltas, segment, spec, measurement=m):
+            pool = mutation_pool(cfg, deltas, spec.kind)
+            for mutant in mutate(cfg, deltas, segment, spec, pool, measurement=m):
                 probe = mutant.measurement
                 verdict = accepts(db, probe, feasible, config=config)
                 assert verdict == _probe_oracle(db, config, feasible, probe), (spec, probe)
@@ -534,7 +553,8 @@ def test_probe_verdicts_after_and_on_skip_segments(tiny_table):
     assert state.feasible is None
     m = measure_segment(cfg, tiny_table, None, steps)
     for spec in specs:
-        for mutant in mutate(cfg, delta_map(cfg, tiny_table), steps, spec, measurement=m):
+        pool = mutation_pool(cfg, delta_map(cfg, tiny_table), spec.kind)
+        for mutant in mutate(cfg, delta_map(cfg, tiny_table), steps, spec, pool, measurement=m):
             verdict = accepts(db, mutant.measurement, None)
             assert verdict == _probe_oracle(db, None, None, mutant.measurement)
             tally[verdict] += 1
@@ -543,7 +563,8 @@ def test_probe_verdicts_after_and_on_skip_segments(tiny_table):
     # A -> C itself skipped: every mutant of it is accepted, as a session does.
     cfg, db = _chain_with_skip(tiny_table, "A", "C")
     for spec in specs:
-        for mutant in mutate(cfg, delta_map(cfg, tiny_table), steps, spec, measurement=m):
+        pool = mutation_pool(cfg, delta_map(cfg, tiny_table), spec.kind)
+        for mutant in mutate(cfg, delta_map(cfg, tiny_table), steps, spec, pool, measurement=m):
             for feasible in (frozenset({()}), None):
                 assert accepts(db, mutant.measurement, feasible)
                 assert _probe_oracle(db, None, feasible, mutant.measurement)

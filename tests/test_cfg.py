@@ -10,7 +10,6 @@ from flowattest.cfg import (
     serialize_cfg,
     serialize_trace,
     split_trace,
-    trace_instruction_count,
     validate_trace,
 )
 from flowattest.errors import (
@@ -175,7 +174,7 @@ def test_split_five_snapshot_chain_partitions_instructions():
     # Independent recount by one linear scan over the raw steps.
     expected_total = sum(cfg.blocks[s].instruction_count for s in trace.steps)
     counts = segment_instruction_counts(cfg, segments)
-    assert sum(counts) == expected_total == trace_instruction_count(cfg, trace)
+    assert sum(counts) == expected_total
     # Segments reassemble the trace when shared endpoints are merged once.
     rebuilt = list(segments[0].steps)
     for segment in segments[1:]:

@@ -124,6 +124,37 @@ def test_protocol_negative_depth_is_a_usage_error(capsys):
     assert json.loads(out)["depth"] == 0
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("demo", "--iterations"), ("walk", "--max-loop-iterations")]
+)
+def test_negative_iteration_count_is_a_usage_error(capsys, chain_paths, command, flag):
+    cfg_path, _, tmp = chain_paths
+    out = tmp / "out"
+    given = {"demo": ["--name", "signer"], "walk": ["--cfg", cfg_path]}[command]
+    argv = [command, *given, "--out", str(out), flag]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-1"])
+    assert exc.value.code == EXIT_ERROR
+    assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    code, _, _ = run(capsys, *argv, "0")
+    assert code == EXIT_OK
+
+
+def test_malformed_protocol_scenario_is_a_usage_error(capsys, tmp_path):
+    event = {"kind": "create", "actor": "tracee", "target": "TRACEE", "value": "h"}
+    for scenario, message in [
+        ([1], "protocol event must be an object"),
+        ([{**event, "actor": ["a"]}], "protocol event actor must be a string"),
+        ([{**event, "target": ["TRACEE"]}], "protocol event target must be a string"),
+        ([{**event, "value": {"x": 1}}], "protocol event value must be a string"),
+    ]:
+        path = _write(tmp_path / "scenario.json", scenario)
+        code, out, err = run(capsys, "protocol", "--scenario", path)
+        assert (code, out) == (EXIT_ERROR, ""), scenario
+        assert message in err
+
+
 def _pipeline(capsys, tmp, cfg_path, table_path, steps):
     db_path = tmp / "db.json"
     trace_doc = {"cfg_ref": _digest_of(cfg_path), "steps": steps}
@@ -204,6 +235,24 @@ def test_verify_malformed_database_is_a_usage_error(capsys, chain_paths, loops):
     )
     assert code == EXIT_ERROR
     assert "error:" in err
+
+
+def test_verify_database_with_instruction_counts_is_a_usage_error(capsys, chain_paths):
+    """A database in the format that still stored instruction counts is
+    refused, not read: rebuilding it with ``preprocess`` is the remedy."""
+    cfg_path, table_path, tmp = chain_paths
+    db_path, measurements_path = _pipeline(capsys, tmp, cfg_path, table_path, ["A", "B", "C"])
+    doc = json.loads(db_path.read_text())
+    doc["dimension"] = len(doc["counters"])
+    for segment in doc["segments"]:
+        for candidate in segment["candidates"]:
+            candidate["base_instructions"] = candidate["base"][0]
+            candidate["loop_instructions"] = [v[0] for v in candidate["loops"]]
+    old = _write(tmp / "old_db.json", doc)
+    code, out, err = run(capsys, "verify", "--db", old, "--measurements", str(measurements_path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == "error: database document has unknown key 'dimension'\n"
 
 
 def test_verify_list_start_is_a_usage_error(capsys, chain_paths):
@@ -376,6 +425,26 @@ def test_attack_eval_malformed_manifest_is_a_usage_error(capsys, tmp_path, chang
     code, _, err = run(capsys, "attack-eval", str(manifest_path))
     assert code == EXIT_ERROR
     assert "error:" in err and "manifest" in err
+
+
+def test_attack_eval_manifest_database_with_instruction_counts_is_a_usage_error(
+    capsys, tmp_path
+):
+    run(capsys, "demo", "--name", "signer", "--out", str(tmp_path), "--iterations", "2")
+    manifest_path = tmp_path / "manifest_basic.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(db="signer_db.json", reps=1)
+    manifest_path.write_text(json.dumps(manifest))
+    code, _, _ = run(capsys, "attack-eval", str(manifest_path))
+    assert code == EXIT_OK
+    db_path = tmp_path / "signer_db.json"
+    doc = json.loads(db_path.read_text())
+    doc["segments"][0]["candidates"][0]["base_instructions"] = 1
+    db_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "attack-eval", str(manifest_path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "unknown key 'base_instructions'" in err and "Traceback" not in err
 
 
 def test_machine_output_is_byte_identical(capsys, chain_paths, tmp_path):

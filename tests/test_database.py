@@ -16,6 +16,7 @@ from flowattest.cfg import BlockTrace, load_cfg
 from flowattest.database import (
     DEFAULT_PATH_BUDGET,
     _simple_cycles,
+    _strong_components,
     dedup_key,
     enumerate_segments,
     load_database,
@@ -51,7 +52,7 @@ def test_two_loop_chain_enumeration(tiny_table):
     # Both loops attach: the second touches the path only through the first.
     assert set(candidate.loops) == {LOOP1, LOOP2}
     assert candidate.start.stack == () and candidate.end.stack == ()
-    assert candidate.base_instruction_count == 3
+    assert candidate.base[tiny_table.instret_index] == 3
 
 
 def test_straight_line_single_loop_free_candidate(tiny_table):
@@ -193,14 +194,16 @@ def _digraphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_digraphs())
 def test_simple_cycles_match_bruteforce(succ):
-    cycles = [_rotated(c) for c in _simple_cycles(succ)]
+    components = _strong_components(succ, list(succ))
+    cycles = [_rotated(c) for c in _simple_cycles(succ, components)]
     assert len(cycles) == len(set(cycles))
     assert set(cycles) == simple_cycles_bruteforce(succ)
 
 
 def test_simple_cycles_include_self_loops_and_two_cycles():
     succ = {0: [0, 1], 1: [0, 1, 2], 2: [2]}
-    cycles = sorted(_rotated(c) for c in _simple_cycles(succ))
+    components = _strong_components(succ, list(succ))
+    cycles = sorted(_rotated(c) for c in _simple_cycles(succ, components))
     assert cycles == [(0,), (0, 1), (1,), (2,)]
 
 
@@ -272,7 +275,7 @@ def _chain_document(tiny_table):
         ("loops", [[5, 1, -1], [6, 1, 3]], r"loops\[0\]\[2\] must be >= 0"),
         ("loops", [[5, 1, 1], [6, 1]], r"loops\[1\] must be an array of 3"),
         ("base", [3, "1", 0], r"base\[1\] must be an integer"),
-        ("loops", {}, "equal length"),
+        ("loops", {}, "array, got dict"),
         ("end_stack", "", "end_stack must be an array"),
     ],
 )
@@ -302,6 +305,18 @@ def test_load_database_rejects_malformed_segments(tiny_table):
         load_database(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("dimension", 3), ("base_instructions", 3), ("loop_instructions", [2, 1])]
+)
+def test_load_database_refuses_instruction_counts(tiny_table, key, value):
+    """Documents from before instruction counts were dropped fail as
+    schema errors on the first key they still carry."""
+    doc = _chain_document(tiny_table)
+    (doc if key == "dimension" else doc["segments"][0]["candidates"][0])[key] = value
+    with pytest.raises(SchemaError, match=f"unknown key '{key}'"):
+        load_database(doc)
+
+
 def test_skip_segments_survive_preprocessing(tiny_table):
     doc = two_loop_chain_doc()
     doc["skip_segments"] = [{"start": "A", "end": "C"}]
@@ -311,7 +326,10 @@ def test_skip_segments_survive_preprocessing(tiny_table):
     assert ("A", "C") in load_database(serialize_database(db)).skip_segments
 
 
-def _candidate_sets(db):
+def _candidate_sets(db, table):
+    """Each candidate with the instruction counts its vectors imply: the
+    instructions-retired entries of its base and of each loop."""
+    instret = table.instret_index
     return {
         key: {
             (
@@ -319,8 +337,8 @@ def _candidate_sets(db):
                 c.end.stack,
                 c.base,
                 c.loops,
-                c.base_instruction_count,
-                c.loop_instruction_counts,
+                c.base[instret],
+                tuple(v[instret] for v in c.loops),
             )
             for c in candidates
         }
@@ -336,7 +354,7 @@ def _assert_matches_per_path_oracle(cfg, table):
     expected, paths = segment_candidates_bruteforce(cfg, table, expand(cfg))
     most = max(paths.values(), default=0)
     db = enumerate_segments(cfg, table, path_budget=most)
-    assert _candidate_sets(db) == expected
+    assert _candidate_sets(db, table) == expected
     # Each distinct candidate once.
     assert all(len(cands) == len(expected[key]) for key, cands in db.entries.items())
     for budget in {most - 1, most // 2, 1} & set(range(most)):
@@ -443,7 +461,7 @@ def test_long_chain_builds_without_recursion(tiny_table):
     (candidate,) = db.entries[("c.s", "c.t")]
     loads = inner // 2
     assert candidate.base == (inner + loads + 1, 0, loads)
-    assert candidate.base_instruction_count == inner + loads + 1
+    assert candidate.base[tiny_table.instret_index] == inner + loads + 1
 
 
 def _distinct_cascade(layers: int):

@@ -1,4 +1,5 @@
-"""Field-replacement sweep over the greeter demo's documents.
+"""Field-replacement sweep over the greeter demo's documents and the
+protocol demo's scenario.
 
 Every field of each document (object keys, and the first three elements of
 every array) is replaced in turn by each ill-typed value below; the result
@@ -12,7 +13,7 @@ import copy
 
 import pytest
 
-from flowattest import demos
+from flowattest import demos, protocol
 from flowattest.cfg import (
     BlockTrace,
     load_cfg,
@@ -61,12 +62,17 @@ def _use_database(doc):
     verify_trace_measurements(load_database(doc, expected_digest=CFG.digest), MEASUREMENTS)
 
 
+def _use_scenario(doc):
+    protocol.run_scenario(protocol.World(), protocol.load_scenario(doc))
+
+
 DOCUMENTS = {
     "cfg": (demos.greeter_cfg(), _use_cfg),
     "table": (serialize_event_table(TABLE), _use_table),
     "trace": (serialize_trace(CFG, TRACE), _use_trace),
     "measurements": (serialize_measurements(CFG.digest, MEASUREMENTS), _use_measurements),
     "database": (serialize_database(DB), _use_database),
+    "scenario": (demos.happy_path_scenario(), _use_scenario),
 }
 
 

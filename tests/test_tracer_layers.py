@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+from flowattest import attacks, cli, demos
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -16,3 +19,21 @@ def test_every_traced_layer_resolves():
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (
             f"{module_name}.{attr}"
         )
+
+
+def test_evaluate_mutates_through_the_traced_name(monkeypatch, tmp_path):
+    """``attacks.evaluate`` draws its mutants through ``attacks.mutate``, the
+    name the tracer rebinds: once per mutation kind and segment class."""
+    calls = Counter()
+    mutate = attacks.mutate
+
+    def counting(cfg, deltas, segment, spec, pool, **kwargs):
+        calls[spec.kind] += 1
+        return mutate(cfg, deltas, segment, spec, pool, **kwargs)
+
+    monkeypatch.setattr(attacks, "mutate", counting)
+    demos.write_demo("signer", tmp_path, iterations=4)
+    label, reports = cli._run_manifest(str(tmp_path / "manifest_basic.json"), 3)
+    assert label == "basic"
+    assert set(reports) == set(attacks.MUTATION_KINDS)
+    assert calls == {kind: len(report.per_segment) for kind, report in reports.items()}

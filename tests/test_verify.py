@@ -26,7 +26,7 @@ from flowattest.verify import (
     verify_trace_measurements,
 )
 
-from .conftest import LOOP1, LOOP2, block, edge, two_loop_chain_doc
+from .conftest import LOOP1, LOOP2, block, edge, mutation_pool, two_loop_chain_doc
 from .test_expand import _two_site_doc
 
 
@@ -123,9 +123,9 @@ def test_valid_prefix_then_mutated_segment_rejects_at_index(tiny_table):
     trace = BlockTrace(("A", "B", "C"))
     valid = measure(cfg, tiny_table, None, trace)[0]
     segment = BlockTrace(steps)
-    mutants = mutate(
-        cfg, delta_map(cfg, tiny_table), segment, MutationSpec(kind="remove_block", seed=0)
-    )
+    deltas = delta_map(cfg, tiny_table)
+    spec = MutationSpec(kind="remove_block", seed=0)
+    mutants = mutate(cfg, deltas, segment, spec, mutation_pool(cfg, deltas, spec.kind))
     assert mutants
     mutated = measure_segment(cfg, tiny_table, None, BlockTrace(mutants[0].steps))
     # The chain graph has no C->A edge, so replay the same segment by
