@@ -16,9 +16,10 @@ draw from are listed once per evaluation, and each edit site's blocks
 that would still make a valid step are listed once per site.
 
 Each mutant is a probe that asks the verifier for its verdict alone
-(:func:`flowattest.verify.accepts`, which stops at the first accepting
-candidate), from the feasible call stacks the segment starts from in the
-valid run.  Only the valid run itself goes through a full session.
+(:func:`flowattest.verify.accepts`, which walks a session's candidate
+loop but stops at the first accepting candidate), from the feasible call
+stacks the segment starts from in the valid run.  Only the valid run
+itself goes through a full session.
 
 Reliability is "fraction of mutants the verifier rejects", summarized two
 ways: ``metric_uniform`` averages per-segment rates evenly and
@@ -129,7 +130,6 @@ class ReliabilityReport:
     per_segment: dict[int, SegmentOutcome]
     metric_uniform: Fraction
     metric_weighted: Fraction
-    random_change_policy: str = RANDOM_CHANGE_POLICY
 
 
 def combine_rates(outcomes: list[SegmentOutcome]) -> tuple[Fraction, Fraction]:

@@ -147,9 +147,7 @@ def cmd_verify(args) -> int:
             m.__class__(start=m.start, end=m.end, delta=vsub(m.delta, offset))
             for m in measurements
         ]
-    report = verify_trace_measurements(
-        db, measurements, config=config, use_cache=not args.no_cache
-    )
+    report = verify_trace_measurements(db, measurements, config=config)
     _emit(
         report_document(report, include_timings=args.timings),
         args.format,
@@ -286,7 +284,7 @@ def cmd_protocol(args) -> int:
         )
         return EXIT_OK if not report.violations else EXIT_REJECTED
     events = protocol.load_scenario(_read_json(args.scenario))
-    if args.db and args.measurements:
+    if args.db is not None:
         # Integration mode: the verifier supplies the verdicts for events
         # scripted with value "auto".
         db = load_database(_read_json(args.db))
@@ -357,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="needed only with --counters")
     p.add_argument("--counters", help="register spec, e.g. 'instret,a+b,c'")
     p.add_argument("--offset", help="per-snapshot footprint to subtract, e.g. '3,0,1'")
-    p.add_argument("--no-cache", action="store_true")
     p.add_argument(
         "--timings",
         action="store_true",
@@ -393,12 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack_eval)
 
     p = sub.add_parser("protocol", help="run a protocol scenario or explore the state space")
-    p.add_argument("--scenario")
-    p.add_argument("--explore", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--scenario")
+    mode.add_argument("--explore", action="store_true")
     p.add_argument("--depth", type=_nonnegative_int, default=10)
     p.add_argument("--sm-mediated", action="store_true")
     p.add_argument("--db", help="with --measurements: verdicts for 'auto' events")
-    p.add_argument("--measurements")
+    p.add_argument("--measurements", help="with --db")
     common_output(p)
     p.set_defaults(func=cmd_protocol)
 
@@ -414,8 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "protocol" and not args.explore and not args.scenario:
-        parser.error("protocol needs --scenario or --explore")
+    if args.command == "protocol" and (args.db is None) != (args.measurements is None):
+        parser.error("protocol --db and --measurements go together")
+    if args.command == "protocol" and args.explore and args.db is not None:
+        parser.error("protocol --db and --measurements need --scenario")
     if args.command == "verify" and args.counters and not args.table:
         parser.error("verify --counters needs --table")
     try:

@@ -8,16 +8,18 @@ union of the exit stacks of *all* accepting candidates, so the outcome
 never depends on candidate iteration order.  The first rejection freezes
 the session.
 
-Identical observations (same endpoints, same measured values, same feasible
-entry stacks) are answered from a cache keyed by content, including the
-feasible-set update, so replay is verdict-identical with the cache on or
-off.
+An accepted observation (same endpoints, same measured values, same
+feasible entry stacks) is stored in the session's cache, keyed by content,
+with its accepting candidates, witness and feasible-set update; a repeat
+is answered from there with exactly what deciding it again would give.  A
+rejection is never stored: nothing can follow it in its session.
 
 :func:`accepts` is the verdict alone, for probes such as the attack
 harness's mutants: given a measurement and the feasible entry stacks it is
-checked against, it tries the same candidates with the same cone test as
-:func:`verify_segment` but returns at the first accepting one, and keeps
-no session, result or cache.
+checked against, it stops at the first accepting candidate and keeps no
+session, result or cache.  Both it and :func:`verify_segment` walk a
+segment's candidates through one loop, :func:`_trials`, after the same
+checks and skip rule.
 
 Each candidate's base and loop vectors are projected through the register
 file once per database and file: the database memoizes, per
@@ -61,21 +63,19 @@ class VerificationResult:
 
 
 @dataclass
-class _CacheEntry:
-    result: VerificationResult
-    feasible_after: frozenset[CallStack] | None
-
-
-@dataclass
 class SessionState:
-    """Mutable per-session verification state; single-writer by contract."""
+    """Mutable per-session verification state; single-writer by contract.
+
+    ``cache`` maps each accepted observation's dedup key to its accepting
+    candidate ids, witness and the feasible set after it."""
 
     db: SegmentDatabase
     config: CounterConfig | None = None
-    use_cache: bool = True
     feasible: frozenset[CallStack] | None = field(default_factory=lambda: frozenset({()}))
     rejected: bool = False
-    cache: dict[DedupKey, _CacheEntry] = field(default_factory=dict)
+    cache: dict[DedupKey, tuple[tuple[str, ...], tuple[int, ...], frozenset[CallStack]]] = field(
+        default_factory=dict
+    )
     cache_hits: int = 0
     cache_lookups: int = 0
 
@@ -90,137 +90,97 @@ def _check_config(db: SegmentDatabase, config: CounterConfig | None) -> None:
         )
 
 
-def _dimension(db: SegmentDatabase, config: CounterConfig | None) -> int:
-    return config.dimension if config is not None else db.dimension
-
-
-def _check_dimension(m: Measurement, expected: int) -> None:
+def _skipped(db: SegmentDatabase, config: CounterConfig | None, m: Measurement) -> bool:
+    """Check ``m``'s dimension against the register file; True when its
+    segment is a skip segment, which accepts any delta."""
+    expected = config.dimension if config is not None else db.dimension
     if len(m.delta) != expected:
         raise SchemaError(
             f"measurement delta has dimension {len(m.delta)}, session expects {expected}"
         )
-
-
-def _project_generators(config: CounterConfig | None, loops: tuple[Vec, ...]):
-    """Deduplicated nonzero projected loop vectors plus the witness remap:
-    for each unique generator, the first original loop index carrying it."""
-    unique: list[Vec] = []
-    owner: list[int] = []
-    seen: dict[Vec, int] = {}
-    for j, loop in enumerate(loops):
-        pv = project(config, loop) if config is not None else loop
-        if all(x == 0 for x in pv):
-            continue
-        if pv not in seen:
-            seen[pv] = len(unique)
-            unique.append(pv)
-            owner.append(j)
-    return tuple(unique), tuple(owner)
+    return (m.start, m.end) in db.skip_segments
 
 
 def _project_candidate(config: CounterConfig | None, cand: PathCandidate):
+    """(projected base, deduplicated nonzero projected loop vectors, witness
+    remap, reachability map): the remap gives, for each generator, the first
+    loop index carrying it; the map is None for fewer than two generators,
+    which root propagation always decides by itself."""
     base = project(config, cand.base) if config is not None else cand.base
-    generators, owner = _project_generators(config, cand.loops)
-    return base, generators, owner, Reach(generators) if len(generators) >= 2 else None
+    owner: dict[Vec, int] = {}
+    for j, loop in enumerate(cand.loops):
+        pv = project(config, loop) if config is not None else loop
+        if any(pv):
+            owner.setdefault(pv, j)
+    generators = tuple(owner)
+    reach = Reach(generators) if len(generators) >= 2 else None
+    return base, generators, tuple(owner.values()), reach
 
 
-def _feasible_candidates(
-    db: SegmentDatabase,
-    config: CounterConfig | None,
-    key: tuple[str, str],
-    candidates: tuple[PathCandidate, ...],
-    feasible: frozenset[CallStack] | None,
-):
-    """(index, candidate, (projected base, generators, witness remap,
-    reachability map)) for each candidate of ``key`` whose entry stack is
-    feasible, in database order.  The projections are computed once per
-    database and register file; the map is None for fewer than two
-    generators, which root propagation always decides by itself."""
+def _trials(db: SegmentDatabase, config: CounterConfig | None, key, delta, feasible):
+    """The one loop over a segment's candidates.  For each candidate of
+    ``key`` whose entry stack is in ``feasible`` (None: any), in database
+    order: (index, candidate, witness remap, cone solution of ``delta`` minus
+    the projected base), the solution None when that residual has a negative
+    component.  A segment the database never connected has no candidates."""
+    candidates = db.entries.get(key)
+    if not candidates:
+        return
     per_key = db._projected.setdefault(config, {})
     projected = per_key.get(key)
     if projected is None:
         projected = per_key[key] = tuple(_project_candidate(config, c) for c in candidates)
-    for index, (cand, proj) in enumerate(zip(candidates, projected)):
+    for index, (cand, (base, generators, owner, reach)) in enumerate(zip(candidates, projected)):
         if feasible is None or cand.start.stack in feasible:
-            yield index, cand, proj
+            target = vsub(delta, base)
+            solution = solve_cone(target, generators, reach) if is_nonneg(target) else None
+            yield index, cand, owner, solution
 
 
 def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
     """Decide one measurement and fold its effect into the session."""
     if state.rejected:
         raise RuntimeError("session is already rejected; state is frozen")
-    _check_dimension(m, _dimension(state.db, state.config))
     started = time.perf_counter()
-    key = (m.start, m.end)
     db = state.db
+    key = (m.start, m.end)
 
-    if key in db.skip_segments:
+    if _skipped(db, state.config, m):
         # Recursion workaround regions verify vacuously; the feasible set
         # becomes whatever the candidates say, or unconstrained if the
         # database never connected the pair.
         candidates = db.entries.get(key, ())
-        if candidates:
-            state.feasible = frozenset(c.end.stack for c in candidates)
-            accepting = tuple(db.candidate_id(key, i) for i in range(len(candidates)))
-        else:
-            state.feasible = None
-            accepting = ()
+        state.feasible = frozenset(c.end.stack for c in candidates) or None
         return VerificationResult(
             verdict="accepted",
             reason="skip",
+            accepting=tuple(db.candidate_id(key, i) for i in range(len(candidates))),
+            elapsed=time.perf_counter() - started,
+        )
+
+    cache_key = dedup_key(m.start, m.end, m.delta, state.feasible)
+    state.cache_lookups += 1
+    hit = state.cache.get(cache_key)
+    if hit is not None:
+        state.cache_hits += 1
+        accepting, witness, state.feasible = hit
+        return VerificationResult(
+            verdict="accepted",
             accepting=accepting,
+            witness=witness,
+            cache_hit=True,
             elapsed=time.perf_counter() - started,
         )
 
-    cache_key = None
-    if state.use_cache:
-        cache_key = dedup_key(m.start, m.end, m.delta, state.feasible)
-        state.cache_lookups += 1
-        hit = state.cache.get(cache_key)
-        if hit is not None:
-            state.cache_hits += 1
-            if hit.result.verdict == "accepted":
-                state.feasible = hit.feasible_after
-            else:
-                state.rejected = True
-            cached = hit.result
-            return VerificationResult(
-                verdict=cached.verdict,
-                reason=cached.reason,
-                accepting=cached.accepting,
-                witness=cached.witness,
-                cache_hit=True,
-                elapsed=time.perf_counter() - started,
-            )
-
-    candidates = db.entries.get(key)
-    if candidates is None:
-        # A measurement between points the database never connected is
-        # itself a control-flow violation, not a lookup error.
-        result = VerificationResult(
-            verdict="rejected",
-            reason="no-such-segment",
-            elapsed=time.perf_counter() - started,
-        )
-        state.rejected = True
-        if cache_key is not None:
-            state.cache[cache_key] = _CacheEntry(result=result, feasible_after=None)
-        return result
-
-    tried = 0
-    solver_calls = 0
-    solver_nodes = 0
-    accepting: list[str] = []
+    tried = solver_calls = solver_nodes = 0
+    accepting = []
     exits: set[CallStack] = set()
     witness: tuple[int, ...] | None = None
-    feasible = _feasible_candidates(db, state.config, key, candidates, state.feasible)
-    for index, cand, (base, generators, owner, reach) in feasible:
+    for index, cand, owner, solution in _trials(db, state.config, key, m.delta, state.feasible):
         tried += 1
-        target = vsub(m.delta, base)
-        if not is_nonneg(target):
+        if solution is None:
             continue
         solver_calls += 1
-        solution = solve_cone(target, generators, reach)
         solver_nodes += solution.lp_solves
         if solution.witness is None:
             continue
@@ -232,33 +192,30 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
                 full[j] = value
             witness = tuple(full)
 
+    accepting = tuple(accepting)
     if accepting:
-        feasible_after = frozenset(exits)
-        state.feasible = feasible_after
-        result = VerificationResult(
-            verdict="accepted",
-            accepting=tuple(accepting),
-            witness=witness,
-            candidates_tried=tried,
-            solver_calls=solver_calls,
-            solver_nodes=solver_nodes,
-            elapsed=time.perf_counter() - started,
-        )
+        verdict, reason = "accepted", None
+        state.feasible = frozenset(exits)
+        state.cache[cache_key] = (accepting, witness, state.feasible)
     else:
-        feasible_after = None
-        reason = "cone-infeasible" if tried else "no-feasible-stack"
-        result = VerificationResult(
-            verdict="rejected",
-            reason=reason,
-            candidates_tried=tried,
-            solver_calls=solver_calls,
-            solver_nodes=solver_nodes,
-            elapsed=time.perf_counter() - started,
-        )
+        # A measurement between points the database never connected is
+        # itself a control-flow violation, not a lookup error.
+        verdict = "rejected"
+        if tried:
+            reason = "cone-infeasible"
+        else:
+            reason = "no-feasible-stack" if key in db.entries else "no-such-segment"
         state.rejected = True
-    if cache_key is not None:
-        state.cache[cache_key] = _CacheEntry(result=result, feasible_after=feasible_after)
-    return result
+    return VerificationResult(
+        verdict=verdict,
+        reason=reason,
+        accepting=accepting,
+        witness=witness,
+        candidates_tried=tried,
+        solver_calls=solver_calls,
+        solver_nodes=solver_nodes,
+        elapsed=time.perf_counter() - started,
+    )
 
 
 def accepts(
@@ -271,26 +228,18 @@ def accepts(
     """The verdict alone: whether a session whose feasible entry stacks are
     ``feasible`` would accept ``m``.
 
-    Exactly ``verify_segment``'s verdict, from the same candidates and the
-    same cone test, but it stops at the first accepting candidate and keeps
-    no session, result or cache: a probe that only counts rejections needs
-    neither the accepting set nor the feasible-set update.  A skipped
-    segment accepts, an unknown one rejects, and a delta of the wrong
-    dimension raises :class:`SchemaError`.
+    Exactly ``verify_segment``'s verdict, from the same candidate loop, but
+    it stops at the first accepting candidate and keeps no session, result
+    or cache: a probe that only counts rejections needs neither the
+    accepting set nor the feasible-set update.  A skipped segment accepts,
+    an unknown one rejects, and a delta of the wrong dimension raises
+    :class:`SchemaError`.
     """
     _check_config(db, config)
-    _check_dimension(m, _dimension(db, config))
-    key = (m.start, m.end)
-    if key in db.skip_segments:
+    if _skipped(db, config, m):
         return True
-    candidates = db.entries.get(key)
-    if candidates is None:
-        return False
-    for _, _, (base, generators, _, reach) in _feasible_candidates(
-        db, config, key, candidates, feasible
-    ):
-        target = vsub(m.delta, base)
-        if is_nonneg(target) and solve_cone(target, generators, reach).witness is not None:
+    for _, _, _, solution in _trials(db, config, (m.start, m.end), m.delta, feasible):
+        if solution is not None and solution.witness is not None:
             return True
     return False
 
@@ -316,7 +265,6 @@ def verify_trace_measurements(
     measurements: list[Measurement],
     *,
     config: CounterConfig | None = None,
-    use_cache: bool = True,
 ) -> SessionReport:
     """Fold a measurement sequence through a fresh session, stopping at the
     first rejection.
@@ -331,7 +279,7 @@ def verify_trace_measurements(
                 f"measurement sequence is not contiguous: segment ending at "
                 f"'{a.end}' is followed by one starting at '{b.start}'"
             )
-    state = SessionState(db, config, use_cache=use_cache)
+    state = SessionState(db, config)
     results: list[VerificationResult] = []
     rejected_at: int | None = None
     for index, m in enumerate(measurements):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -153,6 +154,43 @@ def test_malformed_protocol_scenario_is_a_usage_error(capsys, tmp_path):
         code, out, err = run(capsys, "protocol", "--scenario", path)
         assert (code, out) == (EXIT_ERROR, ""), scenario
         assert message in err
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        (["--scenario", "{scenario}", "--db", "missing.json"], "go together"),
+        (["--scenario", "{scenario}", "--measurements", "missing.json"], "go together"),
+        (["--scenario", "missing.json", "--explore"], "not allowed with argument"),
+        (["--explore", "--db", "missing.json", "--measurements", "missing.json"],
+         "need --scenario"),
+        ([], "one of the arguments --scenario --explore is required"),
+    ],
+    ids=["db-alone", "measurements-alone", "scenario-and-explore", "explore-with-db", "neither"],
+)
+def test_protocol_flag_misuse_is_a_usage_error(capsys, tmp_path, given, message):
+    # Each of these used to run with a flag silently ignored, or to exit 0.
+    run(capsys, "demo", "--name", "protocol", "--out", str(tmp_path))
+    scenario = str(tmp_path / "scenario_happy_path.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", *(arg.format(scenario=scenario) for arg in given)])
+    assert exc.value.code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and message in captured.err
+
+
+def test_verify_no_cache_is_a_usage_error(capsys, chain_paths):
+    # The session cache answers only repeats of accepted observations with
+    # what deciding them again gives, so there is no switch to turn it off.
+    cfg_path, table_path, tmp = chain_paths
+    db_path, measurements_path = _pipeline(capsys, tmp, cfg_path, table_path, ["A", "B", "C"])
+    argv = ["verify", "--db", str(db_path), "--measurements", str(measurements_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-cache"])
+    assert exc.value.code == EXIT_ERROR
+    assert "unrecognized arguments: --no-cache" in capsys.readouterr().err
+    assert run(capsys, *argv)[0] == EXIT_OK
 
 
 def _pipeline(capsys, tmp, cfg_path, table_path, steps):
@@ -488,3 +526,93 @@ def test_internal_error_is_not_a_rejection(capsys, monkeypatch, chain_paths):
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err == "internal error: KeyError('lost')\n"
+
+
+THREE_REGISTERS = "instret,cond_branch_retired+jal_retired+jalr_retired,int_load_retired"
+
+# sha256 of "<exit code>\n<stdout>".  Verify runs per demo program, register
+# file (measured and verified with the same ``--counters``) and measurement
+# file: the simulated one, and a copy whose last measurement has its first
+# counter raised by one.  A change to the verifier that moves a reason, a
+# count, a witness or an accepting set moves a digest.
+GOLDEN_VERIFY = {
+    ("greeter", "identity", "valid"):
+        "72eda855a3a6a354f2154504e5ed3ecefa8e3e41e2ede1246a70fe513d5917dc",
+    ("greeter", "identity", "tampered"):
+        "d79b0082817f655c1d9f32e23e7865318d2e4985530aa2a508345b47c21dcd60",
+    ("greeter", "three", "valid"):
+        "72eda855a3a6a354f2154504e5ed3ecefa8e3e41e2ede1246a70fe513d5917dc",
+    ("greeter", "three", "tampered"):
+        "d79b0082817f655c1d9f32e23e7865318d2e4985530aa2a508345b47c21dcd60",
+    ("signer", "identity", "valid"):
+        "c94e13b38395abb004837c0799b7437fe47f962820208965edf891eaef4d6456",
+    ("signer", "identity", "tampered"):
+        "642e567625764bea9965ceb4476b844bb9eea966222e20492fe04cfc47a4e009",
+    ("signer", "three", "valid"):
+        "f26fe0f3b0c233b3add5142a5cb89fd7de2c95514ccaab835307c95551304be2",
+    ("signer", "three", "tampered"):
+        "c231ecd1b1628be0ea71c6b84ebf4983e2086b00b44cbb395fbf565436636bcd",
+    ("signer_ecalls", "identity", "valid"):
+        "89b7e409616eb3858abe801f2bd314db4364fe093a919afabd4101208fbfdb7b",
+    ("signer_ecalls", "identity", "tampered"):
+        "fb43526a3d5402ad4fc5e89eb422a1df197ca481cc3d8b17aa9115e025a15e21",
+    ("signer_ecalls", "three", "valid"):
+        "89b7e409616eb3858abe801f2bd314db4364fe093a919afabd4101208fbfdb7b",
+    ("signer_ecalls", "three", "tampered"):
+        "fb43526a3d5402ad4fc5e89eb422a1df197ca481cc3d8b17aa9115e025a15e21",
+    ("dispatch", "identity", "valid"):
+        "2f0ad755008141f8b21882392a242be4e101d4bc3848ede7f146f2563988a8a7",
+    ("dispatch", "identity", "tampered"):
+        "ca94a79f62f40fd289b6d5e725e83720f22903615231bd1fcac896e3c76f0680",
+    ("dispatch", "three", "valid"):
+        "57ed875af4195b54576bb0b12fd23cc4e1aa0089238d71d0fbdbf67709120d34",
+    ("dispatch", "three", "tampered"):
+        "9b46a29c7cc306050535e453a0d4ed8e19c8788329dfba4009a9879bf41acb84",
+}
+GOLDEN_ATTACK_EVAL = "3805d3445a54455ac88ba65205a8318e74fa8ded371193e1dd29918ca4c369b0"
+
+
+def _sha(code, out):
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+
+
+def _golden_demos(capsys, tmp_path):
+    for name in ("greeter", "signer", "dispatch"):
+        run(capsys, "demo", "--name", name, "--out", str(tmp_path), "--iterations", "12")
+    return ("greeter", "signer", "signer_ecalls", "dispatch")
+
+
+def test_verify_output_is_golden(capsys, tmp_path):
+    table = str(tmp_path / "table.json")
+    digests = {}
+    for stem in _golden_demos(capsys, tmp_path):
+        cfg = str(tmp_path / f"{stem}.json")
+        db = str(tmp_path / f"{stem}_db.json")
+        assert run(capsys, "preprocess", "--cfg", cfg, "--table", table, "--out", db)[0] == EXIT_OK
+        for registers, counters in (("identity", []), ("three", ["--counters", THREE_REGISTERS])):
+            valid = tmp_path / f"{stem}_{registers}_ms.json"
+            code, _, _ = run(
+                capsys, "simulate", "--cfg", cfg, "--table", table,
+                "--trace", str(tmp_path / f"{stem}_trace.json"), *counters, "--out", str(valid),
+            )
+            assert code == EXIT_OK
+            doc = json.loads(valid.read_text())
+            doc["measurements"][-1]["delta"][0] += 1
+            tampered = _write(tmp_path / f"{stem}_{registers}_tampered.json", doc)
+            for variant, path in (("valid", str(valid)), ("tampered", tampered)):
+                code, out, _ = run(
+                    capsys, "verify", "--db", db, "--measurements", path,
+                    "--table", table, *counters, "--format", "json",
+                )
+                digests[stem, registers, variant] = _sha(code, out)
+    assert digests == GOLDEN_VERIFY
+
+
+def test_attack_eval_output_is_golden(capsys, tmp_path):
+    run(capsys, "demo", "--name", "signer", "--out", str(tmp_path), "--iterations", "12")
+    manifests = [
+        str(tmp_path / f"manifest_{name}.json")
+        for name in ("basic", "added_counters", "added_ecalls")
+    ]
+    code, out, _ = run(capsys, "attack-eval", *manifests, "--format", "json", "--reps", "3")
+    assert _sha(code, out) == GOLDEN_ATTACK_EVAL

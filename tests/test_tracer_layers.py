@@ -5,15 +5,24 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from flowattest import attacks, cli, demos
+from flowattest import attacks, cli, demos, verify
+from flowattest.cfg import BlockTrace, load_cfg
+from flowattest.database import enumerate_segments
+from flowattest.events import default_event_table
+from flowattest.simulate import measure
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_every_traced_layer_resolves():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_layer_resolves():
+    tracer = _load_tracer()
     assert tracer.LAYERS
     for module_name, attr, _span, _hook in tracer.LAYERS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (
@@ -37,3 +46,28 @@ def test_evaluate_mutates_through_the_traced_name(monkeypatch, tmp_path):
     assert label == "basic"
     assert set(reports) == set(attacks.MUTATION_KINDS)
     assert calls == {kind: len(report.per_segment) for kind, report in reports.items()}
+
+
+def test_count_hooks_read_what_the_layers_return(tmp_path):
+    """The tracer's count hooks read fields of ``verify_segment``'s result,
+    ``solve_cone``'s solution and ``mutate``'s mutants; a session and one
+    attack evaluation under the tracer fill every one of them."""
+    table = default_event_table()
+    cfg = load_cfg(demos.greeter_cfg())
+    db = enumerate_segments(cfg, table)
+    measurements = measure(cfg, table, None, BlockTrace(tuple(demos.greeter_trace())))
+    demos.write_demo("signer", tmp_path, iterations=4)
+    originals = (verify.verify_segment, attacks.mutate)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert verify.verify_trace_measurements(db, measurements).accepted
+        cli._run_manifest(str(tmp_path / "manifest_basic.json"), 3)
+    finally:
+        tracer.uninstall()
+    assert (verify.verify_segment, attacks.mutate) == originals
+    for name in ("verify.candidates_tried", "verify.solver_calls", "attacks.mutants"):
+        assert tracer.counts[name] > 0, name
+    # Every cone test of these runs is decided without the simplex, so the
+    # sum is 0; the key shows that the hook ran on each solution.
+    assert "cone.lp_solves" in tracer.counts

@@ -26,7 +26,15 @@ from flowattest.verify import (
     verify_trace_measurements,
 )
 
-from .conftest import LOOP1, LOOP2, block, edge, mutation_pool, two_loop_chain_doc
+from .conftest import (
+    LOOP1,
+    LOOP2,
+    TINY_COUNTERS,
+    block,
+    edge,
+    mutation_pool,
+    two_loop_chain_doc,
+)
 from .test_expand import _two_site_doc
 
 
@@ -156,23 +164,74 @@ def test_cache_replay_is_verdict_identical(chain, tiny_table):
     # The same segment observed repeatedly with identical values.
     for _ in range(10):
         measurements.append(_m(loop_once))
-    cached = [verify_segment_state(db, measurements, True)]
-    uncached = [verify_segment_state(db, measurements, False)]
-    assert cached[0][0] == uncached[0][0]
-    state_with = cached[0][1]
+    cached = verify_segment_state(db, measurements)
+    # A fresh session starts with an empty cache, so it decides afresh.
+    fresh = [verify_segment(SessionState(db), m) for m in measurements]
+    assert cached[0] == [(r.verdict, r.accepting, r.witness) for r in fresh]
+    state_with = cached[1]
     assert state_with.cache_hits == 9
     assert state_with.cache_lookups == 10
 
 
-def verify_segment_state(db, measurements, use_cache):
-    state = SessionState(db, use_cache=use_cache)
+def verify_segment_state(db, measurements):
+    state = SessionState(db)
     verdicts = []
     for m in measurements:
         result = verify_segment(state, m)
-        verdicts.append(result.verdict)
+        verdicts.append((result.verdict, result.accepting, result.witness))
         if state.rejected:
             break
     return verdicts, state
+
+
+def _one_call_doc():
+    """main calls f once; f's entry is a measurement point, so the segment
+    into f ends, and the one out of f starts, with the stack of that call."""
+    return {
+        "counters": TINY_COUNTERS,
+        "functions": [
+            {"name": "main", "entry": "m.0", "blocks": ["m.0", "m.1", "m.2"]},
+            {"name": "f", "entry": "f.0", "blocks": ["f.0", "f.1"]},
+        ],
+        "blocks": [
+            block("m.0", "main", ["addi"], mp=True),
+            block("m.1", "main", ["jal"]),
+            block("m.2", "main", ["add"], mp=True),
+            block("f.0", "f", ["lw"], mp=True),
+            block("f.1", "f", ["jalr"]),
+        ],
+        "edges": [
+            edge("m.0", "m.1"),
+            edge("m.1", "f.0", "call"),
+            edge("f.0", "f.1"),
+            edge("f.1", "m.2", "return"),
+        ],
+        "entry": "m.0",
+    }
+
+
+def test_candidates_outside_the_feasible_stacks_reject(tiny_table):
+    """Replaying the segment into f from inside f: its only candidate starts
+    from the empty stack, which the session is no longer in."""
+    cfg = load_cfg(_one_call_doc())
+    db = enumerate_segments(cfg, tiny_table)
+    trace = BlockTrace(("m.0", "m.1", "f.0", "f.1", "m.2"))
+    into_f, out_of_f = measure(cfg, tiny_table, None, trace)
+    state = SessionState(db)
+    assert verify_segment(state, into_f).verdict == "accepted"
+    assert state.feasible == frozenset({("m.1",)})
+    assert [c.start.stack for c in db.entries["m.0", "f.0"]] == [()]
+    assert not accepts(db, into_f, state.feasible)
+    assert accepts(db, into_f, frozenset({()}))
+    cache = dict(state.cache)
+    result = verify_segment(state, into_f)
+    assert (result.verdict, result.reason) == ("rejected", "no-feasible-stack")
+    assert (result.candidates_tried, result.solver_calls, result.accepting) == (0, 0, ())
+    # The cache holds the accepted observation only, never the rejection.
+    assert state.cache == cache and len(cache) == 1
+    assert list(cache.values()) == [(("m.0->f.0#0",), (), frozenset({("m.1",)}))]
+    with pytest.raises(RuntimeError, match="frozen"):
+        verify_segment(state, out_of_f)
 
 
 def test_feasible_set_constrains_candidates(tiny_table):
