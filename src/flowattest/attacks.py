@@ -56,7 +56,7 @@ from .database import DedupKey, SegmentDatabase, dedup_key
 from .errors import FlowAttestError, SchemaError
 from .events import CounterConfig, EventTable, delta_map, project
 from .expand import CallStack
-from .simulate import measure
+from .simulate import measure_segment
 from .vectors import Vec, vadd, vsub, vsum
 from .verify import SessionState, accepts, verify_segment
 
@@ -334,8 +334,8 @@ def _segment_classes(
 ) -> list[_SegmentClass]:
     """Group the trace's segments by (steps, measurement, feasible state),
     replaying the valid run to capture the session state each segment sees."""
-    segments = split_trace(cfg, trace)
-    measurements = measure(cfg, table, config, trace)
+    segments = split_trace(cfg, trace)  # the trace's one validity check
+    measurements = [measure_segment(cfg, table, config, s) for s in segments]
     counts = segment_instruction_counts(cfg, segments)
     state = SessionState(db, config)
     classes: dict[tuple, _SegmentClass] = {}

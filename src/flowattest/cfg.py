@@ -21,7 +21,12 @@ Field order is insignificant; unknown keys are rejected.  A trace document is
 is ``{"cfg_ref": <digest>, "measurements": [{"start", "end", "delta"}]}``.
 
 Loaded objects are immutable after construction and safe to share across
-concurrent workers.
+concurrent workers.  Besides the successor lists and edge pairs, the loader
+derives the set of measurement points and the set of zero-instruction
+blocks.  Checking a trace is then a few C-level set operations over its
+steps (ids, endpoints, zero-instruction blocks, edges), and
+:func:`point_indices` finds where a checked trace is cut into segments in
+one more pass.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import RecursionDetectedError, SchemaError, UnknownBlockError
 from .vectors import Vec
@@ -100,6 +106,8 @@ class AnnotatedCfg:
     # Derived, filled by the loader.
     succ: dict[str, tuple[Edge, ...]] = field(default_factory=dict)
     edge_pairs: frozenset[tuple[str, str]] = frozenset()
+    points: frozenset[str] = frozenset()  # the measurement points
+    zero_blocks: frozenset[str] = frozenset()  # blocks of zero instructions
     digest: str = ""
     # Memo of events.delta_map: id(table) -> (table, read-only deltas).  The
     # entry holds the table so that its id cannot be reused by another one.
@@ -389,6 +397,8 @@ def load_cfg(document: dict | str) -> AnnotatedCfg:
         skip_segments=frozenset(skip),
         succ={bid: tuple(out) for bid, out in succ.items()},
         edge_pairs=frozenset((e.src, e.dst) for e in edges),
+        points=frozenset(bid for bid, b in blocks.items() if b.is_measurement_point),
+        zero_blocks=frozenset(bid for bid, b in blocks.items() if b.instruction_count == 0),
     )
     object.__setattr__(cfg, "digest", cfg_digest(cfg))
     return cfg
@@ -450,21 +460,29 @@ def validate_trace(cfg: AnnotatedCfg, trace: BlockTrace) -> bool:
     Raises on degenerate input (empty trace, unknown block ids) rather
     than reporting it as mere invalidity.
     """
-    if not trace.steps:
+    steps = trace.steps
+    if not steps:
         raise SchemaError("trace is empty")
-    for step in trace.steps:
-        if step not in cfg.blocks:
-            raise UnknownBlockError(f"trace references unknown block '{step}'")
-    if not cfg.is_measurement_point(trace.steps[0]):
-        return False
-    if not cfg.is_measurement_point(trace.steps[-1]):
-        return False
-    if any(cfg.blocks[s].instruction_count == 0 for s in trace.steps):
-        return False
-    for a, b in zip(trace.steps, trace.steps[1:]):
-        if (a, b) not in cfg.edge_pairs:
-            return False
-    return True
+    if not cfg.blocks.keys() >= set(steps):
+        unknown = next(s for s in steps if s not in cfg.blocks)
+        raise UnknownBlockError(f"trace references unknown block '{unknown}'")
+    return (
+        steps[0] in cfg.points
+        and steps[-1] in cfg.points
+        and cfg.zero_blocks.isdisjoint(steps)
+        and cfg.edge_pairs.issuperset(zip(steps, steps[1:]))
+    )
+
+
+def point_indices(cfg: AnnotatedCfg, trace: BlockTrace) -> list[int]:
+    """The indices of a valid trace's measurement points, in order.
+
+    Raises :class:`SchemaError` when the trace is not a valid walk.
+    """
+    if not validate_trace(cfg, trace):
+        raise SchemaError("cannot split an invalid trace")
+    steps = trace.steps
+    return list(compress(range(len(steps)), map(cfg.points.__contains__, steps)))
 
 
 def split_trace(cfg: AnnotatedCfg, trace: BlockTrace) -> list[BlockTrace]:
@@ -474,13 +492,9 @@ def split_trace(cfg: AnnotatedCfg, trace: BlockTrace) -> list[BlockTrace]:
     endpoints with its neighbours; interiors contain no measurement point.
     A single-point trace yields no segments.
     """
-    if not validate_trace(cfg, trace):
-        raise SchemaError("cannot split an invalid trace")
-    marks = [i for i, s in enumerate(trace.steps) if cfg.is_measurement_point(s)]
-    return [
-        BlockTrace(steps=trace.steps[a : b + 1])
-        for a, b in zip(marks, marks[1:])
-    ]
+    marks = point_indices(cfg, trace)
+    steps = trace.steps
+    return [BlockTrace(steps=steps[a : b + 1]) for a, b in zip(marks, marks[1:])]
 
 
 def segment_instruction_counts(cfg: AnnotatedCfg, segments: list[BlockTrace]) -> list[int]:

@@ -39,7 +39,7 @@ from .database import (
     load_database,
     serialize_database,
 )
-from .errors import BudgetError, DigestMismatchError, FlowAttestError
+from .errors import BudgetError, DigestMismatchError, FlowAttestError, SchemaError
 from .events import load_event_table, parse_register_spec
 from .expand import DEFAULT_NODE_BUDGET
 from .simulate import measure, random_valid_walk
@@ -52,6 +52,8 @@ EXIT_ERROR = 2
 EXIT_DIGEST = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
+
+DEFAULT_EXPLORE_DEPTH = 10
 
 
 def _nonnegative_int(text: str) -> int:
@@ -140,6 +142,11 @@ def cmd_verify(args) -> int:
             f"for {db.cfg_digest[:12]}..."
         )
     table = load_event_table(_read_json(args.table)) if args.table else None
+    if table is not None and table.counter_names != db.counters:
+        raise SchemaError(
+            "event table and database disagree on the counter list: "
+            f"{table.counter_names} vs {db.counters}"
+        )
     config = _load_config(table, args.counters)
     offset = _parse_offset(args.offset)
     if offset is not None:
@@ -255,9 +262,8 @@ def cmd_attack_eval(args) -> int:
 def cmd_protocol(args) -> int:
     if args.explore:
         world = protocol.tandem_world(sm_mediated=args.sm_mediated)
-        report = protocol.explore(
-            world, protocol.standard_tandem_alphabet(), depth=args.depth
-        )
+        depth = DEFAULT_EXPLORE_DEPTH if args.depth is None else args.depth
+        report = protocol.explore(world, protocol.standard_tandem_alphabet(), depth=depth)
         doc = {
             "states": report.states,
             "depth": report.depth,
@@ -352,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a measurement sequence against a database")
     p.add_argument("--db", required=True)
     p.add_argument("--measurements", required=True)
-    p.add_argument("--table", help="needed only with --counters")
+    p.add_argument(
+        "--table", help="needed with --counters; its counter list must be the database's"
+    )
     p.add_argument("--counters", help="register spec, e.g. 'instret,a+b,c'")
     p.add_argument("--offset", help="per-snapshot footprint to subtract, e.g. '3,0,1'")
     p.add_argument(
@@ -393,7 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--scenario")
     mode.add_argument("--explore", action="store_true")
-    p.add_argument("--depth", type=_nonnegative_int, default=10)
+    p.add_argument(
+        "--depth",
+        type=_nonnegative_int,
+        help=f"with --explore: search depth (default {DEFAULT_EXPLORE_DEPTH})",
+    )
     p.add_argument("--sm-mediated", action="store_true")
     p.add_argument("--db", help="with --measurements: verdicts for 'auto' events")
     p.add_argument("--measurements", help="with --db")
@@ -416,6 +428,8 @@ def main(argv=None) -> int:
         parser.error("protocol --db and --measurements go together")
     if args.command == "protocol" and args.explore and args.db is not None:
         parser.error("protocol --db and --measurements need --scenario")
+    if args.command == "protocol" and args.scenario is not None and args.depth is not None:
+        parser.error("protocol --depth needs --explore")
     if args.command == "verify" and args.counters and not args.table:
         parser.error("verify --counters needs --table")
     try:

@@ -10,6 +10,11 @@ including the ending one (the same convention the preprocessor uses for
 candidate base vectors).  The optional per-snapshot ``offset`` models a
 fixed monitor footprint added to every measurement; verification subtracts
 the same constant.
+
+:func:`measure` checks the trace once, finds its measurement points in one
+pass, and sums each segment's block deltas straight from the trace's steps,
+with no intermediate segment objects; :func:`measure_segment` measures one
+block sequence through the same summing code.
 """
 
 from __future__ import annotations
@@ -17,11 +22,23 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from .cfg import AnnotatedCfg, BlockTrace, Measurement, split_trace, validate_trace
+from .cfg import AnnotatedCfg, BlockTrace, Measurement, point_indices, validate_trace
 from .errors import WalkError
 from .events import CounterConfig, EventTable, delta_map, project
 from .expand import ExpandedNode, _successors
 from .vectors import Vec, vadd, vsum
+
+
+def _measurement(
+    deltas, dim: int, config: CounterConfig | None, offset: Vec | None, start: str, end: str, body
+) -> Measurement:
+    """The measurement of a segment from ``start`` to ``end`` whose steps
+    after the starting snapshot are ``body``."""
+    raw = vsum(map(deltas.__getitem__, body), dim)
+    value = project(config, raw) if config is not None else raw
+    if offset is not None:
+        value = vadd(value, offset)
+    return Measurement(start=start, end=end, delta=value)
 
 
 def measure_segment(
@@ -38,12 +55,10 @@ def measure_segment(
     table) pair once.  Unlike :func:`measure` this does not check that the
     sequence is a valid walk, so it also measures deliberately broken ones.
     """
-    deltas = delta_map(cfg, table)
-    raw = vsum((deltas[s] for s in segment.steps[1:]), cfg.dimension)
-    value = project(config, raw) if config is not None else raw
-    if offset is not None:
-        value = vadd(value, offset)
-    return Measurement(start=segment.steps[0], end=segment.steps[-1], delta=value)
+    steps = segment.steps
+    return _measurement(
+        delta_map(cfg, table), cfg.dimension, config, offset, steps[0], steps[-1], steps[1:]
+    )
 
 
 def measure(
@@ -58,12 +73,13 @@ def measure(
 
     Raises :class:`SchemaError` when the trace is not a valid walk.
     """
-    segments = split_trace(cfg, trace)
+    marks = point_indices(cfg, trace)
     # Checks the pair even when the trace has no segment to measure.
-    delta_map(cfg, table)
+    deltas = delta_map(cfg, table)
+    steps, dim = trace.steps, cfg.dimension
     return [
-        measure_segment(cfg, table, config, segment, offset=offset)
-        for segment in segments
+        _measurement(deltas, dim, config, offset, steps[a], steps[b], steps[a + 1 : b + 1])
+        for a, b in zip(marks, marks[1:])
     ]
 
 

@@ -27,11 +27,9 @@ def vsub(a: Vec, b: Vec) -> Vec:
 
 
 def vsum(vectors: Iterable[Vec], dim: int) -> Vec:
-    acc = [0] * dim
-    for v in vectors:
-        for i, x in enumerate(v):
-            acc[i] += x
-    return tuple(acc)
+    """Componentwise sum of ``dim``-dimensional vectors, in one C-level pass
+    per component; no vectors sum to zero."""
+    return tuple(map(sum, zip(*vectors))) or (0,) * dim
 
 
 def is_nonneg(a: Vec) -> bool:

@@ -49,8 +49,11 @@ from .expand import CallStack
 from .vectors import Vec, is_nonneg, vsub
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VerificationResult:
+    """One decided segment.  A plain slotted record: one is built per
+    measurement, and nothing hashes it."""
+
     verdict: str  # "accepted" | "rejected"
     reason: str | None = None
     accepting: tuple[str, ...] = ()

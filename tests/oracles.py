@@ -2,11 +2,14 @@
 
 Nothing here shares machinery with the package: the cone oracle is plain
 bounded enumeration, delta tallies are per-instruction loops, simple
-cycles come from trying every node sequence, and segment candidates from
-recursion over every simple path.
+cycles come from trying every node sequence, segment candidates from
+recursion over every simple path, and the trace check tests one step at
+a time.
 """
 
 from itertools import permutations
+
+from flowattest.errors import SchemaError, UnknownBlockError
 
 
 def cone_member_bruteforce(target, generators):
@@ -186,3 +189,27 @@ def segment_candidates_bruteforce(cfg, table, graph):
         if point(node):
             walk([node])
     return found, paths
+
+
+def validate_trace_per_step(cfg, trace):
+    """The trace check one step at a time, from the block records and the
+    edge list: an empty trace and the first unknown id raise, in the
+    package's words; then the endpoints, every step's instruction count
+    and every adjacent pair are tested."""
+    steps = trace.steps
+    if not steps:
+        raise SchemaError("trace is empty")
+    for step in steps:
+        if step not in cfg.blocks:
+            raise UnknownBlockError(f"trace references unknown block '{step}'")
+    for end in (steps[0], steps[-1]):
+        if not cfg.blocks[end].is_measurement_point:
+            return False
+    for step in steps:
+        if cfg.blocks[step].instruction_count == 0:
+            return False
+    edges = {(edge.src, edge.dst) for edge in cfg.edges}
+    for i in range(len(steps) - 1):
+        if (steps[i], steps[i + 1]) not in edges:
+            return False
+    return True

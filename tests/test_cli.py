@@ -165,8 +165,12 @@ def test_malformed_protocol_scenario_is_a_usage_error(capsys, tmp_path):
         (["--explore", "--db", "missing.json", "--measurements", "missing.json"],
          "need --scenario"),
         ([], "one of the arguments --scenario --explore is required"),
+        (["--scenario", "{scenario}", "--depth", "3"], "protocol --depth needs --explore"),
     ],
-    ids=["db-alone", "measurements-alone", "scenario-and-explore", "explore-with-db", "neither"],
+    ids=[
+        "db-alone", "measurements-alone", "scenario-and-explore", "explore-with-db", "neither",
+        "scenario-with-depth",
+    ],
 )
 def test_protocol_flag_misuse_is_a_usage_error(capsys, tmp_path, given, message):
     # Each of these used to run with a flag silently ignored, or to exit 0.
@@ -178,6 +182,12 @@ def test_protocol_flag_misuse_is_a_usage_error(capsys, tmp_path, given, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err and message in captured.err
+
+
+def test_protocol_explore_depth_defaults_to_ten(capsys):
+    # ``--depth`` has no argparse default, so that a scenario run can refuse it.
+    code, out, _ = run(capsys, "protocol", "--explore", "--format", "json")
+    assert (code, json.loads(out)["depth"]) == (EXIT_OK, 10)
 
 
 def test_verify_no_cache_is_a_usage_error(capsys, chain_paths):
@@ -317,6 +327,22 @@ def test_verify_counters_without_table_is_a_usage_error(capsys, chain_paths):
     assert "--counters needs --table" in capsys.readouterr().err
     code, _, _ = run(capsys, *argv, "--table", table_path)
     assert code == EXIT_OK
+
+
+def test_verify_table_of_other_counters_is_a_usage_error(capsys, chain_paths):
+    # The table used to be read and checked, then ignored unless
+    # ``--counters`` came with it.
+    cfg_path, table_path, tmp = chain_paths
+    db_path, measurements_path = _pipeline(capsys, tmp, cfg_path, table_path, ["A", "B", "C"])
+    doc = json.loads(Path(table_path).read_text())
+    doc["counters"].pop()
+    doc["attribution"] = {m: v[:-1] for m, v in doc["attribution"].items()}
+    shorter = _write(tmp / "shorter_table.json", doc)
+    argv = ["verify", "--db", str(db_path), "--measurements", str(measurements_path)]
+    code, out, err = run(capsys, *argv, "--table", shorter)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "event table and database disagree on the counter list" in err
+    assert run(capsys, *argv, "--table", table_path)[0] == EXIT_OK
 
 
 @pytest.mark.parametrize("entry", ["1", True], ids=["string", "boolean"])
@@ -571,6 +597,31 @@ GOLDEN_VERIFY = {
 }
 GOLDEN_ATTACK_EVAL = "3805d3445a54455ac88ba65205a8318e74fa8ded371193e1dd29918ca4c369b0"
 
+# sha256 of "<exit code>\n<stdout>" of ``simulate --format json`` per demo
+# program and register file, plus one run with a per-snapshot offset.  A
+# change to the replay that moves a segment boundary or a counter value
+# moves a digest.
+GOLDEN_SIMULATE = {
+    ("greeter", "identity"):
+        "7365449fa1770f12cea288c93ef9abe7269126ac78041d58b388dbc7e9f05f8b",
+    ("greeter", "three"):
+        "16c89a13d317e6bac03bd25d0149bc0c662f54bf84f68ec6fc721c3c91667650",
+    ("signer", "identity"):
+        "97b8d1c5a49fb26eaecf6c3489e74f398c7f2dcc7a5f32d017c466093658f126",
+    ("signer", "three"):
+        "ebbb7ad0a31c53c31ac4d325d3af3cfcf8ba6a298dab7b9cd7dd263f6498a9ec",
+    ("signer", "three+offset"):
+        "12fc4f925104b7db869fe439dd64bce064abe1ecb215fda54cb31952b278cda4",
+    ("signer_ecalls", "identity"):
+        "1de451d0307b8741055d8ecc94e5b8bf814b936b28a898ae2046329662228d41",
+    ("signer_ecalls", "three"):
+        "7cf3817ab98142b3981b677884e5e80db62d8edabaa4e3a8416f1caeb1217b24",
+    ("dispatch", "identity"):
+        "71effd93969dc7013edac0a93704e6f6a27a4fe8d3d64ad5b0c27ca211fad96e",
+    ("dispatch", "three"):
+        "8453e5a0cf2b2b8477cd84812ac20388319c1744b0f9c8a8bc5f272ca6b332c2",
+}
+
 
 def _sha(code, out):
     return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
@@ -616,3 +667,20 @@ def test_attack_eval_output_is_golden(capsys, tmp_path):
     ]
     code, out, _ = run(capsys, "attack-eval", *manifests, "--format", "json", "--reps", "3")
     assert _sha(code, out) == GOLDEN_ATTACK_EVAL
+
+
+def test_simulate_output_is_golden(capsys, tmp_path):
+    table = str(tmp_path / "table.json")
+    digests = {}
+    for stem in _golden_demos(capsys, tmp_path):
+        argv = [
+            "simulate", "--cfg", str(tmp_path / f"{stem}.json"), "--table", table,
+            "--trace", str(tmp_path / f"{stem}_trace.json"), "--format", "json",
+        ]
+        for registers, counters in (("identity", []), ("three", ["--counters", THREE_REGISTERS])):
+            code, out, _ = run(capsys, *argv, *counters)
+            digests[stem, registers] = _sha(code, out)
+        if stem == "signer":
+            code, out, _ = run(capsys, *argv, "--counters", THREE_REGISTERS, "--offset", "3,0,1")
+            digests[stem, "three+offset"] = _sha(code, out)
+    assert digests == GOLDEN_SIMULATE

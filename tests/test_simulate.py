@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
-from flowattest.cfg import BlockTrace, load_cfg, split_trace, validate_trace
-from flowattest.errors import WalkError
-from flowattest.events import delta_map
+from flowattest.cfg import BlockTrace, load_cfg, serialize_cfg, split_trace, validate_trace
+from flowattest.demos import signer_cfg, signer_trace
+from flowattest.errors import FlowAttestError, UnknownBlockError, WalkError
+from flowattest.events import default_event_table, delta_map, make_config, three_register_config
 from flowattest.simulate import measure, measure_segment, random_valid_walk
 from flowattest.vectors import vadd, vsub, vsum
 
 from .conftest import LOOP1, straight_line_doc, two_loop_chain_doc
+from .oracles import validate_trace_per_step
 from .randcfg import random_cfg_and_table
 
 
@@ -109,3 +113,95 @@ def test_measure_segment_handles_invalid_sequences(tiny_table):
     m = measure_segment(cfg, tiny_table, None, broken)
     deltas = delta_map(cfg, tiny_table)
     assert m.delta == vadd(deltas["D"], deltas["C"])
+
+
+def _with_zero_block(cfg, a, b):
+    """``cfg`` plus a zero-instruction block ``zero`` on a detour from
+    ``a`` to ``b``, two blocks of one function."""
+    doc = serialize_cfg(cfg)
+    function = cfg.blocks[a].function
+    doc["blocks"].append(
+        {"id": "zero", "function": function, "instruction_count": 0,
+         "is_measurement_point": False, "instructions": []}
+    )
+    for info in doc["functions"]:
+        if info["name"] == function:
+            info["blocks"].append("zero")
+    doc["edges"] += [
+        {"from": a, "to": "zero", "kind": "fallthrough"},
+        {"from": "zero", "to": b, "kind": "fallthrough"},
+    ]
+    return load_cfg(doc)
+
+
+def _outcome(check, cfg, steps):
+    try:
+        return check(cfg, BlockTrace(tuple(steps)))
+    except FlowAttestError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_measure_is_per_segment(cfg, table, trace, configs):
+    for config in configs:
+        dim = table.dimension if config is None else config.dimension
+        for offset in (None, tuple(range(1, dim + 1))):
+            assert measure(cfg, table, config, trace, offset=offset) == [
+                measure_segment(cfg, table, config, segment, offset=offset)
+                for segment in split_trace(cfg, trace)
+            ]
+
+
+def test_trace_check_matches_per_step_oracle():
+    """The set-based trace check agrees with a per-step one, in verdict,
+    exception type and message, on random programs' walks and corrupted
+    copies of them: an empty trace, unknown ids, a zero-instruction block,
+    a pair that is no edge, and endpoints that are no measurement point.
+    ``measure`` equals measuring ``split_trace``'s segments one by one,
+    under the identity file, a composite file and an offset."""
+    zero_cases = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        cfg, table = random_cfg_and_table(seed, max_blocks=30)
+        steps = random_valid_walk(cfg, seed, max_segments=3).steps
+        n = len(steps)
+        first, later = sorted(rng.randrange(n) for _ in range(2))
+        unknown = list(steps)
+        unknown[later] = "ghost.late"
+        unknown[first] = "ghost.first"
+        i = rng.randrange(n - 1)
+        cases = [
+            (cfg, ()),
+            (cfg, steps),
+            (cfg, unknown),
+            (cfg, steps[: i + 1] + steps[i:]),
+            (cfg, steps[:i] + (rng.choice(sorted(cfg.blocks)),) + steps[i + 1 :]),
+            (cfg, steps[1:]),
+            (cfg, steps[:-1]),
+            *((cfg, steps + (edge.dst,)) for edge in cfg.succ[steps[-1]]),
+        ]
+        inner = [
+            j for j in range(n - 1)
+            if cfg.blocks[steps[j]].function == cfg.blocks[steps[j + 1]].function
+        ]
+        if inner:
+            j = rng.choice(inner)
+            zeroed = _with_zero_block(cfg, steps[j], steps[j + 1])
+            detour = steps[: j + 1] + ("zero",) + steps[j + 1 :]
+            assert validate_trace(zeroed, BlockTrace(steps))
+            assert not validate_trace(zeroed, BlockTrace(detour))
+            cases += [(zeroed, steps), (zeroed, detour)]
+            zero_cases += 1
+        for graph, trace in cases:
+            expected = _outcome(validate_trace_per_step, graph, trace)
+            assert _outcome(validate_trace, graph, trace) == expected, (seed, trace)
+        assert _outcome(validate_trace, cfg, unknown) == (
+            UnknownBlockError, "trace references unknown block 'ghost.first'"
+        )
+        names = table.counter_names
+        configs = (None, make_config(table, [names[:1], names[1:]]))
+        _assert_measure_is_per_segment(cfg, table, BlockTrace(steps), configs)
+    assert zero_cases > 20
+    table = default_event_table()
+    cfg = load_cfg(signer_cfg(True))
+    trace = BlockTrace(tuple(signer_trace(6, 25, True)))
+    _assert_measure_is_per_segment(cfg, table, trace, (None, three_register_config(table)))

@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps layer functions by name; each must exist."""
 
+import dataclasses
 import importlib
 import importlib.util
 from collections import Counter
@@ -8,7 +9,7 @@ from pathlib import Path
 from flowattest import attacks, cli, demos, verify
 from flowattest.cfg import BlockTrace, load_cfg
 from flowattest.database import enumerate_segments
-from flowattest.events import default_event_table
+from flowattest.events import default_event_table, delta_map
 from flowattest.simulate import measure
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -71,3 +72,32 @@ def test_count_hooks_read_what_the_layers_return(tmp_path):
     # Every cone test of these runs is decided without the simplex, so the
     # sum is 0; the key shows that the hook ran on each solution.
     assert "cone.lp_solves" in tracer.counts
+
+
+def test_measure_checks_once_and_sums_once_per_segment():
+    """One ``measure`` of the in-loop signer demo trace is one trace check
+    and one vector sum per segment, as the replay workload's per-layer
+    counts read it; ``measure_segment`` is not called."""
+    table = default_event_table()
+    cfg = load_cfg(demos.signer_cfg(True))
+    trace = BlockTrace(tuple(demos.signer_trace(12, 25, True)))
+    delta_map(cfg, table)  # resolved before, as in a warm round
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        measurements = measure(cfg, table, None, trace)
+    finally:
+        tracer.uninstall()
+    spans = Counter(tracer.names[n] for n in tracer.name)
+    assert len(measurements) > 1
+    assert spans["cfg.validate_trace"] == 1
+    assert spans["vectors.vsum"] == len(measurements)
+    assert spans["simulate.measure_segment"] == 0
+
+
+def test_verification_result_supports_replace():
+    """The benchmark's self-test corrupts results with ``dataclasses.replace``."""
+    result = verify.VerificationResult("accepted", accepting=("a",), witness=(1, 0))
+    changed = dataclasses.replace(result, verdict="rejected", witness=None, accepting=())
+    assert (changed.verdict, changed.witness, changed.accepting) == ("rejected", None, ())
+    assert result.verdict == "accepted"
