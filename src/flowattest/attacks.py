@@ -15,11 +15,17 @@ the requested repetitions, all of them are used.  The blocks an edit may
 draw from are listed once per evaluation, and each edit site's blocks
 that would still make a valid step are listed once per site.
 
-Each mutant is a probe that asks the verifier for its verdict alone
-(:func:`flowattest.verify.accepts`, which walks a session's candidate
-loop but stops at the first accepting candidate), from the feasible call
-stacks the segment starts from in the valid run.  Only the valid run
-itself goes through a full session.
+Each mutant is a probe that asks the verifier for its verdict alone, from
+the feasible call stacks the segment starts from in the valid run.  A
+verdict depends only on the segment's endpoints, those stacks and the
+mutant's delta, so :func:`evaluate` builds one
+:func:`flowattest.verify.prober` per segment class (endpoints and feasible
+stacks), which resolves the candidates once and stops at the first
+accepting one, and keeps one table of verdicts per prober, by delta.  Both
+live only for one call.  Only the valid run itself goes through a full
+session.  Block deltas come from :func:`flowattest.events.delta_map`,
+projected through the register file once per program and file, and a
+mutation seeds a random generator only where it draws.
 
 Reliability is "fraction of mutants the verifier rejects", summarized two
 ways: ``metric_uniform`` averages per-segment rates evenly and
@@ -38,10 +44,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import lcm
 
 from .cfg import (
@@ -52,13 +58,13 @@ from .cfg import (
     split_trace,
     validate_trace,
 )
-from .database import DedupKey, SegmentDatabase, dedup_key
+from .database import SegmentDatabase
 from .errors import FlowAttestError, SchemaError
-from .events import CounterConfig, EventTable, delta_map, project
+from .events import CounterConfig, EventTable, delta_map
 from .expand import CallStack
 from .simulate import measure_segment
 from .vectors import Vec, vadd, vsub, vsum
-from .verify import SessionState, accepts, verify_segment
+from .verify import SessionState, prober, verify_segment
 
 MUTATION_KINDS = (
     "replace_block",
@@ -99,10 +105,11 @@ class MutationSpec:
         return self.repetitions if self.repetitions is not None else _DEFAULT_REPS[self.kind]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Mutant:
     """The measurement a mutant shows the verifier and, for block-level
-    kinds, the edited block sequence that produces it."""
+    kinds, the edited block sequence that produces it.  A plain slotted
+    record: many are built per evaluation, and nothing hashes one."""
 
     measurement: Measurement
     steps: tuple[str, ...] | None = None
@@ -250,7 +257,6 @@ def mutate(
     segment admits no applicable mutation.  Raises :class:`SchemaError`
     when a block-level kind is given an invalid segment.
     """
-    rng = random.Random(spec.seed)
     reps = spec.reps
     if spec.kind == "random_change":
         if measurement is None:
@@ -263,16 +269,11 @@ def mutate(
         if space <= 0:
             return []
         if space <= reps:
-            perturbations = []
-            def enumerate_all(prefix, idx):
-                if idx == len(bounds):
-                    if any(prefix):
-                        perturbations.append(tuple(prefix))
-                    return
-                for u in range(-bounds[idx], bounds[idx] + 1):
-                    enumerate_all(prefix + [u], idx + 1)
-            enumerate_all([], 0)
+            # Every nonzero perturbation, the last counter varying fastest.
+            ranges = (range(-b, b + 1) for b in bounds)
+            perturbations = [u for u in product(*ranges) if any(u)]
         else:
+            rng = random.Random(spec.seed)
             seen: set[tuple[int, ...]] = set()
             perturbations = []
             while len(perturbations) < reps:
@@ -293,11 +294,12 @@ def mutate(
         delta = vsum((deltas[s] for s in steps[1:]), len(deltas[steps[0]]))
         measurement = Measurement(start=steps[0], end=steps[-1], delta=delta)
     # Draw edit indices first (``random.sample`` reads only the population's
-    # length) and build the edited steps of the drawn edits alone.
+    # length) and build the edited steps of the drawn edits alone.  A
+    # generator is seeded only where a draw is made.
     sites = list(_breaking_edits(cfg, steps, spec.kind, pool))
     ends = list(accumulate(len(site[3]) for site in sites))
     total = ends[-1] if ends else 0
-    picks = rng.sample(range(total), reps) if total > reps else range(total)
+    picks = random.Random(spec.seed).sample(range(total), reps) if total > reps else range(total)
     mutants = []
     for pick in picks:
         index = bisect_right(ends, pick)
@@ -373,45 +375,59 @@ def evaluate(
     *,
     config: CounterConfig | None = None,
 ) -> dict[str, ReliabilityReport]:
-    """Run every mutation experiment over every segment of a valid trace."""
+    """Run every mutation experiment over every segment of a valid trace.
+
+    Returns one report per spec, by kind; two specs of one kind raise
+    :class:`SchemaError` before any work starts.
+    """
+    kinds: set[str] = set()
+    for spec in specs:
+        if spec.kind in kinds:
+            raise SchemaError(f"mutation kind '{spec.kind}' is given twice")
+        kinds.add(spec.kind)
     classes = _segment_classes(cfg, db, table, trace, config)
-    deltas = delta_map(cfg, table)
-    if config is not None:
-        deltas = {bid: project(config, v) for bid, v in deltas.items()}
+    deltas = delta_map(cfg, table, config)
     block_pool = _block_pool(cfg)
     unique_pool = _unique_delta_blocks(cfg, deltas)
-    # A probe needs only the verdict, so it asks ``accepts``, which stops
-    # at the first accepting candidate.  Distinct mutants frequently
-    # produce identical observations (removing any one of many equal-delta
-    # blocks, say), so verdicts are cached by dedup key; the key covers
-    # endpoints, values, and feasible stacks, which decide the verdict.
-    verdicts: dict[DedupKey, bool] = {}
+    # A probe needs only the verdict.  The verdict of a delta depends only
+    # on the segment's endpoints and feasible entry stacks, so segment
+    # classes that share them share one prober, built once, and one table
+    # of verdicts: distinct mutants frequently produce identical deltas
+    # (removing any one of many equal-delta blocks, say).  Both live only
+    # for this call.
+    shared: dict[tuple, tuple[Callable[[Vec], bool], dict[Vec, bool]]] = {}
+    probes = []
+    for cls in classes:
+        m = cls.measurement
+        key = (m.start, m.end, cls.feasible)
+        if key not in shared:
+            shared[key] = (prober(db, m.start, m.end, cls.feasible, config=config), {})
+        probes.append(shared[key])
     reports: dict[str, ReliabilityReport] = {}
     for spec in specs:
         pool = unique_pool if spec.kind in _UNIQUE_KINDS else block_pool
         outcomes: list[SegmentOutcome] = []
-        for cls in classes:
+        for cls, (probe, verdicts) in zip(classes, probes):
             mutants = mutate(cfg, deltas, cls.segment, spec, pool, measurement=cls.measurement)
-            outcome = SegmentOutcome(
-                first_index=cls.first_index,
-                frequency=cls.frequency,
-                instruction_count=cls.instruction_count,
-                attempted=len(mutants),
-                detected=0,
+            detected = 0
+            for mutant in mutants:
+                delta = mutant.measurement.delta
+                verdict = verdicts.get(delta)
+                if verdict is None:
+                    verdict = verdicts[delta] = probe(delta)
+                if not verdict:
+                    detected += 1
+            outcomes.append(
+                SegmentOutcome(
+                    first_index=cls.first_index,
+                    frequency=cls.frequency,
+                    instruction_count=cls.instruction_count,
+                    attempted=len(mutants),
+                    detected=detected,
+                    excluded=not mutants,
+                    exclusion_reason=None if mutants else "no applicable mutation",
+                )
             )
-            if not mutants:
-                outcome.excluded = True
-                outcome.exclusion_reason = "no applicable mutation"
-            else:
-                for mutant in mutants:
-                    m = mutant.measurement
-                    key = dedup_key(m.start, m.end, m.delta, cls.feasible)
-                    verdict = verdicts.get(key)
-                    if verdict is None:
-                        verdict = verdicts[key] = accepts(db, m, cls.feasible, config=config)
-                    if not verdict:
-                        outcome.detected += 1
-            outcomes.append(outcome)
         uniform, weighted = combine_rates(outcomes)
         reports[spec.kind] = ReliabilityReport(
             kind=spec.kind,

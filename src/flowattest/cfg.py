@@ -109,9 +109,10 @@ class AnnotatedCfg:
     points: frozenset[str] = frozenset()  # the measurement points
     zero_blocks: frozenset[str] = frozenset()  # blocks of zero instructions
     digest: str = ""
-    # Memo of events.delta_map: id(table) -> (table, read-only deltas).  The
-    # entry holds the table so that its id cannot be reused by another one.
-    _deltas: dict[int, tuple[object, Mapping[str, Vec]]] = field(
+    # Memo of events.delta_map: id(table) -> (table, read-only deltas, {config:
+    # read-only projected deltas}).  The entry holds the table so that its id
+    # cannot be reused by another one.
+    _deltas: dict[int, tuple[object, Mapping[str, Vec], dict]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

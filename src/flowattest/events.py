@@ -138,22 +138,38 @@ def block_delta(table: EventTable, block: BasicBlock) -> Vec:
     return delta
 
 
-def delta_map(cfg: AnnotatedCfg, table: EventTable) -> Mapping[str, Vec]:
-    """Resolve every block to its counter delta under the given table.
+def delta_map(
+    cfg: AnnotatedCfg, table: EventTable, config: CounterConfig | None = None
+) -> Mapping[str, Vec]:
+    """Resolve every block to its counter delta under the given table, and,
+    given a register file ``config``, projected through it.
 
     Validates in one pass that the CFG and table agree on the counter list,
     that all mnemonics are known, that any stored deltas are consistent,
     and that each delta's instructions-retired component matches the
-    block's instruction count.
+    block's instruction count.  A config built for another number of
+    counters raises :class:`SchemaError`, as :func:`project` does.
 
     The result is memoized on the CFG per table object (by identity, so a
-    value-equal table is resolved on its own) and returned as a read-only
-    mapping shared by every caller.  A call that raises caches nothing, so
-    every call with the same bad pair raises again.
+    value-equal table is resolved on its own) and, within it, per config
+    (by value), and returned as a read-only mapping shared by every
+    caller.  Projection is linear, so a sum of projected deltas is the
+    projection of the sum.  A call that raises caches nothing, so every
+    call with the same bad pair or config raises again.
     """
     cached = cfg._deltas.get(id(table))
-    if cached is not None:
+    if cached is None:
+        cached = cfg._deltas[id(table)] = (table, _resolve_deltas(cfg, table), {})
+    if config is None:
         return cached[1]
+    projected = cached[2].get(config)
+    if projected is None:
+        projected = MappingProxyType({bid: project(config, v) for bid, v in cached[1].items()})
+        cached[2][config] = projected
+    return projected
+
+
+def _resolve_deltas(cfg: AnnotatedCfg, table: EventTable) -> Mapping[str, Vec]:
     if cfg.counters != table.counter_names:
         raise SchemaError(
             "CFG and event table disagree on the counter list: "
@@ -169,9 +185,7 @@ def delta_map(cfg: AnnotatedCfg, table: EventTable) -> Mapping[str, Vec]:
                 f"instructions but instruction_count is {block.instruction_count}"
             )
         result[bid] = delta
-    deltas = MappingProxyType(result)
-    cfg._deltas[id(table)] = (table, deltas)
-    return deltas
+    return MappingProxyType(result)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ the same constant.
 :func:`measure` checks the trace once, finds its measurement points in one
 pass, and sums each segment's block deltas straight from the trace's steps,
 with no intermediate segment objects; :func:`measure_segment` measures one
-block sequence through the same summing code.
+block sequence through the same summing code.  Both sum block deltas
+already projected through the register file (:func:`delta_map` projects
+each block once per file); projection is linear, so this equals projecting
+each segment's full-width sum.
 """
 
 from __future__ import annotations
@@ -24,21 +27,25 @@ from collections import Counter
 
 from .cfg import AnnotatedCfg, BlockTrace, Measurement, point_indices, validate_trace
 from .errors import WalkError
-from .events import CounterConfig, EventTable, delta_map, project
+from .events import CounterConfig, EventTable, delta_map
 from .expand import ExpandedNode, _successors
 from .vectors import Vec, vadd, vsum
 
 
-def _measurement(
-    deltas, dim: int, config: CounterConfig | None, offset: Vec | None, start: str, end: str, body
-) -> Measurement:
+def _measurement(deltas, dim: int, offset: Vec | None, start: str, end: str, body) -> Measurement:
     """The measurement of a segment from ``start`` to ``end`` whose steps
-    after the starting snapshot are ``body``."""
-    raw = vsum(map(deltas.__getitem__, body), dim)
-    value = project(config, raw) if config is not None else raw
+    after the starting snapshot are ``body``, summed from ``deltas``, the
+    ``dim``-dimensional block deltas of the register file in use."""
+    value = vsum(map(deltas.__getitem__, body), dim)
     if offset is not None:
         value = vadd(value, offset)
     return Measurement(start=start, end=end, delta=value)
+
+
+def _deltas(cfg: AnnotatedCfg, table: EventTable, config: CounterConfig | None):
+    """The block deltas measured through ``config`` and their dimension."""
+    dim = config.dimension if config is not None else cfg.dimension
+    return delta_map(cfg, table, config), dim
 
 
 def measure_segment(
@@ -52,13 +59,13 @@ def measure_segment(
     """One measurement for a block sequence running between two snapshots.
 
     Block deltas come from :func:`delta_map`, which resolves each (CFG,
-    table) pair once.  Unlike :func:`measure` this does not check that the
-    sequence is a valid walk, so it also measures deliberately broken ones.
+    table) pair and projects it through each register file once.  Unlike
+    :func:`measure` this does not check that the sequence is a valid walk,
+    so it also measures deliberately broken ones.
     """
+    deltas, dim = _deltas(cfg, table, config)
     steps = segment.steps
-    return _measurement(
-        delta_map(cfg, table), cfg.dimension, config, offset, steps[0], steps[-1], steps[1:]
-    )
+    return _measurement(deltas, dim, offset, steps[0], steps[-1], steps[1:])
 
 
 def measure(
@@ -74,11 +81,12 @@ def measure(
     Raises :class:`SchemaError` when the trace is not a valid walk.
     """
     marks = point_indices(cfg, trace)
-    # Checks the pair even when the trace has no segment to measure.
-    deltas = delta_map(cfg, table)
-    steps, dim = trace.steps, cfg.dimension
+    # Checks the pair and the config even when the trace has no segment to
+    # measure.
+    deltas, dim = _deltas(cfg, table, config)
+    steps = trace.steps
     return [
-        _measurement(deltas, dim, config, offset, steps[a], steps[b], steps[a + 1 : b + 1])
+        _measurement(deltas, dim, offset, steps[a], steps[b], steps[a + 1 : b + 1])
         for a, b in zip(marks, marks[1:])
     ]
 

@@ -14,12 +14,16 @@ with its accepting candidates, witness and feasible-set update; a repeat
 is answered from there with exactly what deciding it again would give.  A
 rejection is never stored: nothing can follow it in its session.
 
-:func:`accepts` is the verdict alone, for probes such as the attack
-harness's mutants: given a measurement and the feasible entry stacks it is
-checked against, it stops at the first accepting candidate and keeps no
-session, result or cache.  Both it and :func:`verify_segment` walk a
-segment's candidates through one loop, :func:`_trials`, after the same
-checks and skip rule.
+:func:`prober` is the verdict alone, for probes such as the attack
+harness's mutants: built once for a segment's endpoints and the feasible
+entry stacks it is checked against, it resolves the skip rule, the
+projected candidates and the feasible-stack filter up front, so each delta
+it is asked about costs one vector subtraction, a sign test and a cone
+lookup per candidate until the first accepting one; it keeps no session,
+result or cache.  :func:`accepts` is one probe of one measurement.  Both
+the prober and :func:`verify_segment` take a segment's candidates from one
+selection, :func:`_feasible_candidates`, after the same config and
+dimension checks and skip rule.
 
 Each candidate's base and loop vectors are projected through the register
 file once per database and file: the database memoizes, per
@@ -38,6 +42,7 @@ it, and is invisible to the database's equality and serialization.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .cfg import Measurement
@@ -93,15 +98,11 @@ def _check_config(db: SegmentDatabase, config: CounterConfig | None) -> None:
         )
 
 
-def _skipped(db: SegmentDatabase, config: CounterConfig | None, m: Measurement) -> bool:
-    """Check ``m``'s dimension against the register file; True when its
-    segment is a skip segment, which accepts any delta."""
-    expected = config.dimension if config is not None else db.dimension
-    if len(m.delta) != expected:
+def _check_dimension(delta: Vec, expected: int) -> None:
+    if len(delta) != expected:
         raise SchemaError(
-            f"measurement delta has dimension {len(m.delta)}, session expects {expected}"
+            f"measurement delta has dimension {len(delta)}, session expects {expected}"
         )
-    return (m.start, m.end) in db.skip_segments
 
 
 def _project_candidate(config: CounterConfig | None, cand: PathCandidate):
@@ -120,12 +121,12 @@ def _project_candidate(config: CounterConfig | None, cand: PathCandidate):
     return base, generators, tuple(owner.values()), reach
 
 
-def _trials(db: SegmentDatabase, config: CounterConfig | None, key, delta, feasible):
-    """The one loop over a segment's candidates.  For each candidate of
-    ``key`` whose entry stack is in ``feasible`` (None: any), in database
-    order: (index, candidate, witness remap, cone solution of ``delta`` minus
-    the projected base), the solution None when that residual has a negative
-    component.  A segment the database never connected has no candidates."""
+def _feasible_candidates(db: SegmentDatabase, config: CounterConfig | None, key, feasible):
+    """The one candidate selection: each candidate of ``key`` whose entry
+    stack is in ``feasible`` (None: any), in database order, as (index,
+    candidate, its projection under ``config``), the projection being
+    ``_project_candidate``'s, memoized on the database.  A segment the
+    database never connected has no candidates."""
     candidates = db.entries.get(key)
     if not candidates:
         return
@@ -133,11 +134,9 @@ def _trials(db: SegmentDatabase, config: CounterConfig | None, key, delta, feasi
     projected = per_key.get(key)
     if projected is None:
         projected = per_key[key] = tuple(_project_candidate(config, c) for c in candidates)
-    for index, (cand, (base, generators, owner, reach)) in enumerate(zip(candidates, projected)):
+    for index, (cand, proj) in enumerate(zip(candidates, projected)):
         if feasible is None or cand.start.stack in feasible:
-            target = vsub(delta, base)
-            solution = solve_cone(target, generators, reach) if is_nonneg(target) else None
-            yield index, cand, owner, solution
+            yield index, cand, proj
 
 
 def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
@@ -145,10 +144,11 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
     if state.rejected:
         raise RuntimeError("session is already rejected; state is frozen")
     started = time.perf_counter()
-    db = state.db
+    db, config = state.db, state.config
     key = (m.start, m.end)
+    _check_dimension(m.delta, config.dimension if config is not None else db.dimension)
 
-    if _skipped(db, state.config, m):
+    if key in db.skip_segments:
         # Recursion workaround regions verify vacuously; the feasible set
         # becomes whatever the candidates say, or unconstrained if the
         # database never connected the pair.
@@ -179,10 +179,14 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
     accepting = []
     exits: set[CallStack] = set()
     witness: tuple[int, ...] | None = None
-    for index, cand, owner, solution in _trials(db, state.config, key, m.delta, state.feasible):
+    for index, cand, (base, generators, owner, reach) in _feasible_candidates(
+        db, config, key, state.feasible
+    ):
         tried += 1
-        if solution is None:
+        target = vsub(m.delta, base)
+        if not is_nonneg(target):
             continue
+        solution = solve_cone(target, generators, reach)
         solver_calls += 1
         solver_nodes += solution.lp_solves
         if solution.witness is None:
@@ -221,6 +225,51 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
     )
 
 
+def prober(
+    db: SegmentDatabase,
+    start: str,
+    end: str,
+    feasible: frozenset[CallStack] | None,
+    *,
+    config: CounterConfig | None = None,
+) -> Callable[[Vec], bool]:
+    """The verdict alone, for many deltas of one segment: a function that
+    tells whether a session whose feasible entry stacks are ``feasible``
+    would accept the measurement ``start`` -> ``end`` with a given delta.
+
+    Exactly ``verify_segment``'s verdict, from the same candidate selection,
+    but the config check, the skip test, the projection lookup and the
+    feasible-stack filter are done once, here, and each call stops at the
+    first accepting candidate and keeps no session, result or cache: a probe
+    that only counts rejections needs neither the accepting set nor the
+    feasible-set update.  A skipped segment accepts every delta, an unknown
+    one rejects every delta, and a delta of the wrong dimension raises
+    :class:`SchemaError`.
+    """
+    _check_config(db, config)
+    expected = config.dimension if config is not None else db.dimension
+    key = (start, end)
+    skipped = key in db.skip_segments
+    trials = [] if skipped else [
+        (base, generators, reach)
+        for _, _, (base, generators, _, reach) in _feasible_candidates(db, config, key, feasible)
+    ]
+
+    def probe(delta: Vec) -> bool:
+        _check_dimension(delta, expected)
+        if skipped:
+            return True
+        for base, generators, reach in trials:
+            # The nonnegativity test spares the solver every residual that
+            # no cone point can reach.
+            target = vsub(delta, base)
+            if is_nonneg(target) and solve_cone(target, generators, reach).witness is not None:
+                return True
+        return False
+
+    return probe
+
+
 def accepts(
     db: SegmentDatabase,
     m: Measurement,
@@ -228,23 +277,9 @@ def accepts(
     *,
     config: CounterConfig | None = None,
 ) -> bool:
-    """The verdict alone: whether a session whose feasible entry stacks are
-    ``feasible`` would accept ``m``.
-
-    Exactly ``verify_segment``'s verdict, from the same candidate loop, but
-    it stops at the first accepting candidate and keeps no session, result
-    or cache: a probe that only counts rejections needs neither the
-    accepting set nor the feasible-set update.  A skipped segment accepts,
-    an unknown one rejects, and a delta of the wrong dimension raises
-    :class:`SchemaError`.
-    """
-    _check_config(db, config)
-    if _skipped(db, config, m):
-        return True
-    for _, _, _, solution in _trials(db, config, (m.start, m.end), m.delta, feasible):
-        if solution is not None and solution.witness is not None:
-            return True
-    return False
+    """Whether a session whose feasible entry stacks are ``feasible`` would
+    accept ``m``: :func:`prober`'s verdict on one measurement."""
+    return prober(db, m.start, m.end, feasible, config=config)(m.delta)
 
 
 @dataclass

@@ -29,7 +29,8 @@ from flowattest.events import (
     three_register_config,
 )
 from flowattest.simulate import measure, measure_segment, random_valid_walk
-from flowattest.verify import SessionState, accepts, verify_segment
+from flowattest import attacks, verify
+from flowattest.verify import SessionState, accepts, prober, verify_segment
 
 from .conftest import (
     TINY_COUNTERS,
@@ -136,6 +137,25 @@ def test_random_change_enumerates_small_spaces():
     assert len(mutants) == 2  # perturbations (-1,0) and (+1,0)
 
 
+def test_random_change_enumerates_in_counter_order():
+    """A space no larger than the repetitions is listed whole, first counter
+    slowest, the zero perturbation left out."""
+    m = Measurement("a", "b", (10, 20))  # bounds 1 and 2: 3 * 5 - 1 perturbations
+    expected = [
+        (9, 18), (9, 19), (9, 20), (9, 21), (9, 22),
+        (10, 18), (10, 19), (10, 21), (10, 22),
+        (11, 18), (11, 19), (11, 20), (11, 21), (11, 22),
+    ]
+    for reps in (14, 1000):
+        spec = MutationSpec(kind="random_change", repetitions=reps, seed=3)
+        mutants = mutate(None, None, None, spec, [], measurement=m)
+        assert [mutant.measurement.delta for mutant in mutants] == expected
+        assert all((mu.measurement.start, mu.measurement.end) == ("a", "b") for mu in mutants)
+    spec = MutationSpec(kind="random_change", repetitions=13, seed=3)
+    drawn = [mu.measurement.delta for mu in mutate(None, None, None, spec, [], measurement=m)]
+    assert len(drawn) == 13 and set(drawn) < set(expected)
+
+
 def test_random_change_with_tiny_values_is_inapplicable():
     m = Measurement("a", "b", (5, 3))
     assert mutate(None, None, None, MutationSpec(kind="random_change"), [], measurement=m) == []
@@ -240,6 +260,97 @@ def test_excluded_segments_leave_the_average():
 def test_unknown_kind_rejected():
     with pytest.raises(SchemaError):
         MutationSpec(kind="scramble")
+
+
+def test_repeated_mutation_kind_is_a_schema_error(monkeypatch, tiny_table):
+    """Each kind has one report, so two specs of one kind are refused before
+    any segment is replayed or mutated."""
+    cfg = load_cfg(_long_chain_doc(4))
+    db = enumerate_segments(cfg, tiny_table)
+    trace = BlockTrace(tuple(b["id"] for b in _long_chain_doc(4)["blocks"]))
+    specs = [MutationSpec("remove_block", 3, 1), MutationSpec("random_change"),
+             MutationSpec("remove_block", 5, 2)]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(attacks, "mutate", no_work)
+    monkeypatch.setattr(attacks, "_segment_classes", no_work)
+    with pytest.raises(SchemaError, match="mutation kind 'remove_block' is given twice"):
+        evaluate(cfg, db, tiny_table, trace, specs)
+
+
+def test_probe_verdicts_are_call_local(monkeypatch):
+    """A verdict lives for one ``evaluate`` call: a second identical call on
+    the same database makes as many cone tests as the first, and within a
+    call each (segment, feasible stacks, delta) is decided at most once."""
+    table = default_event_table()
+    cfg = load_cfg(signer_cfg(False))
+    db = enumerate_segments(cfg, table)
+    trace = BlockTrace(tuple(signer_trace(8, 25, False)))
+    specs = default_specs(seed=7, repetitions=30)
+    solves = Counter()
+    decided = Counter()
+    solve_cone, make_prober = verify.solve_cone, attacks.prober
+
+    def counting_solve(*args):
+        solves["calls"] += 1
+        return solve_cone(*args)
+
+    def recording_prober(db, start, end, feasible, **kwargs):
+        probe = make_prober(db, start, end, feasible, **kwargs)
+
+        def recorded(delta):
+            decided[start, end, feasible, delta] += 1
+            return probe(delta)
+
+        return recorded
+
+    monkeypatch.setattr(verify, "solve_cone", counting_solve)
+    monkeypatch.setattr(attacks, "prober", recording_prober)
+    for config in (three_register_config(table), None):
+        counts, reports = [], []
+        for _ in range(2):
+            solves.clear()
+            decided.clear()
+            reports.append(evaluate(cfg, db, table, trace, specs, config=config))
+            counts.append(solves["calls"])
+            assert decided and max(decided.values()) == 1
+        assert counts[0] == counts[1] > 0
+        assert reports[0] == reports[1]
+
+
+def test_evaluate_counts_each_mutant_by_a_fresh_session():
+    """``evaluate``'s detected count of every segment class and kind is the
+    number of its mutants a fresh session, started from the class's
+    feasible stacks, rejects; segment classes share probers and verdicts
+    only where their endpoints and feasible stacks agree."""
+    checked = 0
+    for seed in range(1, 60):
+        cfg, table = random_cfg_and_table(seed, max_blocks=30)
+        try:
+            trace = random_valid_walk(cfg, seed, max_segments=4)
+        except WalkError:
+            continue
+        db = enumerate_segments(cfg, table)
+        names = table.counter_names
+        specs = default_specs(seed=seed, repetitions=12)
+        for config in (None, make_config(table, [names[:1], names[1:]])):
+            reports = evaluate(cfg, db, table, trace, specs, config=config)
+            deltas = delta_map(cfg, table, config)
+            for cls in attacks._segment_classes(cfg, db, table, trace, config):
+                for spec in specs:
+                    pool = mutation_pool(cfg, deltas, spec.kind)
+                    m = cls.measurement
+                    mutants = mutate(cfg, deltas, cls.segment, spec, pool, measurement=m)
+                    rejected = sum(
+                        not _probe_oracle(db, config, cls.feasible, mutant.measurement)
+                        for mutant in mutants
+                    )
+                    outcome = reports[spec.kind].per_segment[cls.first_index]
+                    assert (outcome.attempted, outcome.detected) == (len(mutants), rejected)
+                    checked += len(mutants)
+    assert checked > 4000, checked
 
 
 def test_signer_evaluation_dedups_repeated_segments():
@@ -405,10 +516,10 @@ def _probe_oracle(db, config, feasible, m):
 
 
 def _check_probes(cfg, db, table, config, measurements, segments, specs, tally):
-    """Every mutant of every segment: ``accepts`` equals a fresh session's
-    verdict, from the feasible stacks the valid run reaches the segment
-    with.  Tallies verdicts and the mutants whose verdict the feasible-stack
-    filter decides."""
+    """Every mutant of every segment: ``accepts`` and the segment's one
+    ``prober`` equal a fresh session's verdict, from the feasible stacks the
+    valid run reaches the segment with.  Tallies verdicts and the mutants
+    whose verdict the feasible-stack filter decides."""
     deltas = delta_map(cfg, table)
     if config is not None:
         deltas = {b: project(config, v) for b, v in deltas.items()}
@@ -420,12 +531,14 @@ def _check_probes(cfg, db, table, config, measurements, segments, specs, tally):
         if (segment.steps, m.delta, feasible) in seen:
             continue
         seen.add((segment.steps, m.delta, feasible))
+        decide = prober(db, m.start, m.end, feasible, config=config)
         for spec in specs:
             pool = mutation_pool(cfg, deltas, spec.kind)
             for mutant in mutate(cfg, deltas, segment, spec, pool, measurement=m):
                 probe = mutant.measurement
                 verdict = accepts(db, probe, feasible, config=config)
                 assert verdict == _probe_oracle(db, config, feasible, probe), (spec, probe)
+                assert decide(probe.delta) == verdict, (spec, probe)
                 tally[spec.kind, verdict] += 1
                 if feasible is not None and verdict != accepts(db, probe, None, config=config):
                     tally["filtered"] += 1

@@ -3,6 +3,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import flowattest.cli
 from flowattest.cli import (
@@ -489,6 +491,53 @@ def test_attack_eval_malformed_manifest_is_a_usage_error(capsys, tmp_path, chang
     code, _, err = run(capsys, "attack-eval", str(manifest_path))
     assert code == EXIT_ERROR
     assert "error:" in err and "manifest" in err
+
+
+# Strings from an alphabet without path separators, so that a string put in
+# a file field (``db`` is written when missing) names a file beside the
+# manifest or the directory itself.
+_FUZZ_TEXT = st.text(alphabet="ab0._- ", max_size=5)
+_FUZZ_KEYS = st.sampled_from(("paths", "cycles", "nodes")) | _FUZZ_TEXT
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | _FUZZ_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_FUZZ_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture
+def fuzz_manifests(capsys, tmp_path):
+    """A greeter manifest and two signer demo manifests, three repetitions
+    each, beside the documents they name."""
+    for name in ("greeter", "signer"):
+        run(capsys, "demo", "--name", name, "--out", str(tmp_path), "--iterations", "2")
+    manifests = {
+        "greeter": {"cfg": "greeter.json", "table": "table.json", "trace": "greeter_trace.json"}
+    }
+    for name in ("basic", "added_ecalls"):
+        manifests[name] = json.loads((tmp_path / f"manifest_{name}.json").read_text())
+    for manifest in manifests.values():
+        manifest["reps"] = 3
+    return tmp_path, manifests
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_attack_eval_fuzzed_manifest_fails_cleanly(capsys, fuzz_manifests, data):
+    """One field of a demo manifest replaced by any JSON value: the run
+    succeeds or fails with a usage, digest or budget error (2, 3, 4), never
+    as a rejection (1) or an internal error (5), and prints no traceback."""
+    tmp_path, manifests = fuzz_manifests
+    manifest = dict(manifests[data.draw(st.sampled_from(sorted(manifests)), label="manifest")])
+    field = data.draw(st.sampled_from(sorted(manifest)), label="field")
+    manifest[field] = data.draw(_FUZZ_JSON, label="value")
+    path = _write(tmp_path / "fuzzed_manifest.json", manifest)
+    code, _, err = run(capsys, "attack-eval", path, "--format", "json")
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_DIGEST, EXIT_BUDGET), (code, err)
+    assert "Traceback" not in err
 
 
 def test_attack_eval_manifest_database_with_instruction_counts_is_a_usage_error(

@@ -265,3 +265,41 @@ def test_register_spec_parsing():
         parse_register_spec(table, "instret,bogus")
     with pytest.raises(SchemaError, match="two registers"):
         parse_register_spec(table, "instret,instret")
+
+
+def test_delta_map_projects_once_per_register_file(tiny_table):
+    cfg = load_cfg(straight_line_doc())
+    raw = delta_map(cfg, tiny_table)
+    composite = make_config(
+        tiny_table, [("instret", "int_load_retired"), ("cond_branch_retired",)]
+    )
+    loads = make_config(tiny_table, [("int_load_retired",)])
+    maps = {}
+    for config in (composite, loads):
+        projected = delta_map(cfg, tiny_table, config)
+        assert dict(projected) == {b: project(config, v) for b, v in raw.items()}
+        with pytest.raises(TypeError):
+            projected["s.1"] = (0,)
+        assert delta_map(cfg, tiny_table, config) is projected
+        # A value-equal config is the same register file.
+        twin = make_config(tiny_table, [list(r) for r in config.registers])
+        assert twin == config and delta_map(cfg, tiny_table, twin) is projected
+        maps[config] = projected
+    assert maps[composite] is not maps[loads] and maps[composite] != maps[loads]
+    assert delta_map(cfg, tiny_table, None) is raw
+    copy = dataclasses.replace(cfg)
+    assert copy._deltas == {}
+    assert delta_map(copy, tiny_table, composite) == maps[composite]
+    assert delta_map(copy, tiny_table, composite) is not maps[composite]
+
+
+def test_delta_map_of_a_config_for_other_counters_raises_every_time(tiny_table):
+    cfg = load_cfg(straight_line_doc())
+    counters, attribution = tiny_table_doc()
+    short = make_event_table(counters[:2], {m: v[:2] for m, v in attribution.items()})
+    config = make_config(short)  # a register file for a table of two counters
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="cannot project a 3-dim vector"):
+            delta_map(cfg, tiny_table, config)
+    ((_, _, projected),) = cfg._deltas.values()
+    assert projected == {}

@@ -5,7 +5,13 @@ import pytest
 from flowattest.cfg import BlockTrace, load_cfg, serialize_cfg, split_trace, validate_trace
 from flowattest.demos import signer_cfg, signer_trace
 from flowattest.errors import FlowAttestError, UnknownBlockError, WalkError
-from flowattest.events import default_event_table, delta_map, make_config, three_register_config
+from flowattest.events import (
+    default_event_table,
+    delta_map,
+    make_config,
+    project,
+    three_register_config,
+)
 from flowattest.simulate import measure, measure_segment, random_valid_walk
 from flowattest.vectors import vadd, vsub, vsum
 
@@ -205,3 +211,48 @@ def test_trace_check_matches_per_step_oracle():
     cfg = load_cfg(signer_cfg(True))
     trace = BlockTrace(tuple(signer_trace(6, 25, True)))
     _assert_measure_is_per_segment(cfg, table, trace, (None, three_register_config(table)))
+
+
+def _project_after_sum(cfg, table, config, steps, offset):
+    """The reference measurement: sum the full-width block deltas after the
+    starting snapshot, then project the sum, then add the offset."""
+    full = delta_map(cfg, table)
+    total = [0] * table.dimension
+    for step in steps[1:]:
+        for d, x in enumerate(full[step]):
+            total[d] += x
+    value = project(config, tuple(total)) if config is not None else tuple(total)
+    if offset is not None:
+        value = tuple(v + o for v, o in zip(value, offset))
+    return value
+
+
+def test_measuring_projected_deltas_equals_projecting_the_sum():
+    """``measure`` and ``measure_segment`` sum block deltas projected once
+    per register file; under composite files and offsets every value is
+    the projection of the full-width sum, plus the offset."""
+    cases = []
+    for seed in range(30):
+        cfg, table = random_cfg_and_table(seed, max_blocks=30)
+        names = table.counter_names
+        composite = make_config(table, [names[:1], names[1:]])
+        cases.append((cfg, table, random_valid_walk(cfg, seed, max_segments=3), composite))
+    table = default_event_table()
+    cfg = load_cfg(signer_cfg(True))
+    trace = BlockTrace(tuple(signer_trace(6, 25, True)))
+    cases.append((cfg, table, trace, three_register_config(table)))
+    segments_checked = 0
+    for cfg, table, trace, composite in cases:
+        for config in (None, composite):
+            dim = table.dimension if config is None else config.dimension
+            for offset in (None, tuple(range(3, dim + 3))):
+                measured = measure(cfg, table, config, trace, offset=offset)
+                segments = split_trace(cfg, trace)
+                assert len(measured) == len(segments)
+                for m, segment in zip(measured, segments):
+                    expected = _project_after_sum(cfg, table, config, segment.steps, offset)
+                    assert m.delta == expected
+                    one = measure_segment(cfg, table, config, segment, offset=offset)
+                    assert one.delta == expected
+                    segments_checked += 1
+    assert segments_checked > 100
