@@ -13,17 +13,22 @@ measurement revisits the rest of the segment.  Mutants are deduplicated
 and seed-deterministic; when a segment admits fewer distinct mutants than
 the requested repetitions, all of them are used.  The blocks an edit may
 draw from are listed once per evaluation, and each edit site's blocks
-that would still make a valid step are listed once per site.
+that would still make a valid step are listed once per site.  A mutant
+carries its edit (the replaced span and the inserted block) over the
+segment's own step tuple, not a copy of the edited steps:
+:attr:`Mutant.steps` builds those only when asked, and :func:`evaluate`
+never asks.
 
 Each mutant is a probe that asks the verifier for its verdict alone, from
 the feasible call stacks the segment starts from in the valid run.  A
 verdict depends only on the segment's endpoints, those stacks and the
 mutant's delta, so :func:`evaluate` builds one
 :func:`flowattest.verify.prober` per segment class (endpoints and feasible
-stacks), which resolves the candidates once and stops at the first
-accepting one, and keeps one table of verdicts per prober, by delta.  Both
-live only for one call.  Only the valid run itself goes through a full
-session.  Block deltas come from :func:`flowattest.events.delta_map`,
+stacks), which resolves and sorts the candidates once (generator-free
+bases in one set, single generators by one division, the rest through
+the cone solver) and stops at the first accepting one, and keeps one
+table of verdicts per prober, by delta.  Both live only for one call.
+Only the valid run itself goes through a full session.  Block deltas come from :func:`flowattest.events.delta_map`,
 projected through the register file once per program and file, and a
 mutation seeds a random generator only where it draws.
 
@@ -105,14 +110,35 @@ class MutationSpec:
         return self.repetitions if self.repetitions is not None else _DEFAULT_REPS[self.kind]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Mutant:
     """The measurement a mutant shows the verifier and, for block-level
-    kinds, the edited block sequence that produces it.  A plain slotted
-    record: many are built per evaluation, and nothing hashes one."""
+    kinds, the edit that produces it: ``segment``'s steps ``start:stop``
+    replaced by ``inserted`` (nothing, for ``None``).  ``segment`` is the
+    valid segment's own step tuple, shared and never copied; :attr:`steps`
+    builds the edited tuple only when asked.  A plain slotted record: many
+    are built per evaluation, and nothing hashes one.  Two mutants are
+    equal when their measurements and edited steps are."""
 
     measurement: Measurement
-    steps: tuple[str, ...] | None = None
+    segment: tuple[str, ...] | None = None
+    start: int = 0
+    stop: int = 0
+    inserted: str | None = None
+
+    @property
+    def steps(self) -> tuple[str, ...] | None:
+        """The edited block sequence, or None for ``random_change``."""
+        segment = self.segment
+        if segment is None:
+            return None
+        middle = () if self.inserted is None else (self.inserted,)
+        return segment[: self.start] + middle + segment[self.stop :]
+
+    def __eq__(self, other):
+        if not isinstance(other, Mutant):
+            return NotImplemented
+        return self.measurement == other.measurement and self.steps == other.steps
 
 
 @dataclass
@@ -294,26 +320,22 @@ def mutate(
         delta = vsum((deltas[s] for s in steps[1:]), len(deltas[steps[0]]))
         measurement = Measurement(start=steps[0], end=steps[-1], delta=delta)
     # Draw edit indices first (``random.sample`` reads only the population's
-    # length) and build the edited steps of the drawn edits alone.  A
-    # generator is seeded only where a draw is made.
+    # length); each drawn edit is kept as itself, over the segment's own
+    # steps.  A generator is seeded only where a draw is made.
     sites = list(_breaking_edits(cfg, steps, spec.kind, pool))
     ends = list(accumulate(len(site[3]) for site in sites))
     total = ends[-1] if ends else 0
     picks = random.Random(spec.seed).sample(range(total), reps) if total > reps else range(total)
+    first, last, values = measurement.start, measurement.end, measurement.delta
     mutants = []
     for pick in picks:
         index = bisect_right(ends, pick)
         start, stop, removed, blocks = sites[index]
         inserted = blocks[pick - ends[index] + len(blocks)]
-        delta = measurement.delta
-        if removed is not None:
-            delta = vsub(delta, deltas[removed])
-        if inserted is None:
-            edited = steps[:start] + steps[stop:]
-        else:
+        delta = values if removed is None else vsub(values, deltas[removed])
+        if inserted is not None:
             delta = vadd(delta, deltas[inserted])
-            edited = steps[:start] + (inserted,) + steps[stop:]
-        mutants.append(Mutant(Measurement(measurement.start, measurement.end, delta), steps=edited))
+        mutants.append(Mutant(Measurement(first, last, delta), steps, start, stop, inserted))
     return mutants
 
 

@@ -20,6 +20,13 @@ through one exact pipeline:
    variable for everything else (high-dimension instances, where the
    equality rows prune hard).
 
+A target with a single nonzero generator skips the pipeline: its one
+possible count is the target's pivot component (the generator's first
+positive one) divided by the generator's, and a componentwise check
+decides it (:func:`single_generator_count`, which is exactly what root
+propagation concludes for one generator).  The attack harness's probes
+apply the same rule to their single-generator candidates directly.
+
 A lattice test runs between steps 1 and 2 only for boxes of more than
 ``_LATTICE_FIRST_BITS`` states and for nodes headed to the simplex: a
 residual outside the integer lattice of the free generators has no
@@ -401,12 +408,38 @@ def _lp_feasible(A: list[list[int]], b: list[int], caps: list[int]) -> list[Frac
     return solution
 
 
+def first_positive(generator: Vec) -> int:
+    """The first index where a nonnegative, nonzero ``generator`` is
+    positive: the pivot of :func:`single_generator_count`."""
+    return next(d for d, v in enumerate(generator) if v > 0)
+
+
+def single_generator_count(target: Vec, generator: Vec, pivot: int) -> int | None:
+    """The one count ``c >= 0`` with ``target == c * generator``, or None.
+
+    ``generator`` is nonnegative and nonzero and ``pivot`` is its
+    :func:`first_positive` index, so the pivot component fixes ``c``: one
+    floor division, then a componentwise check, which also rejects any
+    negative component of ``target``.  This is exactly what root
+    propagation decides for a lone generator (a remainder at the pivot or
+    a mismatch elsewhere is infeasible), with the same unique witness.
+    """
+    count = target[pivot] // generator[pivot]
+    if count < 0:
+        return None
+    for t, g in zip(target, generator):
+        if t != count * g:
+            return None
+    return count
+
+
 def solve_cone(
     target: Vec, generators: tuple[Vec, ...], reach: Reach | None = None
 ) -> ConeSolution:
     """Nonnegative integer scalars with ``sum(x_i * v_i) == target`` as the
     witness, or None.  A target negative in some component is simply
-    infeasible.
+    infeasible.  With exactly one nonzero generator the answer is
+    :func:`single_generator_count`'s, with no search.
 
     ``reach``, the map of this same generator tuple, answers a target
     inside its box, or inside the merged box when that passes the bitset
@@ -428,6 +461,15 @@ def solve_cone(
     if not active:
         # A nonzero target and no nonzero generator: nothing to search.
         return ConeSolution(None, 0)
+    if len(active) == 1:
+        (only,) = active
+        generator = generators[only]
+        count = single_generator_count(target, generator, first_positive(generator))
+        if count is None:
+            return ConeSolution(None, 0)
+        witness = [0] * n
+        witness[only] = count
+        return ConeSolution(tuple(witness), 0)
     if reach is not None and reach.covers(target):
         return ConeSolution(reach.witness(target), 0)
     gens = [generators[i] for i in active]

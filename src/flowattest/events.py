@@ -147,8 +147,9 @@ def delta_map(
     Validates in one pass that the CFG and table agree on the counter list,
     that all mnemonics are known, that any stored deltas are consistent,
     and that each delta's instructions-retired component matches the
-    block's instruction count.  A config built for another number of
-    counters raises :class:`SchemaError`, as :func:`project` does.
+    block's instruction count.  A config built for another counter list
+    raises :class:`SchemaError`: :func:`project`'s for another number of
+    counters, and a counter-list mismatch for the same number.
 
     The result is memoized on the CFG per table object (by identity, so a
     value-equal table is resolved on its own) and, within it, per config
@@ -165,6 +166,12 @@ def delta_map(
     projected = cached[2].get(config)
     if projected is None:
         projected = MappingProxyType({bid: project(config, v) for bid, v in cached[1].items()})
+        # A config for another number of counters has already failed in
+        # ``project``; one for another list of the same length fails here.
+        if config.counter_names != table.counter_names:
+            raise SchemaError(
+                "counter config was built for a different counter list than the event table"
+            )
         cached[2][config] = projected
     return projected
 

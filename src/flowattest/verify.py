@@ -17,26 +17,33 @@ rejection is never stored: nothing can follow it in its session.
 :func:`prober` is the verdict alone, for probes such as the attack
 harness's mutants: built once for a segment's endpoints and the feasible
 entry stacks it is checked against, it resolves the skip rule, the
-projected candidates and the feasible-stack filter up front, so each delta
-it is asked about costs one vector subtraction, a sign test and a cone
-lookup per candidate until the first accepting one; it keeps no session,
-result or cache.  :func:`accepts` is one probe of one measurement.  Both
-the prober and :func:`verify_segment` take a segment's candidates from one
+projected candidates and the feasible-stack filter up front and sorts the
+candidates by shape, so each delta it is asked about costs what its
+candidates need: one set lookup for all generator-free candidates (each
+accepts exactly its base), one floor division and a componentwise check
+per single-generator candidate (:func:`~flowattest.cone.single_generator_count`,
+the rule ``solve_cone`` itself applies to one generator), and a vector
+subtraction, a sign test and a cone test per candidate with two or more
+generators, until the first accepting one.  It keeps no session, result
+or cache.  :func:`accepts` is one probe of one measurement.  Both the
+prober and :func:`verify_segment` take a segment's candidates from one
 selection, :func:`_feasible_candidates`, after the same config and
-dimension checks and skip rule.
+dimension checks and skip rule; ``verify_segment`` keeps its
+per-candidate loop, since it needs every accepting candidate and the
+witness.
 
 Each candidate's base and loop vectors are projected through the register
 file once per database and file: the database memoizes, per
 ``CounterConfig`` (``None`` for the identity file) and segment key, the
 projected base, the deduplicated nonzero generators and the witness remap
 of every candidate, plus one :class:`~flowattest.cone.Reach` map per
-candidate with two or more generators (a single generator is always
-decided by the cone solver's propagation).  Each map grows with the
-residuals its candidate is asked about, so a repeated or smaller residual
-is answered by bit reads; the answers are the ones ``solve_cone`` gives
-without a map.  The memo fills on a segment key's first verification,
-lives as long as the database object, is shared by every session over
-it, and is invisible to the database's equality and serialization.
+candidate with two or more generators (a single generator is decided by
+one division).  Each map grows with the residuals its candidate is asked
+about, so a repeated or smaller residual is answered by bit reads; the
+answers are the ones ``solve_cone`` gives without a map.  The memo fills
+on a segment key's first verification, lives as long as the database
+object, is shared by every session over it, and is invisible to the
+database's equality and serialization.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .cfg import Measurement
-from .cone import Reach, solve_cone
+from .cone import Reach, first_positive, single_generator_count, solve_cone
 from .database import DedupKey, PathCandidate, SegmentDatabase, dedup_key
 from .errors import SchemaError
 from .events import CounterConfig, project
@@ -109,7 +116,7 @@ def _project_candidate(config: CounterConfig | None, cand: PathCandidate):
     """(projected base, deduplicated nonzero projected loop vectors, witness
     remap, reachability map): the remap gives, for each generator, the first
     loop index carrying it; the map is None for fewer than two generators,
-    which root propagation always decides by itself."""
+    which the cone solver decides without a search."""
     base = project(config, cand.base) if config is not None else cand.base
     owner: dict[Vec, int] = {}
     for j, loop in enumerate(cand.loops):
@@ -238,9 +245,10 @@ def prober(
     would accept the measurement ``start`` -> ``end`` with a given delta.
 
     Exactly ``verify_segment``'s verdict, from the same candidate selection,
-    but the config check, the skip test, the projection lookup and the
-    feasible-stack filter are done once, here, and each call stops at the
-    first accepting candidate and keeps no session, result or cache: a probe
+    but the config check, the skip test, the projection lookup, the
+    feasible-stack filter and the sorting of candidates by number of
+    generators are done once, here, and each call stops at the first
+    accepting candidate and keeps no session, result or cache: a probe
     that only counts rejections needs neither the accepting set nor the
     feasible-set update.  A skipped segment accepts every delta, an unknown
     one rejects every delta, and a delta of the wrong dimension raises
@@ -250,16 +258,31 @@ def prober(
     expected = config.dimension if config is not None else db.dimension
     key = (start, end)
     skipped = key in db.skip_segments
-    trials = [] if skipped else [
-        (base, generators, reach)
-        for _, _, (base, generators, _, reach) in _feasible_candidates(db, config, key, feasible)
-    ]
+    # Candidates by shape: a generator-free one accepts exactly its base, a
+    # single-generator one the base plus a multiple of its generator, and
+    # only the rest need the cone solver.  Any accepting candidate decides
+    # the verdict, so the order of the groups cannot change it.
+    bases: set[Vec] = set()
+    singles: list[tuple[Vec, Vec, int]] = []
+    cones: list[tuple[Vec, tuple[Vec, ...], Reach | None]] = []
+    if not skipped:
+        for _, _, (base, generators, _, reach) in _feasible_candidates(db, config, key, feasible):
+            if not generators:
+                bases.add(base)
+            elif len(generators) == 1:
+                (generator,) = generators
+                singles.append((base, generator, first_positive(generator)))
+            else:
+                cones.append((base, generators, reach))
 
     def probe(delta: Vec) -> bool:
         _check_dimension(delta, expected)
-        if skipped:
+        if skipped or delta in bases:
             return True
-        for base, generators, reach in trials:
+        for base, generator, pivot in singles:
+            if single_generator_count(vsub(delta, base), generator, pivot) is not None:
+                return True
+        for base, generators, reach in cones:
             # The nonnegativity test spares the solver every residual that
             # no cone point can reach.
             target = vsub(delta, base)

@@ -702,3 +702,36 @@ def test_probe_with_a_wrong_dimension_is_a_schema_error(tiny_table):
     with pytest.raises(SchemaError, match="dimension"):
         accepts(db, Measurement("A", "C", (3, 1, 0)), frozenset({()}), config=config)
     assert accepts(db, Measurement("A", "C", (3, 0)), frozenset({()}), config=config)
+
+
+def test_evaluate_builds_no_edited_steps(monkeypatch):
+    """Mutants carry their edit; ``evaluate`` reads only their measurements,
+    so it never builds an edited step tuple."""
+    table = default_event_table()
+    cfg = load_cfg(signer_cfg(False))
+    db = enumerate_segments(cfg, table)
+    trace = BlockTrace(tuple(signer_trace(8, 25, False)))
+    specs = default_specs(seed=7, repetitions=30)
+    configs = (three_register_config(table), None)
+    expected = [evaluate(cfg, db, table, trace, specs, config=c) for c in configs]
+
+    def refuse(self):
+        raise AssertionError("an edited step tuple was built")
+
+    monkeypatch.setattr(attacks.Mutant, "steps", property(refuse))
+    assert [evaluate(cfg, db, table, trace, specs, config=c) for c in configs] == expected
+
+
+def test_mutants_compare_by_measurement_and_edited_steps():
+    m = Measurement("a", "d", (1, 2))
+    segment = ("a", "b", "c", "d")
+    removed = attacks.Mutant(m, segment, 1, 2, None)
+    assert removed.steps == ("a", "c", "d")
+    # The same edited steps written as another edit of another tuple.
+    assert removed == attacks.Mutant(m, ("a", "x", "d"), 1, 2, "c")
+    assert removed != attacks.Mutant(m, segment, 2, 3, None)
+    assert removed != attacks.Mutant(Measurement("a", "d", (1, 3)), segment, 1, 2, None)
+    assert attacks.Mutant(m).steps is None and attacks.Mutant(m) == attacks.Mutant(m)
+    assert attacks.Mutant(m) != removed
+    with pytest.raises(TypeError):
+        hash(removed)

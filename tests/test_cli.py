@@ -540,6 +540,121 @@ def test_attack_eval_fuzzed_manifest_fails_cleanly(capsys, fuzz_manifests, data)
     assert "Traceback" not in err
 
 
+@pytest.fixture
+def fuzz_pipelines(capsys, chain_paths):
+    """The two-loop chain and the greeter demo, each with its CFG, event
+    table, database and the measurements of one valid run, as documents."""
+    cfg_path, table_path, tmp = chain_paths
+    db_path, measurements_path = _pipeline(
+        capsys, tmp, cfg_path, table_path, ["A", "B", "D", "E", "B", "C"]
+    )
+    paths = {"chain": (cfg_path, table_path, db_path, measurements_path)}
+    greeter = tmp / "greeter"
+    run(capsys, "demo", "--name", "greeter", "--out", str(greeter))
+    names = ("greeter.json", "table.json", "greeter_db.json", "greeter_ms.json")
+    cfg_path, table_path, db_path, measurements_path = (str(greeter / n) for n in names)
+    for argv in (
+        ("preprocess", "--cfg", cfg_path, "--table", table_path, "--out", db_path),
+        (
+            "simulate", "--cfg", cfg_path, "--table", table_path,
+            "--trace", str(greeter / "greeter_trace.json"), "--out", measurements_path,
+        ),
+    ):
+        assert run(capsys, *argv)[0] == EXIT_OK
+    paths["greeter"] = (cfg_path, table_path, db_path, measurements_path)
+    documents = {
+        name: dict(zip(("cfg", "table", "db", "measurements"), (_read(p) for p in group)))
+        for name, group in paths.items()
+    }
+    return tmp, documents
+
+
+def _read(path):
+    return json.loads(Path(path).read_text())
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _strings(child)
+
+
+def _fuzz_somewhere(data, doc):
+    """``doc`` with one value at any depth replaced, or one dictionary
+    entry or list item removed.  A replacement is any JSON value or one
+    like the old: a nearby integer, or another string of the document."""
+    doc = json.loads(json.dumps(doc))
+    parent, key, node = None, None, doc
+    for _ in range(data.draw(st.integers(0, 7), label="depth")):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys), label="key")
+        parent, node = node, node[key]
+    if parent is None:
+        return data.draw(_FUZZ_JSON, label="document")
+    if data.draw(st.booleans(), label="remove"):
+        del parent[key]
+        return doc
+    like = _FUZZ_JSON
+    if isinstance(node, int) and not isinstance(node, bool):
+        like = st.integers(-2, node + 3)
+    elif isinstance(node, str):
+        like = st.sampled_from(sorted(set(_strings(doc))))
+    parent[key] = data.draw(like | _FUZZ_JSON, label="value")
+    return doc
+
+
+def _fuzz_run(capsys, data, tmp_path, documents, command, fuzzed):
+    """Run ``command`` on one pipeline's documents with the ``fuzzed`` one
+    changed somewhere; returns the exit code and stderr."""
+    pipeline = data.draw(st.sampled_from(sorted(documents)), label="pipeline")
+    docs = dict(documents[pipeline])
+    docs[fuzzed] = _fuzz_somewhere(data, docs[fuzzed])
+    paths = {name: _write(tmp_path / f"fuzzed_{name}.json", doc) for name, doc in docs.items()}
+    if command == "verify":
+        argv = ("verify", "--db", paths["db"], "--measurements", paths["measurements"])
+    else:
+        argv = (
+            "preprocess", "--cfg", paths["cfg"], "--table", paths["table"],
+            "--out", str(tmp_path / "fuzzed_out.json"),
+        )
+    code, _, err = run(capsys, *argv, "--format", "json")
+    return code, err
+
+
+@pytest.mark.parametrize("fuzzed", ["db", "measurements"])
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_verify_fuzzed_document_fails_cleanly(capsys, fuzz_pipelines, fuzzed, data):
+    """A database or measurements document changed anywhere: ``verify``
+    accepts, rejects (1), or fails with a usage, digest or budget error,
+    never with an internal error (5), and prints no traceback."""
+    tmp_path, documents = fuzz_pipelines
+    code, err = _fuzz_run(capsys, data, tmp_path, documents, "verify", fuzzed)
+    assert code in (EXIT_OK, EXIT_REJECTED, EXIT_ERROR, EXIT_DIGEST, EXIT_BUDGET), (code, err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fuzzed", ["cfg", "table"])
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_preprocess_fuzzed_document_fails_cleanly(capsys, fuzz_pipelines, fuzzed, data):
+    """A CFG or event table changed anywhere: ``preprocess`` succeeds or
+    fails with a usage, digest or budget error; it never rejects (1),
+    raises an internal error (5) or prints a traceback."""
+    tmp_path, documents = fuzz_pipelines
+    code, err = _fuzz_run(capsys, data, tmp_path, documents, "preprocess", fuzzed)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_DIGEST, EXIT_BUDGET), (code, err)
+    assert "Traceback" not in err
+
+
 def test_attack_eval_manifest_database_with_instruction_counts_is_a_usage_error(
     capsys, tmp_path
 ):

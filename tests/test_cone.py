@@ -340,3 +340,53 @@ def test_reach_map_answers_as_the_solver_does(monkeypatch):
                 elif all(t >= 0 for t in target) and any(target):
                     seen["inside"] += 1
     assert min(seen.values()) > 20, seen
+
+
+def test_single_generator_multiple_is_accepted_with_its_count():
+    g = (0, 2, 3)
+    assert cone.first_positive(g) == 1
+    assert cone.single_generator_count((0, 8, 12), g, 1) == 4
+    assert solve_cone((0, 8, 12), (g,)) == cone.ConeSolution((4,), 0)
+    # Zero generators beside the lone active one get a zero count.
+    assert solve_cone((0, 8, 12), ((0, 0, 0), g, (0, 0, 0))) == cone.ConeSolution((0, 4, 0), 0)
+
+
+def test_single_generator_rejects_a_negative_count():
+    g = (1, 2)
+    assert cone.single_generator_count((-2, -4), g, 0) is None
+    assert solve_cone((-2, -4), (g,)) == cone.ConeSolution(None, 0)
+
+
+def test_single_generator_rejects_a_remainder_at_the_pivot():
+    g = (3, 3)
+    assert cone.single_generator_count((7, 6), g, 0) is None
+    assert solve_cone((7, 6), (g,)) == cone.ConeSolution(None, 0)
+
+
+def test_single_generator_rejects_a_mismatch_off_the_pivot():
+    g = (2, 0, 1)
+    for target in ((4, 1, 2), (4, 0, 3), (4, 0, -2)):
+        assert cone.single_generator_count(target, g, 0) is None
+        assert solve_cone(target, (g,)) == cone.ConeSolution(None, 0)
+
+
+def test_single_generator_accepts_the_zero_target():
+    g = (0, 5)
+    assert cone.single_generator_count((0, 0), g, 1) == 0
+    assert solve_cone((0, 0), (g,)) == cone.ConeSolution((0,), 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any),
+    st.lists(st.integers(-3, 20), min_size=4, max_size=4),
+)
+def test_single_generator_rule_agrees_with_bruteforce(generator, target):
+    generator = tuple(generator)
+    target = tuple(target[: len(generator)])
+    count = cone.single_generator_count(target, generator, cone.first_positive(generator))
+    reference = cone_member_bruteforce(target, (generator,))
+    assert count == (None if reference is None else reference[0])
+    assert solve_cone(target, (generator,)) == cone.ConeSolution(
+        None if count is None else (count,), 0
+    )

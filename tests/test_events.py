@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowattest.cfg import BasicBlock, load_cfg, serialize_cfg
+from flowattest.cfg import BasicBlock, BlockTrace, load_cfg, serialize_cfg
 from flowattest.errors import SchemaError, UnknownMnemonicError
 from flowattest.events import (
     CounterEvent,
@@ -21,6 +21,7 @@ from flowattest.events import (
     serialize_event_table,
     three_register_config,
 )
+from flowattest.simulate import measure
 from flowattest.vectors import vadd
 
 from .conftest import straight_line_doc, tiny_table_doc
@@ -303,3 +304,25 @@ def test_delta_map_of_a_config_for_other_counters_raises_every_time(tiny_table):
             delta_map(cfg, tiny_table, config)
     ((_, _, projected),) = cfg._deltas.values()
     assert projected == {}
+
+
+def test_delta_map_of_a_config_for_other_counter_names_raises_every_time(tiny_table):
+    """A register file over another table with as many counters is refused
+    by name, not read through the wrong counters, and nothing is cached."""
+    cfg = load_cfg(straight_line_doc())
+    _, attribution = tiny_table_doc()
+    other = make_event_table(
+        [CounterEvent("instret"), CounterEvent("x"), CounterEvent("y")], attribution
+    )
+    config = make_config(other, [("instret",), ("y",)])
+    trace = BlockTrace(("s.0", "s.1", "s.2"))
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="different counter list"):
+            measure(cfg, tiny_table, config, trace)
+        with pytest.raises(SchemaError, match="different counter list"):
+            delta_map(cfg, tiny_table, config)
+    ((_, _, projected),) = cfg._deltas.values()
+    assert projected == {}
+    # The same registers over the table the CFG was measured with are fine.
+    good = make_config(tiny_table, [("instret",), ("int_load_retired",)])
+    assert [m.delta for m in measure(cfg, tiny_table, good, trace)] == [(3, 1)]

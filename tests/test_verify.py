@@ -13,14 +13,21 @@ from flowattest.database import (
     load_database,
     serialize_database,
 )
-from flowattest.demos import signer_cfg, signer_trace
+from flowattest.demos import dispatch_cfg, greeter_cfg, signer_cfg, signer_trace
 from flowattest.errors import SchemaError
-from flowattest.events import default_event_table, make_config, three_register_config
+from flowattest.events import (
+    default_event_table,
+    make_config,
+    make_event_table,
+    project,
+    three_register_config,
+)
 from flowattest.simulate import measure, random_valid_walk
 from flowattest.vectors import vadd
 from flowattest.verify import (
     SessionState,
     accepts,
+    prober,
     report_document,
     verify_segment,
     verify_trace_measurements,
@@ -33,8 +40,10 @@ from .conftest import (
     block,
     edge,
     mutation_pool,
+    tiny_table_doc,
     two_loop_chain_doc,
 )
+from .randcfg import random_cfg_and_table
 from .test_expand import _two_site_doc
 
 
@@ -492,3 +501,93 @@ def test_accepts_matches_verify_segment_on_a_warmed_database(data):
     state.feasible = feasible
     verdict = verify_segment(state, probe).verdict
     assert accepts(dbs[p], probe, feasible, config=config) == (verdict == "accepted")
+
+
+@cache
+def _probe_programs():
+    """(database, register files) of the demos, the two-loop chain with a
+    skipped segment that is connected and one that is not, loop nests and
+    random programs; each under the identity file and a three-register
+    file."""
+    table = default_event_table()
+    programs = []
+    for doc in (greeter_cfg(), signer_cfg(False), signer_cfg(True), dispatch_cfg()):
+        db = enumerate_segments(load_cfg(doc), table)
+        programs.append((db, (None, three_register_config(table))))
+    tiny = make_event_table(*tiny_table_doc())
+    three = make_config(tiny, [("instret",), ("cond_branch_retired", "int_load_retired")])
+    for skip in (("C", "A"), ("A", "C")):
+        doc = two_loop_chain_doc()
+        doc["skip_segments"] = [{"start": skip[0], "end": skip[1]}]
+        programs.append((enumerate_segments(load_cfg(doc), tiny), (None, three)))
+    _, nest_config, nests, _ = _nest_pool()
+    for cfg in nests:
+        programs.append((enumerate_segments(cfg, table), (None, nest_config)))
+    for seed in range(1, 13):
+        cfg, table = random_cfg_and_table(seed, max_blocks=30)
+        names = table.counter_names
+        configs = (None,)
+        if len(names) >= 3:
+            configs += (make_config(table, [names[:1], names[1:2], names[2:]]),)
+        programs.append((enumerate_segments(cfg, table), configs))
+    return tuple(programs)
+
+
+_AROUND = ("base", "multiple", "two", "unit", "negative", "off-support")
+
+
+def _delta_around(data, config, candidate):
+    """A delta near ``candidate``'s projected cone: its base, the base plus
+    multiples of a generator, plus two generators, one generator step off
+    by a unit vector, with a negative component, or with a nonzero
+    component where the generator is zero."""
+    base = project(config, candidate.base) if config is not None else candidate.base
+    dim = len(base)
+    generators = [
+        g for g in (project(config, v) if config is not None else v for v in candidate.loops) if any(g)
+    ] or [(0,) * dim]
+    g = data.draw(st.sampled_from(generators), label="generator")
+    shape = data.draw(st.sampled_from(_AROUND), label="shape")
+    if shape == "base":
+        return base
+    if shape == "multiple":
+        k = data.draw(st.integers(0, 3), label="k")
+        return tuple(b + k * v for b, v in zip(base, g))
+    if shape == "two":
+        return vadd(vadd(base, g), data.draw(st.sampled_from(generators), label="second"))
+    delta = list(vadd(base, g))
+    if shape == "unit":
+        delta[data.draw(st.integers(0, dim - 1))] += data.draw(st.sampled_from((-1, 1)))
+    elif shape == "negative":
+        delta[data.draw(st.integers(0, dim - 1))] = -data.draw(st.integers(1, 3))
+    else:
+        off = [d for d in range(dim) if g[d] == 0] or [0]
+        delta[data.draw(st.sampled_from(off))] += data.draw(st.integers(1, 3))
+    return tuple(delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prober_matches_a_fresh_session_around_each_candidate(data):
+    """A prober's verdict, whichever shape decides it (generator-free base,
+    one generator, or the cone solver), is a fresh session's, for deltas
+    drawn around the candidates of known, skipped and unknown segments."""
+    db, configs = data.draw(st.sampled_from(_probe_programs()), label="program")
+    config = data.draw(st.sampled_from(configs), label="config")
+    keys = sorted(db.entries) + sorted(db.skip_segments)
+    unknown = data.draw(st.integers(0, 5), label="unknown") == 0
+    start, end = ("nowhere", "nowhere") if unknown else data.draw(st.sampled_from(keys))
+    candidates = db.entries.get((start, end), ())
+    stacks = sorted({c.start.stack for c in candidates}, key=repr)
+    feasible = data.draw(
+        st.sampled_from([None, frozenset({()})] + [frozenset({s}) for s in stacks]),
+        label="feasible",
+    )
+    if candidates:
+        delta = _delta_around(data, config, data.draw(st.sampled_from(candidates)))
+    else:
+        dim = config.dimension if config is not None else db.dimension
+        delta = data.draw(st.sampled_from(((0,) * dim, (1,) * dim, (-1,) + (1,) * (dim - 1))))
+    state = SessionState(db, config, feasible=feasible)
+    verdict = verify_segment(state, Measurement(start, end, delta)).verdict
+    assert prober(db, start, end, feasible, config=config)(delta) == (verdict == "accepted")
