@@ -19,6 +19,9 @@ Documents are JSON.  The CFG document looks like::
 Field order is insignificant; unknown keys are rejected.  A trace document is
 ``{"cfg_ref": <digest>, "steps": [...]}`` and a measurement-sequence document
 is ``{"cfg_ref": <digest>, "measurements": [{"start", "end", "delta"}]}``.
+Loaders take parsed JSON values, and a document naming its CFG is bound to
+that CFG's digest by :func:`_bind_cfg_ref` alone.  Recursion is found by the
+component and simple-cycle searches that preprocessing uses.
 
 Loaded objects are immutable after construction and safe to share across
 concurrent workers.  Besides the successor lists and edge pairs, the loader
@@ -33,14 +36,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping
+from collections.abc import Hashable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .errors import RecursionDetectedError, SchemaError, UnknownBlockError
+from .errors import DigestMismatchError, RecursionDetectedError, SchemaError, UnknownBlockError
 from .vectors import Vec
 
 EDGE_KINDS = ("fallthrough", "branch", "call", "return", "indirect")
+
+Node = Hashable
 
 # Edge kinds that never leave the current function.
 _INTRA_KINDS = ("fallthrough", "branch")
@@ -154,6 +159,17 @@ def _load_endpoints(obj, what: str, extra: tuple[str, ...] = ()) -> tuple[str, s
     return obj["start"], obj["end"]
 
 
+def _bind_cfg_ref(document: dict, key: str, cfg_digest: str | None, what: str) -> str:
+    """The CFG digest ``document`` names under ``key``; one other than
+    ``cfg_digest`` (None: any) is a :class:`DigestMismatchError`."""
+    ref = _check_str(document[key], f"{what} {key}")
+    if cfg_digest is not None and ref != cfg_digest:
+        raise DigestMismatchError(
+            f"{what} refers to CFG {ref[:12]}..., expected {cfg_digest[:12]}..."
+        )
+    return ref
+
+
 def _check_str(value, what: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{what} must be a string, got {value!r}")
@@ -219,57 +235,137 @@ def _parse_block(obj: dict, dim: int) -> BasicBlock:
     )
 
 
-def _call_graph(blocks: dict[str, BasicBlock], edges: tuple[Edge, ...]) -> dict[str, list[str]]:
-    graph: dict[str, list[str]] = {}
+def _call_graph(
+    blocks: dict[str, BasicBlock], functions: dict[str, FunctionInfo], edges: list[Edge]
+) -> dict[str, list[str]]:
+    """Each function's callees, without repeats."""
+    graph: dict[str, list[str]] = {name: [] for name in functions}
     for edge in edges:
         src_fn = blocks[edge.src].function
         dst_fn = blocks[edge.dst].function
         if edge.kind == "call" or (edge.kind == "indirect" and src_fn != dst_fn):
-            graph.setdefault(src_fn, [])
             if dst_fn not in graph[src_fn]:
                 graph[src_fn].append(dst_fn)
     return graph
 
 
-def _find_call_cycle(graph: dict[str, list[str]]) -> tuple[str, ...] | None:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {fn: WHITE for fn in graph}
-    for root in graph:
-        if color[root] != WHITE:
+def _strong_components(succ: dict[Node, list[Node]], nodes: list[Node]) -> list[list[Node]]:
+    """Strongly connected components of the subgraph induced by ``nodes``
+    (Tarjan 1972, with an explicit stack in place of recursion)."""
+    members = set(nodes)
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    stack: list[Node] = []
+    on_stack: set[Node] = set()
+    components: list[list[Node]] = []
+    for root in nodes:
+        if root in index:
             continue
-        stack: list[tuple[str, int]] = [(root, 0)]
-        path = [root]
-        color[root] = GREY
-        while stack:
-            node, idx = stack[-1]
-            succs = graph.get(node, ())
-            if idx < len(succs):
-                stack[-1] = (node, idx + 1)
-                nxt = succs[idx]
-                state = color.get(nxt, WHITE)
-                if state == GREY:
-                    where = path.index(nxt)
-                    return tuple(path[where:])
-                if state == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, nexts = work[-1]
+            for nxt in nexts:
+                if nxt not in members:
+                    continue
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succ[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
             else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
 
 
-def load_cfg(document: dict | str) -> AnnotatedCfg:
-    """Parse and validate a CFG document (JSON text or an already-parsed dict).
+def _simple_cycles(
+    succ: dict[Node, list[Node]], components: list[list[Node]]
+) -> Iterator[list[Node]]:
+    """Every simple cycle of a directed graph, each exactly once.
+
+    ``succ`` maps every node to its successors, without repeats, and
+    ``components`` are its strongly connected components.  Self-loops come
+    first; the rest is Johnson's blocked circuit search (Johnson 1975):
+    take a node ``s`` of a nontrivial strongly connected component, list
+    the circuits through ``s`` inside that component, then drop ``s`` and
+    repeat on the components that remain.  A node stays blocked while no
+    circuit can be completed through it, which bounds the work per circuit
+    found.
+    """
+    for node, nexts in succ.items():
+        if node in nexts:
+            yield [node]
+    pending = [c for c in components if len(c) > 1]
+    while pending:
+        component = pending.pop()
+        start = component[-1]
+        members = set(component)
+        blocked = {start}
+        blockers: dict[Node, set[Node]] = {n: set() for n in component}
+        path = [start]
+        # One frame per path node: [node, unexplored successors, closed a circuit]
+        frames = [[start, iter(succ[start]), False]]
+        while frames:
+            frame = frames[-1]
+            for nxt in frame[1]:
+                if nxt not in members or nxt == frame[0]:
+                    continue
+                if nxt == start:
+                    yield list(path)
+                    frame[2] = True
+                elif nxt not in blocked:
+                    blocked.add(nxt)
+                    path.append(nxt)
+                    frames.append([nxt, iter(succ[nxt]), False])
+                    break
+            else:
+                frames.pop()
+                node = path.pop()
+                if frame[2]:
+                    # Unblock the node and, transitively, everything that
+                    # was waiting on it.
+                    release = [node]
+                    while release:
+                        n = release.pop()
+                        if n in blocked:
+                            blocked.discard(n)
+                            release.extend(blockers[n])
+                            blockers[n].clear()
+                    if frames:
+                        frames[-1][2] = True
+                else:
+                    for nxt in succ[node]:
+                        if nxt in members:
+                            blockers[nxt].add(node)
+        rest = component[:-1]
+        pending.extend(c for c in _strong_components(succ, rest) if len(c) > 1)
+
+
+def load_cfg(document: dict) -> AnnotatedCfg:
+    """Parse and validate a parsed CFG document.
 
     Raises :class:`SchemaError` for structural violations (duplicate ids,
     dangling edges, ill-typed fields) and :class:`RecursionDetectedError`
-    when the function-level call graph is cyclic.
+    naming the first simple cycle of the function-level call graph, when
+    it has one.
     """
-    if isinstance(document, str):
-        document = json.loads(document)
     _require_keys(
         document,
         required=("counters", "functions", "blocks", "edges", "entry"),
@@ -352,13 +448,13 @@ def load_cfg(document: dict | str) -> AnnotatedCfg:
         edges.append(Edge(src=src, dst=dst, kind=kind))
 
     # Return edges must answer an actual call relationship.
-    call_graph = _call_graph(blocks, tuple(edges))
+    call_graph = _call_graph(blocks, functions, edges)
     for edge in edges:
         if edge.kind != "return":
             continue
         caller = blocks[edge.dst].function
         callee = blocks[edge.src].function
-        if callee not in call_graph.get(caller, ()):
+        if callee not in call_graph[caller]:
             raise SchemaError(
                 f"return edge {edge.src}->{edge.dst}: '{caller}' never calls '{callee}'"
             )
@@ -381,7 +477,8 @@ def load_cfg(document: dict | str) -> AnnotatedCfg:
                 )
         skip.add(endpoints)
 
-    cycle = _find_call_cycle(call_graph)
+    components = _strong_components(call_graph, list(call_graph))
+    cycle = next(_simple_cycles(call_graph, components), None)
     if cycle is not None:
         raise RecursionDetectedError(cycle)
 
@@ -518,21 +615,13 @@ def serialize_trace(cfg: AnnotatedCfg, trace: BlockTrace) -> dict:
     return {"cfg_ref": cfg.digest, "steps": list(trace.steps)}
 
 
-def load_trace(document: dict | str, cfg: AnnotatedCfg | None = None) -> BlockTrace:
-    if isinstance(document, str):
-        document = json.loads(document)
+def load_trace(document: dict, cfg_digest: str) -> BlockTrace:
+    """Parse a trace document bound to the CFG of digest ``cfg_digest``."""
     _require_keys(document, required=("cfg_ref", "steps"), optional=(), what="trace document")
-    cfg_ref = _check_str(document["cfg_ref"], "trace cfg_ref")
+    _bind_cfg_ref(document, "cfg_ref", cfg_digest, "trace document")
     steps = document["steps"]
     if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
         raise SchemaError("'steps' must be an array of block ids")
-    if cfg is not None and cfg_ref != cfg.digest:
-        from .errors import DigestMismatchError
-
-        raise DigestMismatchError(
-            f"trace refers to CFG {cfg_ref[:12]}..., "
-            f"loaded CFG is {cfg.digest[:12]}..."
-        )
     return BlockTrace(steps=tuple(steps))
 
 
@@ -545,13 +634,12 @@ def serialize_measurements(cfg_ref: str, measurements: list[Measurement]) -> dic
     }
 
 
-def load_measurements(document: dict | str) -> tuple[str, list[Measurement]]:
-    if isinstance(document, str):
-        document = json.loads(document)
+def load_measurements(document: dict, cfg_digest: str) -> list[Measurement]:
+    """Parse a measurement document bound to the CFG of digest ``cfg_digest``."""
     _require_keys(
         document, required=("cfg_ref", "measurements"), optional=(), what="measurement document"
     )
-    cfg_ref = _check_str(document["cfg_ref"], "measurement cfg_ref")
+    _bind_cfg_ref(document, "cfg_ref", cfg_digest, "measurement document")
     out = []
     for obj in _check_list(document["measurements"], "'measurements'"):
         start, end = _load_endpoints(obj, "measurement", extra=("delta",))
@@ -563,4 +651,4 @@ def load_measurements(document: dict | str) -> tuple[str, list[Measurement]]:
                 delta=tuple(_check_int(x, "measurement delta entry") for x in delta),
             )
         )
-    return cfg_ref, out
+    return out

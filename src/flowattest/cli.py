@@ -68,15 +68,21 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _offset(text: str) -> tuple[int, ...]:
+    """argparse type of ``--offset``: comma-separated counts, each >= 0."""
+    return tuple(_nonnegative_int(entry) for entry in text.split(","))
+
+
 def _read_json(path: str):
     return json.loads(Path(path).read_text())
 
 
 def _emit(doc, fmt: str, text_renderer=None) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write ``doc`` as JSON, or as text when the command has a renderer."""
+    if fmt == "text" and text_renderer is not None:
+        sys.stdout.write(text_renderer() + "\n")
     else:
-        sys.stdout.write((text_renderer() if text_renderer else str(doc)) + "\n")
+        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write_json(path: str, doc) -> None:
@@ -85,12 +91,6 @@ def _write_json(path: str, doc) -> None:
 
 def _load_config(table, spec: str | None):
     return parse_register_spec(table, spec) if spec else None
-
-
-def _parse_offset(text: str | None):
-    if not text:
-        return None
-    return tuple(int(x) for x in text.split(","))
 
 
 def cmd_preprocess(args) -> int:
@@ -133,14 +133,14 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def _load_session(args):
+    """The ``--db`` database and the ``--measurements`` bound to its CFG."""
     db = load_database(_read_json(args.db))
-    cfg_ref, measurements = load_measurements(_read_json(args.measurements))
-    if cfg_ref != db.cfg_digest:
-        raise DigestMismatchError(
-            f"measurements refer to CFG {cfg_ref[:12]}..., database was built "
-            f"for {db.cfg_digest[:12]}..."
-        )
+    return db, load_measurements(_read_json(args.measurements), db.cfg_digest)
+
+
+def cmd_verify(args) -> int:
+    db, measurements = _load_session(args)
     table = load_event_table(_read_json(args.table)) if args.table else None
     if table is not None and table.counter_names != db.counters:
         raise SchemaError(
@@ -148,10 +148,9 @@ def cmd_verify(args) -> int:
             f"{table.counter_names} vs {db.counters}"
         )
     config = _load_config(table, args.counters)
-    offset = _parse_offset(args.offset)
-    if offset is not None:
+    if args.offset is not None:
         measurements = [
-            m.__class__(start=m.start, end=m.end, delta=vsub(m.delta, offset))
+            m.__class__(start=m.start, end=m.end, delta=vsub(m.delta, args.offset))
             for m in measurements
         ]
     report = verify_trace_measurements(db, measurements, config=config)
@@ -167,8 +166,8 @@ def cmd_simulate(args) -> int:
     cfg = load_cfg(_read_json(args.cfg))
     table = load_event_table(_read_json(args.table))
     config = _load_config(table, args.counters)
-    trace = load_trace(_read_json(args.trace), cfg)
-    measurements = measure(cfg, table, config, trace, offset=_parse_offset(args.offset))
+    trace = load_trace(_read_json(args.trace), cfg.digest)
+    measurements = measure(cfg, table, config, trace, offset=args.offset)
     doc = serialize_measurements(cfg.digest, measurements)
     if args.out:
         _write_json(args.out, doc)
@@ -231,7 +230,7 @@ def _run_manifest(path: str, reps_override: int | None = None):
 
     cfg = load_cfg(_read_json(files["cfg"]))
     table = load_event_table(_read_json(files["table"]))
-    trace = load_trace(_read_json(files["trace"]), cfg)
+    trace = load_trace(_read_json(files["trace"]), cfg.digest)
     config = _load_config(table, counters)
     db_path = None if db_name is None else base / db_name
     if db_path is not None and db_path.exists():
@@ -293,12 +292,7 @@ def cmd_protocol(args) -> int:
     if args.db is not None:
         # Integration mode: the verifier supplies the verdicts for events
         # scripted with value "auto".
-        db = load_database(_read_json(args.db))
-        cfg_ref, measurements = load_measurements(_read_json(args.measurements))
-        if cfg_ref != db.cfg_digest:
-            raise DigestMismatchError(
-                "scenario measurements and database refer to different CFGs"
-            )
+        db, measurements = _load_session(args)
         report = verify_trace_measurements(db, measurements)
         events = protocol.bind_verdicts(
             events, [r.verdict == "accepted" for r in report.results]
@@ -362,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--table", help="needed with --counters; its counter list must be the database's"
     )
     p.add_argument("--counters", help="register spec, e.g. 'instret,a+b,c'")
-    p.add_argument("--offset", help="per-snapshot footprint to subtract, e.g. '3,0,1'")
+    p.add_argument("--offset", type=_offset, help="per-snapshot footprint to subtract")
     p.add_argument(
         "--timings",
         action="store_true",
@@ -376,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--counters")
-    p.add_argument("--offset")
+    p.add_argument("--offset", type=_offset, help="per-snapshot footprint to add")
     p.add_argument("--out")
     common_output(p)
     p.set_defaults(func=cmd_simulate)

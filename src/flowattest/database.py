@@ -35,18 +35,20 @@ what makes online verification sound.
 
 from __future__ import annotations
 
-import json
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from .cfg import (
     AnnotatedCfg,
+    _bind_cfg_ref,
     _check_list,
     _check_vector,
     _load_endpoints,
     _require_keys,
+    _simple_cycles,
+    _strong_components,
 )
-from .errors import BudgetError, DigestMismatchError, SchemaError
+from .errors import BudgetError, SchemaError
 from .events import CounterConfig, EventTable, delta_map
 from .expand import (
     DEFAULT_NODE_BUDGET,
@@ -59,8 +61,6 @@ from .vectors import Vec, is_zero, vadd, vsum
 
 DEFAULT_PATH_BUDGET = 100_000
 DEFAULT_CYCLE_BUDGET = 10_000
-
-Node = Hashable
 
 
 @dataclass(frozen=True)
@@ -112,115 +112,6 @@ class SegmentDatabase:
 class _Cycle:
     nodes: frozenset[ExpandedNode]
     delta: Vec
-
-
-def _strong_components(succ: dict[Node, list[Node]], nodes: list[Node]) -> list[list[Node]]:
-    """Strongly connected components of the subgraph induced by ``nodes``
-    (Tarjan 1972, with an explicit stack in place of recursion)."""
-    members = set(nodes)
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    stack: list[Node] = []
-    on_stack: set[Node] = set()
-    components: list[list[Node]] = []
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            node, nexts = work[-1]
-            for nxt in nexts:
-                if nxt not in members:
-                    continue
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(component)
-    return components
-
-
-def _simple_cycles(
-    succ: dict[Node, list[Node]], components: list[list[Node]]
-) -> Iterator[list[Node]]:
-    """Every simple cycle of a directed graph, each exactly once.
-
-    ``succ`` maps every node to its successors, without repeats, and
-    ``components`` are its strongly connected components.  Self-loops come
-    first; the rest is Johnson's blocked circuit search (Johnson 1975):
-    take a node ``s`` of a nontrivial strongly connected component, list
-    the circuits through ``s`` inside that component, then drop ``s`` and
-    repeat on the components that remain.  A node stays blocked while no
-    circuit can be completed through it, which bounds the work per circuit
-    found.
-    """
-    for node, nexts in succ.items():
-        if node in nexts:
-            yield [node]
-    pending = [c for c in components if len(c) > 1]
-    while pending:
-        component = pending.pop()
-        start = component[-1]
-        members = set(component)
-        blocked = {start}
-        blockers: dict[Node, set[Node]] = {n: set() for n in component}
-        path = [start]
-        # One frame per path node: [node, unexplored successors, closed a circuit]
-        frames = [[start, iter(succ[start]), False]]
-        while frames:
-            frame = frames[-1]
-            for nxt in frame[1]:
-                if nxt not in members or nxt == frame[0]:
-                    continue
-                if nxt == start:
-                    yield list(path)
-                    frame[2] = True
-                elif nxt not in blocked:
-                    blocked.add(nxt)
-                    path.append(nxt)
-                    frames.append([nxt, iter(succ[nxt]), False])
-                    break
-            else:
-                frames.pop()
-                node = path.pop()
-                if frame[2]:
-                    # Unblock the node and, transitively, everything that
-                    # was waiting on it.
-                    release = [node]
-                    while release:
-                        n = release.pop()
-                        if n in blocked:
-                            blocked.discard(n)
-                            release.extend(blockers[n])
-                            blockers[n].clear()
-                    if frames:
-                        frames[-1][2] = True
-                else:
-                    for nxt in succ[node]:
-                        if nxt in members:
-                            blockers[nxt].add(node)
-        rest = component[:-1]
-        pending.extend(c for c in _strong_components(succ, rest) if len(c) > 1)
 
 
 def _cycle_universe(
@@ -616,29 +507,21 @@ def _load_candidate(obj, start: str, end: str, dim: int, what: str) -> PathCandi
     )
 
 
-def load_database(document: dict | str, expected_digest: str | None = None) -> SegmentDatabase:
-    """Parse a database document, refusing it when the digest disagrees
-    with the CFG the caller is about to verify against.
+def load_database(document: dict, expected_digest: str | None = None) -> SegmentDatabase:
+    """Parse a database document, bound to the CFG ``expected_digest`` when
+    one is given; without one, it is the anchor other documents bind to.
 
     Every object is checked for its exact key set, and every base and loop
     vector must hold one nonnegative integer per counter, the precondition
     of the cone solver.
     """
-    if isinstance(document, str):
-        document = json.loads(document)
     _require_keys(
         document,
         required=("cfg_digest", "counters", "skip_segments", "segments"),
         optional=(),
         what="database document",
     )
-    if not isinstance(document["cfg_digest"], str):
-        raise SchemaError("database cfg_digest must be a string")
-    if expected_digest is not None and document["cfg_digest"] != expected_digest:
-        raise DigestMismatchError(
-            f"database was built for CFG {document['cfg_digest'][:12]}..., "
-            f"expected {expected_digest[:12]}..."
-        )
+    cfg_digest = _bind_cfg_ref(document, "cfg_digest", expected_digest, "database document")
     counters = document["counters"]
     if not isinstance(counters, list) or not all(isinstance(c, str) for c in counters):
         raise SchemaError("database counters must be an array of names")
@@ -655,7 +538,7 @@ def load_database(document: dict | str, expected_digest: str | None = None) -> S
         ]
         entries[key] = tuple(sorted(candidates, key=PathCandidate.sort_key))
     return SegmentDatabase(
-        cfg_digest=document["cfg_digest"],
+        cfg_digest=cfg_digest,
         counters=tuple(counters),
         entries=entries,
         skip_segments=frozenset(

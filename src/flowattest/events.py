@@ -13,7 +13,6 @@ The table document is ``{"counters": [{"name", "deterministic"}],
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -83,9 +82,7 @@ def make_event_table(counters: list[CounterEvent], attribution: dict[str, Vec]) 
     return table
 
 
-def load_event_table(document: dict | str) -> EventTable:
-    if isinstance(document, str):
-        document = json.loads(document)
+def load_event_table(document: dict) -> EventTable:
     _require_keys(document, required=("counters", "attribution"), optional=(), what="event table")
     counters = []
     for obj in _check_list(document["counters"], "event table counters"):

@@ -16,7 +16,6 @@ violation with the event trace that reached it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -398,9 +397,7 @@ def parse_event(obj) -> ProtocolEvent:
     return ProtocolEvent(**obj)
 
 
-def load_scenario(document: list | str) -> list[ProtocolEvent]:
-    if isinstance(document, str):
-        document = json.loads(document)
+def load_scenario(document: list) -> list[ProtocolEvent]:
     if not isinstance(document, list):
         raise SchemaError("a scenario is an array of protocol events")
     return [parse_event(obj) for obj in document]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from flowattest.errors import (
 )
 
 from .conftest import TINY_COUNTERS, block, edge, straight_line_doc, two_loop_chain_doc
+from .oracles import simple_cycles_bruteforce
 
 
 def test_straight_line_loads():
@@ -49,6 +51,55 @@ def test_call_cycle_rejected():
     with pytest.raises(RecursionDetectedError) as err:
         load_cfg(doc)
     assert str(err.value) == "recursion detected: f,g"
+
+
+def _call_graph_doc(rng, n):
+    """A program of ``n`` one-block functions ``f0``..., entered at ``f0``,
+    whose blocks call each other at random: by call edges, or across
+    functions also by indirect edges.  Returns the document and its call
+    graph."""
+    calls = {f"f{i}": [] for i in range(n)}
+    edges = []
+    density = rng.choice((0.1, 0.25, 0.5))
+    for src in calls:
+        for dst in calls:
+            if rng.random() < density:
+                calls[src].append(dst)
+                kind = "call" if src == dst else rng.choice(("call", "indirect"))
+                edges.append(edge(f"{src}.0", f"{dst}.0", kind))
+    blocks = [block(f"{fn}.0", fn, ["jal"], mp=fn == "f0") for fn in calls]
+    rng.shuffle(blocks)
+    rng.shuffle(edges)
+    functions = [{"name": fn, "entry": f"{fn}.0", "blocks": [f"{fn}.0"]} for fn in calls]
+    doc = {
+        "counters": TINY_COUNTERS,
+        "functions": functions,
+        "blocks": blocks,
+        "edges": edges,
+        "entry": "f0.0",
+    }
+    return doc, calls
+
+
+def test_recursion_check_matches_bruteforce_cycles():
+    """On random call graphs of 1-7 functions, load_cfg refuses exactly the
+    graphs with a simple cycle, and the cycle it names is one of them."""
+    rng = random.Random(20_261_020)
+    outcomes = {True: 0, False: 0}
+    for _ in range(2_400):
+        doc, calls = _call_graph_doc(rng, rng.randint(1, 7))
+        cycles = simple_cycles_bruteforce(calls)
+        try:
+            load_cfg(doc)
+            named = None
+        except RecursionDetectedError as err:
+            named = err.cycle
+        assert (named is not None) == bool(cycles), calls
+        if named is not None:
+            start = named.index(min(named))
+            assert named[start:] + named[:start] in cycles, (calls, named)
+        outcomes[bool(cycles)] += 1
+    assert min(outcomes.values()) > 500, outcomes
 
 
 def test_two_loop_chain_shape():
@@ -211,10 +262,10 @@ def test_trace_document_round_trip_and_digest_check():
     cfg = load_cfg(two_loop_chain_doc())
     trace = BlockTrace(("A", "B", "C"))
     doc = serialize_trace(cfg, trace)
-    assert load_trace(doc, cfg) == trace
+    assert load_trace(doc, cfg.digest) == trace
     other = load_cfg(straight_line_doc())
     with pytest.raises(DigestMismatchError):
-        load_trace(doc, other)
+        load_trace(doc, other.digest)
 
 
 def test_return_edge_requires_call_relationship():

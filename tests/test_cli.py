@@ -262,7 +262,7 @@ def test_verify_exit_codes(capsys, chain_paths):
         capsys, "verify", "--db", str(db_path), "--measurements", mismatched,
     )
     assert code == EXIT_DIGEST
-    assert "database was built" in err
+    assert "measurement document refers to CFG ffffffffffff..., expected" in err
 
 
 @pytest.mark.parametrize(
@@ -384,6 +384,53 @@ def test_verify_offset_subtraction(capsys, chain_paths):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize(
+    "offset, message",
+    [("-100,0,1", "must be >= 0, got -100"), ("2,x,1", "must be an integer, got 'x'")],
+    ids=["negative", "not-an-integer"],
+)
+def test_offset_entries_are_nonnegative_integers(capsys, chain_paths, command, offset, message):
+    """``simulate --offset=-100,...`` used to write measurements that
+    ``verify`` then refused; each entry is now checked before any file is
+    read.  A wrong number of entries is still a clean input error."""
+    cfg_path, table_path, tmp = chain_paths
+    missing = {
+        "simulate": ["--cfg", "missing.json", "--table", "missing.json", "--trace", "missing.json"],
+        "verify": ["--db", "missing.json", "--measurements", "missing.json"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *missing, f"--offset={offset}"])
+    assert exc.value.code == EXIT_ERROR
+    assert f"argument --offset: {message}" in capsys.readouterr().err
+    db_path, measurements_path = _pipeline(capsys, tmp, cfg_path, table_path, ["A", "B", "C"])
+    argv = {
+        "simulate": ["simulate", "--cfg", cfg_path, "--table", table_path,
+                     "--trace", str(tmp / "trace.json"), "--out", str(tmp / "offset_ms.json")],
+        "verify": ["verify", "--db", str(db_path), "--measurements", str(measurements_path)],
+    }[command]
+    code, out, err = run(capsys, *argv, "--offset", "2,0")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: vectors of dimension 3 and 2\n"
+    assert not (tmp / "offset_ms.json").exists()
+
+
+@pytest.mark.parametrize("command", ["walk", "simulate"])
+def test_text_output_without_a_renderer_is_json(capsys, chain_paths, command):
+    # A document that a tool can read, not a Python dict repr.
+    cfg_path, table_path, tmp = chain_paths
+    trace = _write(tmp / "trace.json", {"cfg_ref": _digest_of(cfg_path), "steps": ["A", "B", "C"]})
+    argv = {
+        "walk": ["walk", "--cfg", cfg_path, "--seed", "3"],
+        "simulate": ["simulate", "--cfg", cfg_path, "--table", table_path, "--trace", trace],
+    }[command]
+    code, text, _ = run(capsys, *argv)
+    code2, as_json, _ = run(capsys, *argv, "--format", "json")
+    assert code == code2 == EXIT_OK
+    assert text == as_json
+    assert json.loads(text)["cfg_ref"] == _digest_of(cfg_path)
+
+
 def test_walk_command_is_deterministic(capsys, chain_paths):
     cfg_path, _table, _tmp = chain_paths
     code, out1, _ = run(capsys, "walk", "--cfg", cfg_path, "--seed", "3", "--format", "json")
@@ -403,22 +450,25 @@ def test_protocol_commands(capsys, tmp_path):
     assert json.loads(out)["violations"] == []
 
 
+# A scenario whose one verdict the verifier supplies (``protocol --db``).
+AUTO_SCENARIO = [
+    {"kind": "create", "actor": "tracee", "target": "TRACEE", "value": "h"},
+    {"kind": "create", "actor": "tracer", "target": "TRACER"},
+    {"kind": "attach_as_tracer", "actor": "tracer", "target": "tracee", "value": "h"},
+    {"kind": "start", "actor": "tracee"},
+    {"kind": "ecall", "actor": "tracee"},
+    {"kind": "set_cfa_verification_state", "actor": "tracer", "target": "tracee",
+     "value": "auto"},
+    {"kind": "host_read_shm", "actor": "host", "target": "tracee"},
+]
+
+
 def test_protocol_integration_mode(capsys, chain_paths, tmp_path):
     cfg_path, table_path, tmp = chain_paths
     db_path, measurements_path = _pipeline(
         capsys, tmp, cfg_path, table_path, ["A", "B", "C"]
     )
-    scenario = [
-        {"kind": "create", "actor": "tracee", "target": "TRACEE", "value": "h"},
-        {"kind": "create", "actor": "tracer", "target": "TRACER"},
-        {"kind": "attach_as_tracer", "actor": "tracer", "target": "tracee", "value": "h"},
-        {"kind": "start", "actor": "tracee"},
-        {"kind": "ecall", "actor": "tracee"},
-        {"kind": "set_cfa_verification_state", "actor": "tracer", "target": "tracee",
-         "value": "auto"},
-        {"kind": "host_read_shm", "actor": "host", "target": "tracee"},
-    ]
-    scenario_path = _write(tmp_path / "scenario.json", scenario)
+    scenario_path = _write(tmp_path / "scenario.json", AUTO_SCENARIO)
     code, out, _ = run(
         capsys, "protocol", "--scenario", scenario_path,
         "--db", str(db_path), "--measurements", str(measurements_path),
@@ -543,12 +593,13 @@ def test_attack_eval_fuzzed_manifest_fails_cleanly(capsys, fuzz_manifests, data)
 @pytest.fixture
 def fuzz_pipelines(capsys, chain_paths):
     """The two-loop chain and the greeter demo, each with its CFG, event
-    table, database and the measurements of one valid run, as documents."""
+    table, database, one valid run's trace and measurements, and a
+    scenario with one verdict event, as documents."""
     cfg_path, table_path, tmp = chain_paths
     db_path, measurements_path = _pipeline(
         capsys, tmp, cfg_path, table_path, ["A", "B", "D", "E", "B", "C"]
     )
-    paths = {"chain": (cfg_path, table_path, db_path, measurements_path)}
+    paths = {"chain": (cfg_path, table_path, db_path, measurements_path, tmp / "trace.json")}
     greeter = tmp / "greeter"
     run(capsys, "demo", "--name", "greeter", "--out", str(greeter))
     names = ("greeter.json", "table.json", "greeter_db.json", "greeter_ms.json")
@@ -561,9 +612,12 @@ def fuzz_pipelines(capsys, chain_paths):
         ),
     ):
         assert run(capsys, *argv)[0] == EXIT_OK
-    paths["greeter"] = (cfg_path, table_path, db_path, measurements_path)
+    paths["greeter"] = (
+        cfg_path, table_path, db_path, measurements_path, greeter / "greeter_trace.json"
+    )
+    names = ("cfg", "table", "db", "measurements", "trace")
     documents = {
-        name: dict(zip(("cfg", "table", "db", "measurements"), (_read(p) for p in group)))
+        name: dict(zip(names, map(_read, group)), scenario=AUTO_SCENARIO)
         for name, group in paths.items()
     }
     return tmp, documents
@@ -607,6 +661,21 @@ def _fuzz_somewhere(data, doc):
     return doc
 
 
+def _argv(command, paths, out):
+    """The command line of ``command`` on the documents at ``paths``."""
+    session = ("--db", paths["db"], "--measurements", paths["measurements"])
+    return {
+        "verify": ("verify", *session),
+        "preprocess": ("preprocess", "--cfg", paths["cfg"], "--table", paths["table"], "--out", out),
+        "simulate": (
+            "simulate", "--cfg", paths["cfg"], "--table", paths["table"], "--trace", paths["trace"]
+        ),
+        "walk": ("walk", "--cfg", paths["cfg"], "--seed", "1"),
+        "protocol": ("protocol", "--scenario", paths["scenario"], *session),
+        "protocol-scenario": ("protocol", "--scenario", paths["scenario"]),
+    }[command]
+
+
 def _fuzz_run(capsys, data, tmp_path, documents, command, fuzzed):
     """Run ``command`` on one pipeline's documents with the ``fuzzed`` one
     changed somewhere; returns the exit code and stderr."""
@@ -614,13 +683,7 @@ def _fuzz_run(capsys, data, tmp_path, documents, command, fuzzed):
     docs = dict(documents[pipeline])
     docs[fuzzed] = _fuzz_somewhere(data, docs[fuzzed])
     paths = {name: _write(tmp_path / f"fuzzed_{name}.json", doc) for name, doc in docs.items()}
-    if command == "verify":
-        argv = ("verify", "--db", paths["db"], "--measurements", paths["measurements"])
-    else:
-        argv = (
-            "preprocess", "--cfg", paths["cfg"], "--table", paths["table"],
-            "--out", str(tmp_path / "fuzzed_out.json"),
-        )
+    argv = _argv(command, paths, str(tmp_path / "fuzzed_out.json"))
     code, _, err = run(capsys, *argv, "--format", "json")
     return code, err
 
@@ -653,6 +716,72 @@ def test_preprocess_fuzzed_document_fails_cleanly(capsys, fuzz_pipelines, fuzzed
     code, err = _fuzz_run(capsys, data, tmp_path, documents, "preprocess", fuzzed)
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_DIGEST, EXIT_BUDGET), (code, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, fuzzed",
+    [
+        ("simulate", "cfg"), ("simulate", "table"), ("simulate", "trace"), ("walk", "cfg"),
+        ("protocol-scenario", "scenario"), ("protocol", "scenario"), ("protocol", "db"),
+        ("protocol", "measurements"),
+    ],
+)
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_fuzzed_document_never_rejects_or_fails_internally(
+    capsys, fuzz_pipelines, command, fuzzed, data
+):
+    """A document of ``simulate``, ``walk`` or ``protocol --scenario``
+    (alone or with ``--db`` and ``--measurements``) changed anywhere: the
+    command succeeds or fails with a usage, digest or budget error; it
+    never rejects (1), raises an internal error (5) or prints a traceback."""
+    tmp_path, documents = fuzz_pipelines
+    code, err = _fuzz_run(capsys, data, tmp_path, documents, command, fuzzed)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_DIGEST, EXIT_BUDGET), (code, err)
+    assert "Traceback" not in err
+
+
+_BOUND_AS = {
+    "trace": "trace document", "measurements": "measurement document", "db": "database document"
+}
+
+
+@pytest.mark.parametrize("own, other", [("chain", "greeter"), ("greeter", "chain")])
+@pytest.mark.parametrize(
+    "command, swapped",
+    [
+        ("simulate", "trace"), ("verify", "measurements"), ("protocol", "measurements"),
+        ("attack-eval", "trace"), ("attack-eval", "db"),
+    ],
+)
+def test_document_for_another_cfg_is_a_digest_mismatch(
+    capsys, fuzz_pipelines, command, swapped, own, other
+):
+    """Every command that reads a document bound to a CFG refuses one built
+    for another CFG with exit 3 and one message naming both digests; the
+    same command on its own pipeline's documents succeeds."""
+    tmp_path, documents = fuzz_pipelines
+    digest = {name: docs["db"]["cfg_digest"] for name, docs in documents.items()}
+    expected = (
+        f"error: {_BOUND_AS[swapped]} refers to CFG {digest[other][:12]}..., "
+        f"expected {digest[own][:12]}...\n"
+    )
+
+    def run_on(docs, where):
+        where.mkdir()
+        paths = {name: _write(where / f"{name}.json", doc) for name, doc in docs.items()}
+        if command == "attack-eval":
+            manifest = {name: f"{name}.json" for name in ("cfg", "table", "trace", "db")}
+            argv = ("attack-eval", _write(where / "manifest.json", {**manifest, "reps": 1}))
+        else:
+            argv = _argv(command, paths, None)
+        return run(capsys, *argv, "--format", "json")
+
+    assert run_on(documents[own], tmp_path / "own")[0] == EXIT_OK
+    swapped_docs = {**documents[own], swapped: documents[other][swapped]}
+    assert run_on(swapped_docs, tmp_path / "swapped") == (EXIT_DIGEST, "", expected)
 
 
 def test_attack_eval_manifest_database_with_instruction_counts_is_a_usage_error(

@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 import flowattest
 from flowattest import database
-from flowattest.cfg import BlockTrace, load_cfg
+from flowattest.cfg import BlockTrace, _simple_cycles, _strong_components, load_cfg
 from flowattest.database import (
     DEFAULT_PATH_BUDGET,
-    _simple_cycles,
-    _strong_components,
     dedup_key,
     enumerate_segments,
     load_database,

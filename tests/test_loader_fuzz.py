@@ -10,6 +10,7 @@ means "measurement rejected".
 """
 
 import copy
+import json
 
 import pytest
 
@@ -23,7 +24,7 @@ from flowattest.cfg import (
     serialize_trace,
 )
 from flowattest.database import enumerate_segments, load_database, serialize_database
-from flowattest.errors import FlowAttestError
+from flowattest.errors import FlowAttestError, SchemaError
 from flowattest.events import default_event_table, load_event_table, serialize_event_table
 from flowattest.simulate import measure
 from flowattest.verify import verify_trace_measurements
@@ -48,14 +49,11 @@ def _use_table(doc):
 
 
 def _use_trace(doc):
-    measure(CFG, TABLE, None, load_trace(doc, CFG))
+    measure(CFG, TABLE, None, load_trace(doc, CFG.digest))
 
 
 def _use_measurements(doc):
-    cfg_ref, measurements = load_measurements(doc)
-    # The CLI compares and prints cfg_ref before verifying.
-    assert isinstance(cfg_ref, str)
-    verify_trace_measurements(DB, measurements)
+    verify_trace_measurements(DB, load_measurements(doc, DB.cfg_digest))
 
 
 def _use_database(doc):
@@ -96,6 +94,14 @@ def _replaced(doc, path, value):
         parent = parent[key]
     parent[path[-1]] = copy.deepcopy(value)
     return out
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+def test_json_text_is_not_a_document(kind):
+    # Loaders take parsed JSON values; the command line parses the files.
+    doc, use = DOCUMENTS[kind]
+    with pytest.raises(SchemaError):
+        use(json.dumps(doc))
 
 
 @pytest.mark.parametrize("kind", sorted(DOCUMENTS))
