@@ -171,7 +171,12 @@ def cmd_simulate(args) -> int:
     doc = serialize_measurements(cfg.digest, measurements)
     if args.out:
         _write_json(args.out, doc)
-        print(f"{len(measurements)} measurements written to {args.out}")
+        written = {"out": args.out, "measurements": len(measurements)}
+        _emit(
+            written,
+            args.format,
+            lambda: f"{written['measurements']} measurements written to {args.out}",
+        )
     else:
         _emit(doc, args.format)
     return EXIT_OK
@@ -189,7 +194,10 @@ def cmd_walk(args) -> int:
     doc = serialize_trace(cfg, trace)
     if args.out:
         _write_json(args.out, doc)
-        print(f"walk with {len(trace.steps)} steps written to {args.out}")
+        written = {"out": args.out, "steps": len(trace.steps)}
+        _emit(
+            written, args.format, lambda: f"walk with {written['steps']} steps written to {args.out}"
+        )
     else:
         _emit(doc, args.format)
     return EXIT_OK

@@ -248,6 +248,10 @@ class Reach:
     A target outside the box grows it to the merged box, and re-sweeps,
     only when the merged box passes ``_dp_plan``; otherwise the map is
     left as it is and :func:`solve_cone` decides the target alone.
+    :meth:`reaches` is the verdict alone for a point of the box, one stage
+    read; :meth:`witness` reads the combination back.  A box that admits
+    no generator has no stage, so it reports even the origin unreached: a
+    zero target is decided before either is asked.
     """
 
     __slots__ = ("_generators", "_active", "box", "_strides", "_used", "_shifts", "_planes")
@@ -307,6 +311,12 @@ class Reach:
             if plane[at] >> bit & 1:
                 stage += weight
         return stage
+
+    def reaches(self, target: Vec) -> bool:
+        """Whether some combination reaches ``target``, a point of the box:
+        one stage read.  The origin counts as reached only when some stage
+        exists, so a box that admits no generator reaches nothing."""
+        return self._stage(sum(t * s for t, s in zip(target, self._strides))) != len(self._used)
 
     def witness(self, target: Vec) -> tuple[int, ...] | None:
         """The reverse-lexicographic minimum witness of a nonzero target

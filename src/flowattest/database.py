@@ -82,10 +82,10 @@ class SegmentDatabase:
     counters: tuple[str, ...]
     entries: dict[tuple[str, str], tuple[PathCandidate, ...]]
     skip_segments: frozenset[tuple[str, str]]
-    # Memo of verify's candidate projections: register file (None for the
-    # identity file) -> segment key -> one (base, generators, owner, reach)
-    # per candidate.  Filled lazily during verification; the reach maps
-    # grow with it.
+    # Memo of verify's candidate tables: register file (None for the
+    # identity file) -> segment key -> one row per candidate, its reach map
+    # last.  Filled lazily during verification; the reach maps grow with
+    # it.
     _projected: dict[CounterConfig | None, dict[tuple[str, str], tuple]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

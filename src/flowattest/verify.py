@@ -14,36 +14,41 @@ with its accepting candidates, witness and feasible-set update; a repeat
 is answered from there with exactly what deciding it again would give.  A
 rejection is never stored: nothing can follow it in its session.
 
+:func:`verify_segment` and :func:`prober` read one candidate table per
+register file and segment: built on the segment's first verification by
+:func:`_table` and memoized on the database, in ``db._projected[config]
+[key]`` (``config`` is ``None`` for the identity file), it holds one row
+per candidate, in database order, with everything the per-delta work
+needs resolved once: the candidate id, the entry and exit stacks, the
+loop count, the projected base, the deduplicated nonzero projected loop
+vectors (the generators) with the witness remap, the lone generator's
+pivot, and one :class:`~flowattest.cone.Reach` map per candidate with two
+or more generators.  A candidate is decided by its shape: generator-free,
+it accepts exactly its base; with one generator, by one floor division
+and a componentwise check (:func:`~flowattest.cone.single_generator_count`,
+the rule ``solve_cone`` itself applies to one generator); only two or
+more generators reach ``solve_cone``, with the row's map.  Each map grows
+with the residuals its candidate is asked about, so a repeated or smaller
+residual is answered by bit reads; the answers are the ones
+``solve_cone`` gives without a map.  The table lives as long as the
+database object, is shared by every session and prober over it, and is
+invisible to the database's equality and serialization.
+
+A session walks the rows whose entry stack is feasible, one C-level
+subtraction and sign test per row, and counts one solver call per
+nonnegative residual whatever the shape decides, so its counts are the
+ones every candidate going through ``solve_cone`` would give.
+
 :func:`prober` is the verdict alone, for probes such as the attack
 harness's mutants: built once for a segment's endpoints and the feasible
-entry stacks it is checked against, it resolves the skip rule, the
-projected candidates and the feasible-stack filter up front and sorts the
-candidates by shape, so each delta it is asked about costs what its
-candidates need: one set lookup for all generator-free candidates (each
-accepts exactly its base), one floor division and a componentwise check
-per single-generator candidate (:func:`~flowattest.cone.single_generator_count`,
-the rule ``solve_cone`` itself applies to one generator), and a vector
-subtraction, a sign test and a cone test per candidate with two or more
-generators, until the first accepting one.  It keeps no session, result
-or cache.  :func:`accepts` is one probe of one measurement.  Both the
-prober and :func:`verify_segment` take a segment's candidates from one
-selection, :func:`_feasible_candidates`, after the same config and
-dimension checks and skip rule; ``verify_segment`` keeps its
-per-candidate loop, since it needs every accepting candidate and the
-witness.
-
-Each candidate's base and loop vectors are projected through the register
-file once per database and file: the database memoizes, per
-``CounterConfig`` (``None`` for the identity file) and segment key, the
-projected base, the deduplicated nonzero generators and the witness remap
-of every candidate, plus one :class:`~flowattest.cone.Reach` map per
-candidate with two or more generators (a single generator is decided by
-one division).  Each map grows with the residuals its candidate is asked
-about, so a repeated or smaller residual is answered by bit reads; the
-answers are the ones ``solve_cone`` gives without a map.  The memo fills
-on a segment key's first verification, lives as long as the database
-object, is shared by every session over it, and is invisible to the
-database's equality and serialization.
+entry stacks it is checked against, it resolves the skip rule and the
+feasible-stack filter up front and groups the table's rows by shape, so
+each delta costs one set lookup for all generator-free candidates, one
+division per single-generator candidate, and a subtraction, a sign test
+and a map read (``Reach.reaches``, or ``solve_cone`` for a residual the
+map cannot cover) per candidate with two or more generators, until the
+first accepting one.  It keeps no session, result or cache.
+:func:`accepts` is one probe of one measurement.
 """
 
 from __future__ import annotations
@@ -51,10 +56,12 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import sub
+from typing import NamedTuple
 
 from .cfg import Measurement
 from .cone import Reach, first_positive, single_generator_count, solve_cone
-from .database import DedupKey, PathCandidate, SegmentDatabase, dedup_key
+from .database import DedupKey, SegmentDatabase, dedup_key
 from .errors import SchemaError
 from .events import CounterConfig, project
 from .expand import CallStack
@@ -112,38 +119,61 @@ def _check_dimension(delta: Vec, expected: int) -> None:
         )
 
 
-def _project_candidate(config: CounterConfig | None, cand: PathCandidate):
-    """(projected base, deduplicated nonzero projected loop vectors, witness
-    remap, reachability map): the remap gives, for each generator, the first
-    loop index carrying it; the map is None for fewer than two generators,
-    which the cone solver decides without a search."""
-    base = project(config, cand.base) if config is not None else cand.base
-    owner: dict[Vec, int] = {}
-    for j, loop in enumerate(cand.loops):
-        pv = project(config, loop) if config is not None else loop
-        if any(pv):
-            owner.setdefault(pv, j)
-    generators = tuple(owner)
-    reach = Reach(generators) if len(generators) >= 2 else None
-    return base, generators, tuple(owner.values()), reach
+class _Row(NamedTuple):
+    """One candidate of a segment as the verifier reads it, under one
+    register file.  ``generators`` are the distinct nonzero projected loop
+    vectors and ``owner`` gives, for each, the first loop index carrying it;
+    ``pivot`` is the lone generator's :func:`~flowattest.cone.first_positive`
+    index (None for any other number of generators) and ``reach`` the map
+    of two or more generators (None for fewer)."""
+
+    cid: str
+    entry_stack: CallStack
+    exit_stack: CallStack
+    loop_count: int
+    base: Vec
+    generators: tuple[Vec, ...]
+    owner: tuple[int, ...]
+    pivot: int | None
+    reach: Reach | None
 
 
-def _feasible_candidates(db: SegmentDatabase, config: CounterConfig | None, key, feasible):
-    """The one candidate selection: each candidate of ``key`` whose entry
-    stack is in ``feasible`` (None: any), in database order, as (index,
-    candidate, its projection under ``config``), the projection being
-    ``_project_candidate``'s, memoized on the database.  A segment the
-    database never connected has no candidates."""
+def _table(db: SegmentDatabase, config: CounterConfig | None, key) -> tuple[_Row, ...]:
+    """The candidate table of segment ``key`` under ``config``: one row per
+    candidate, in database order, built on the key's first verification and
+    memoized on the database.  A segment the database never connected has
+    no rows, and nothing is stored for it."""
+    try:
+        return db._projected[config][key]
+    except KeyError:
+        pass
     candidates = db.entries.get(key)
     if not candidates:
-        return
-    per_key = db._projected.setdefault(config, {})
-    projected = per_key.get(key)
-    if projected is None:
-        projected = per_key[key] = tuple(_project_candidate(config, c) for c in candidates)
-    for index, (cand, proj) in enumerate(zip(candidates, projected)):
-        if feasible is None or cand.start.stack in feasible:
-            yield index, cand, proj
+        return ()
+    rows = []
+    for index, cand in enumerate(candidates):
+        base = project(config, cand.base) if config is not None else cand.base
+        owner: dict[Vec, int] = {}
+        for j, loop in enumerate(cand.loops):
+            pv = project(config, loop) if config is not None else loop
+            if any(pv):
+                owner.setdefault(pv, j)
+        generators = tuple(owner)
+        rows.append(
+            _Row(
+                db.candidate_id(key, index),
+                cand.start.stack,
+                cand.end.stack,
+                len(cand.loops),
+                base,
+                generators,
+                tuple(owner.values()),
+                first_positive(generators[0]) if len(generators) == 1 else None,
+                Reach(generators) if len(generators) >= 2 else None,
+            )
+        )
+    rows = db._projected.setdefault(config, {})[key] = tuple(rows)
+    return rows
 
 
 def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
@@ -183,26 +213,44 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
         )
 
     tried = solver_calls = solver_nodes = 0
+    feasible, delta = state.feasible, m.delta
     accepting = []
     exits: set[CallStack] = set()
     witness: tuple[int, ...] | None = None
-    for index, cand, (base, generators, owner, reach) in _feasible_candidates(
-        db, config, key, state.feasible
+    for cid, entry_stack, exit_stack, loop_count, base, generators, owner, pivot, reach in _table(
+        db, config, key
     ):
+        if feasible is not None and entry_stack not in feasible:
+            continue
         tried += 1
-        target = vsub(m.delta, base)
-        if not is_nonneg(target):
+        target = tuple(map(sub, delta, base))
+        # An empty residual (a database of no counters) is nonnegative.
+        if target and min(target) < 0:
             continue
-        solution = solve_cone(target, generators, reach)
+        # One solver call per nonnegative residual, decided by the shape:
+        # a generator-free candidate accepts exactly its base, a single
+        # generator is one division, and only two or more need the cone.
         solver_calls += 1
-        solver_nodes += solution.lp_solves
-        if solution.witness is None:
-            continue
-        accepting.append(db.candidate_id(key, index))
-        exits.add(cand.end.stack)
+        if pivot is not None:
+            count = single_generator_count(target, generators[0], pivot)
+            if count is None:
+                continue
+            counts: tuple[int, ...] = (count,)
+        elif not generators:
+            if any(target):
+                continue
+            counts = ()
+        else:
+            solution = solve_cone(target, generators, reach)
+            solver_nodes += solution.lp_solves
+            if solution.witness is None:
+                continue
+            counts = solution.witness
+        accepting.append(cid)
+        exits.add(exit_stack)
         if witness is None:
-            full = [0] * len(cand.loops)
-            for value, j in zip(solution.witness, owner):
+            full = [0] * loop_count
+            for value, j in zip(counts, owner):
                 full[j] = value
             witness = tuple(full)
 
@@ -244,10 +292,10 @@ def prober(
     tells whether a session whose feasible entry stacks are ``feasible``
     would accept the measurement ``start`` -> ``end`` with a given delta.
 
-    Exactly ``verify_segment``'s verdict, from the same candidate selection,
-    but the config check, the skip test, the projection lookup, the
-    feasible-stack filter and the sorting of candidates by number of
-    generators are done once, here, and each call stops at the first
+    Exactly ``verify_segment``'s verdict, from the same candidate table,
+    but the config check, the skip test, the table lookup, the
+    feasible-stack filter and the grouping of rows by shape are done once,
+    here, and each call stops at the first
     accepting candidate and keeps no session, result or cache: a probe
     that only counts rejections needs neither the accepting set nor the
     feasible-set update.  A skipped segment accepts every delta, an unknown
@@ -258,22 +306,23 @@ def prober(
     expected = config.dimension if config is not None else db.dimension
     key = (start, end)
     skipped = key in db.skip_segments
-    # Candidates by shape: a generator-free one accepts exactly its base, a
+    # Rows by shape: a generator-free one accepts exactly its base, a
     # single-generator one the base plus a multiple of its generator, and
-    # only the rest need the cone solver.  Any accepting candidate decides
-    # the verdict, so the order of the groups cannot change it.
+    # only the rest need their map.  Any accepting candidate decides the
+    # verdict, so the order of the groups cannot change it.
     bases: set[Vec] = set()
     singles: list[tuple[Vec, Vec, int]] = []
-    cones: list[tuple[Vec, tuple[Vec, ...], Reach | None]] = []
+    cones: list[tuple[Vec, tuple[Vec, ...], Reach]] = []
     if not skipped:
-        for _, _, (base, generators, _, reach) in _feasible_candidates(db, config, key, feasible):
-            if not generators:
-                bases.add(base)
-            elif len(generators) == 1:
-                (generator,) = generators
-                singles.append((base, generator, first_positive(generator)))
+        for row in _table(db, config, key):
+            if feasible is not None and row.entry_stack not in feasible:
+                continue
+            if not row.generators:
+                bases.add(row.base)
+            elif row.pivot is not None:
+                singles.append((row.base, row.generators[0], row.pivot))
             else:
-                cones.append((base, generators, reach))
+                cones.append((row.base, row.generators, row.reach))
 
     def probe(delta: Vec) -> bool:
         _check_dimension(delta, expected)
@@ -284,9 +333,18 @@ def prober(
                 return True
         for base, generators, reach in cones:
             # The nonnegativity test spares the solver every residual that
-            # no cone point can reach.
+            # no cone point can reach.  A residual the map covers is one
+            # bit read; a zero one is accepted first, since a map whose box
+            # admits no generator reaches nothing, not even the origin.
             target = vsub(delta, base)
-            if is_nonneg(target) and solve_cone(target, generators, reach).witness is not None:
+            if not is_nonneg(target):
+                continue
+            if not any(target):
+                return True
+            if reach.covers(target):
+                if reach.reaches(target):
+                    return True
+            elif solve_cone(target, generators).witness is not None:
                 return True
         return False
 

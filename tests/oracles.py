@@ -4,12 +4,19 @@ Nothing here shares machinery with the package: the cone oracle is plain
 bounded enumeration, delta tallies are per-instruction loops, simple
 cycles come from trying every node sequence, segment candidates from
 recursion over every simple path, and the trace check tests one step at
-a time.
+a time.  The one exception is the reference session: the verifier's
+earlier per-candidate loop over the package's cone solver, kept to pin
+every count and verdict of the candidate-table session.
 """
 
+from dataclasses import dataclass, field
 from itertools import permutations
 
+from flowattest.cone import Reach, solve_cone
 from flowattest.errors import SchemaError, UnknownBlockError
+from flowattest.events import project
+from flowattest.vectors import is_nonneg, vsub
+from flowattest.verify import VerificationResult
 
 
 def cone_member_bruteforce(target, generators):
@@ -213,3 +220,114 @@ def validate_trace_per_step(cfg, trace):
         if (steps[i], steps[i + 1]) not in edges:
             return False
     return True
+
+
+@dataclass
+class ReferenceSession:
+    """The session fields :func:`reference_verify_segment` reads and writes,
+    plus its own projection memo, which it shares with nothing."""
+
+    db: object
+    config: object = None
+    feasible: frozenset | None = frozenset({()})
+    rejected: bool = False
+    cache: dict = field(default_factory=dict)
+    cache_hits: int = 0
+    cache_lookups: int = 0
+    projected: dict = field(default_factory=dict)
+
+
+def _reference_projection(config, cand):
+    """(projected base, deduplicated nonzero projected loop vectors, each
+    one's first loop index, reachability map or None below two)."""
+    base = project(config, cand.base) if config is not None else cand.base
+    owner = {}
+    for j, loop in enumerate(cand.loops):
+        pv = project(config, loop) if config is not None else loop
+        if any(pv):
+            owner.setdefault(pv, j)
+    generators = tuple(owner)
+    reach = Reach(generators) if len(generators) >= 2 else None
+    return base, generators, tuple(owner.values()), reach
+
+
+def reference_verify_segment(session, m):
+    """One measurement decided by the per-candidate loop: every candidate
+    whose entry stack is feasible is tried in database order, and every
+    nonnegative residual goes to ``solve_cone``.  The skip rule, the dedup
+    cache, the feasible-set update and the rejection reasons are the
+    verifier's; ``elapsed`` stays 0."""
+    if session.rejected:
+        raise RuntimeError("session is already rejected; state is frozen")
+    db, config = session.db, session.config
+    key = (m.start, m.end)
+    expected = config.dimension if config is not None else db.dimension
+    if len(m.delta) != expected:
+        raise SchemaError(
+            f"measurement delta has dimension {len(m.delta)}, session expects {expected}"
+        )
+    if key in db.skip_segments:
+        candidates = db.entries.get(key, ())
+        session.feasible = frozenset(c.end.stack for c in candidates) or None
+        return VerificationResult(
+            verdict="accepted",
+            reason="skip",
+            accepting=tuple(f"{key[0]}->{key[1]}#{i}" for i in range(len(candidates))),
+        )
+    cache_key = (m.start, m.end, m.delta, session.feasible)
+    session.cache_lookups += 1
+    hit = session.cache.get(cache_key)
+    if hit is not None:
+        session.cache_hits += 1
+        accepting, witness, session.feasible = hit
+        return VerificationResult(
+            verdict="accepted", accepting=accepting, witness=witness, cache_hit=True
+        )
+    candidates = db.entries.get(key, ())
+    if key not in session.projected:
+        session.projected[key] = [_reference_projection(config, c) for c in candidates]
+    tried = solver_calls = solver_nodes = 0
+    accepting = []
+    exits = set()
+    witness = None
+    for index, (cand, proj) in enumerate(zip(candidates, session.projected[key])):
+        if session.feasible is not None and cand.start.stack not in session.feasible:
+            continue
+        base, generators, owner, reach = proj
+        tried += 1
+        target = vsub(m.delta, base)
+        if not is_nonneg(target):
+            continue
+        solution = solve_cone(target, generators, reach)
+        solver_calls += 1
+        solver_nodes += solution.lp_solves
+        if solution.witness is None:
+            continue
+        accepting.append(f"{key[0]}->{key[1]}#{index}")
+        exits.add(cand.end.stack)
+        if witness is None:
+            full = [0] * len(cand.loops)
+            for value, j in zip(solution.witness, owner):
+                full[j] = value
+            witness = tuple(full)
+    accepting = tuple(accepting)
+    if accepting:
+        verdict, reason = "accepted", None
+        session.feasible = frozenset(exits)
+        session.cache[cache_key] = (accepting, witness, session.feasible)
+    else:
+        verdict = "rejected"
+        if tried:
+            reason = "cone-infeasible"
+        else:
+            reason = "no-feasible-stack" if key in db.entries else "no-such-segment"
+        session.rejected = True
+    return VerificationResult(
+        verdict=verdict,
+        reason=reason,
+        accepting=accepting,
+        witness=witness,
+        candidates_tried=tried,
+        solver_calls=solver_calls,
+        solver_nodes=solver_nodes,
+    )

@@ -431,6 +431,36 @@ def test_text_output_without_a_renderer_is_json(capsys, chain_paths, command):
     assert json.loads(text)["cfg_ref"] == _digest_of(cfg_path)
 
 
+@pytest.mark.parametrize("command", ["walk", "simulate"])
+def test_written_document_is_reported_in_the_requested_format(capsys, tmp_path, command):
+    """With ``--out``, the greeter's walk and measurements are reported by
+    one text line, or under ``--format json`` by the path and the count."""
+    run(capsys, "demo", "--name", "greeter", "--out", str(tmp_path))
+    out = str(tmp_path / "written.json")
+    argv, field, line = {
+        "walk": (
+            ["walk", "--cfg", str(tmp_path / "greeter.json"), "--seed", "3"],
+            "steps",
+            "walk with {} steps written to {}",
+        ),
+        "simulate": (
+            ["simulate", "--cfg", str(tmp_path / "greeter.json"),
+             "--table", str(tmp_path / "table.json"),
+             "--trace", str(tmp_path / "greeter_trace.json")],
+            "measurements",
+            "{} measurements written to {}",
+        ),
+    }[command]
+    code, text, _ = run(capsys, *argv, "--out", out)
+    written = Path(out).read_text()
+    count = len(json.loads(written)[field])
+    assert count > 1
+    assert (code, text) == (EXIT_OK, line.format(count, out) + "\n")
+    code, as_json, _ = run(capsys, *argv, "--out", out, "--format", "json")
+    assert (code, json.loads(as_json)) == (EXIT_OK, {"out": out, field: count})
+    assert Path(out).read_text() == written
+
+
 def test_walk_command_is_deterministic(capsys, chain_paths):
     cfg_path, _table, _tmp = chain_paths
     code, out1, _ = run(capsys, "walk", "--cfg", cfg_path, "--seed", "3", "--format", "json")

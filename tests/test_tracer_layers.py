@@ -6,11 +6,14 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from flowattest import attacks, cli, demos, verify
 from flowattest.cfg import BlockTrace, load_cfg
 from flowattest.database import enumerate_segments
 from flowattest.events import default_event_table, delta_map
 from flowattest.simulate import measure
+from flowattest.vectors import is_nonneg, vsub
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -93,6 +96,39 @@ def test_measure_checks_once_and_sums_once_per_segment():
     assert spans["cfg.validate_trace"] == 1
     assert spans["vectors.vsum"] == len(measurements)
     assert spans["simulate.measure_segment"] == 0
+
+
+@pytest.mark.parametrize(("in_loop", "solver_calls"), [(True, 5), (False, 3)])
+def test_only_candidates_of_two_or_more_generators_reach_the_cone_solver(in_loop, solver_calls):
+    """In a signer session the ``cone.solve_cone`` spans are the tried
+    candidates with two or more distinct nonzero loop vectors and a
+    nonnegative residual; generator-free and single-generator ones are
+    decided without the solver.  ``verify.solver_calls`` still counts one
+    call per nonnegative residual: 5 and 3, as before candidates were
+    decided by shape."""
+    table = default_event_table()
+    cfg = load_cfg(demos.signer_cfg(in_loop))
+    db = enumerate_segments(cfg, table)
+    measurements = measure(cfg, table, None, BlockTrace(tuple(demos.signer_trace(12, 25, in_loop))))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert verify.verify_trace_measurements(db, measurements).accepted
+    finally:
+        tracer.uninstall()
+    expected = 0
+    state = verify.SessionState(enumerate_segments(cfg, table))
+    for m in measurements:
+        feasible = state.feasible
+        if verify.verify_segment(state, m).cache_hit:
+            continue
+        for cand in db.entries[(m.start, m.end)]:
+            if feasible is None or cand.start.stack in feasible:
+                cone = len({v for v in cand.loops if any(v)}) >= 2
+                expected += cone and is_nonneg(vsub(m.delta, cand.base))
+    spans = Counter(tracer.names[n] for n in tracer.name)
+    assert spans["cone.solve_cone"] == expected == (0 if in_loop else 1)
+    assert tracer.counts["verify.solver_calls"] == solver_calls
 
 
 def test_verification_result_supports_replace():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from functools import cache
@@ -33,6 +34,7 @@ from flowattest.verify import (
     verify_trace_measurements,
 )
 
+from . import oracles
 from .conftest import (
     LOOP1,
     LOOP2,
@@ -591,3 +593,124 @@ def test_prober_matches_a_fresh_session_around_each_candidate(data):
     state = SessionState(db, config, feasible=feasible)
     verdict = verify_segment(state, Measurement(start, end, delta)).verdict
     assert prober(db, start, end, feasible, config=config)(delta) == (verdict == "accepted")
+
+
+def _step(data, db, config, previous):
+    """One measurement of a session under test: around a candidate of a
+    known segment, a skipped or unknown segment, or a repeat of an earlier
+    measurement."""
+    if previous and data.draw(st.integers(0, 4), label="repeat") == 0:
+        return data.draw(st.sampled_from(previous), label="earlier")
+    keys = sorted(db.entries) + sorted(db.skip_segments)
+    if data.draw(st.integers(0, 5), label="unknown") == 0:
+        start, end = "nowhere", "nowhere"
+    else:
+        start, end = data.draw(st.sampled_from(keys), label="segment")
+    candidates = db.entries.get((start, end), ())
+    if not candidates:
+        dim = config.dimension if config is not None else db.dimension
+        delta = data.draw(st.sampled_from(((0,) * dim, (1,) * dim)), label="delta")
+    elif data.draw(st.integers(0, 3), label="far") == 0:
+        # Far out in the cone, off it by at most one unit: under the
+        # identity file such boxes are too large for the bitset sweep.
+        candidate = data.draw(st.sampled_from(candidates))
+        vectors = [project(config, v) if config is not None else v for v in candidate.loops]
+        counts = data.draw(st.lists(st.integers(0, 40), min_size=len(vectors), max_size=len(vectors)))
+        delta = project(config, candidate.base) if config is not None else candidate.base
+        for count, vector in zip(counts, vectors):
+            delta = tuple(d + count * v for d, v in zip(delta, vector))
+        delta = (delta[0] + data.draw(st.integers(-1, 1), label="off"),) + delta[1:]
+    else:
+        delta = _delta_around(data, config, data.draw(st.sampled_from(candidates)))
+    return Measurement(start, end, delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sessions_match_the_per_candidate_reference_loop(data):
+    """Fresh and continuing sessions report, field for field (all but the
+    timing), what the per-candidate loop of ``oracles`` reports: verdict,
+    reason, accepting ids, witness, candidates tried, solver calls and
+    nodes, and cache hits, and they leave the same feasible set and cache
+    counts.  Programs, register files and entry stacks are the probe
+    tests'; a stack no candidate enters with makes a no-feasible-stack
+    segment, and a fresh copy of the database builds its tables anew."""
+    db, configs = data.draw(st.sampled_from(_probe_programs()), label="program")
+    if data.draw(st.booleans(), label="fresh database"):
+        db = load_database(serialize_database(db))
+    config = data.draw(st.sampled_from(configs), label="config")
+    stacks = sorted({c.start.stack for cands in db.entries.values() for c in cands}, key=repr)
+    feasible = data.draw(
+        st.sampled_from(
+            [None, frozenset({()}), frozenset({("nowhere",)})] + [frozenset({s}) for s in stacks]
+        ),
+        label="feasible",
+    )
+    state = SessionState(db, config, feasible=feasible)
+    reference = oracles.ReferenceSession(db, config, feasible=feasible)
+    seen: list[Measurement] = []
+    for _ in range(data.draw(st.integers(1, 5), label="length")):
+        m = _step(data, db, config, seen)
+        seen.append(m)
+        result = verify_segment(state, m)
+        expected = oracles.reference_verify_segment(reference, m)
+        assert _outcome(result) + (result.cache_hit,) == _outcome(expected) + (expected.cache_hit,)
+        assert (state.feasible, state.rejected, state.cache_hits, state.cache_lookups) == (
+            reference.feasible,
+            reference.rejected,
+            reference.cache_hits,
+            reference.cache_lookups,
+        )
+        if state.rejected:
+            break
+
+
+def test_a_map_reaches_exactly_the_points_it_has_a_witness_for():
+    """``Reach.reaches`` is one stage read; it must agree with the witness
+    read-back on every nonzero point of every box the nest pool grew."""
+    _, config, _, _ = _nest_pool()
+    maps = [
+        row.reach
+        for db in _warmed_nest_databases()
+        for rows in db._projected[config].values()
+        for row in rows
+    ]
+    reached = 0
+    for reach in maps:
+        for target in itertools.product(*(range(b + 1) for b in reach.box)):
+            if any(target):
+                witness = reach.witness(target)
+                assert reach.reaches(target) == (witness is not None), target
+                reached += witness is not None
+    assert maps and 0 < reached
+
+
+def test_prober_accepts_the_base_after_its_map_grew_no_stage(tiny_table):
+    """A residual inside no generator's reach sweeps a map with zero
+    stages, which reports even the origin as unreached; the candidate's
+    own base must still be accepted, as a session accepts it."""
+    cfg = load_cfg(two_loop_chain_doc())
+    db = enumerate_segments(cfg, tiny_table)
+    probe = prober(db, "A", "C", frozenset({()}))
+    assert not probe(vadd(BASE, (1, 0, 0)))
+    (row,) = [r for r in db._projected[None][("A", "C")] if r.reach is not None]
+    assert row.reach.box == (1, 0, 0) and not row.reach.reaches((0, 0, 0))
+    assert probe(BASE)
+    assert verify_segment(SessionState(db), _m(BASE)).verdict == "accepted"
+
+
+def test_a_database_of_no_counters_matches_the_reference_loop():
+    """Every residual of a database of no counters is the empty vector,
+    which is nonnegative and zero."""
+    doc = {"cfg_digest": "0" * 64, "counters": [], "skip_segments": [], "segments": [
+        {"start": "a", "end": "b", "candidates": [
+            {"start_stack": [], "end_stack": [], "base": [], "loops": []},
+            {"start_stack": [], "end_stack": [], "base": [], "loops": [[]]},
+        ]},
+    ]}
+    db = load_database(doc)
+    m = Measurement("a", "b", ())
+    result = verify_segment(SessionState(db), m)
+    expected = oracles.reference_verify_segment(oracles.ReferenceSession(db), m)
+    assert _outcome(result) == _outcome(expected)
+    assert result.verdict == "accepted" and result.solver_calls == 2
