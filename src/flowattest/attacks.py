@@ -231,7 +231,7 @@ def _breaking_edits(cfg: AnnotatedCfg, steps: tuple[str, ...], kind: str, pool: 
         return {
             e.dst
             for e in cfg.succ[before]
-            if (e.dst, after) in pairs and cfg.blocks[e.dst].instruction_count > 0
+            if (e.dst, after) in pairs and e.dst not in cfg.zero_blocks
         }
 
     interior = range(1, len(steps) - 1)

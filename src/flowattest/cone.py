@@ -20,12 +20,12 @@ through one exact pipeline:
    variable for everything else (high-dimension instances, where the
    equality rows prune hard).
 
-A target with a single nonzero generator skips the pipeline: its one
-possible count is the target's pivot component (the generator's first
-positive one) divided by the generator's, and a componentwise check
-decides it (:func:`single_generator_count`, which is exactly what root
-propagation concludes for one generator).  The attack harness's probes
-apply the same rule to their single-generator candidates directly.
+Root propagation alone decides a target with fewer than two nonzero
+generators: with none, no generator covers a nonzero component; with one,
+the generator is forced and its count is read off one component.  The
+verifier's candidate table decides both shapes before calling here, a
+generator-free candidate by comparing its base and a single-generator one
+by :func:`single_generator_count`, with the count propagation would fix.
 
 A lattice test runs between steps 1 and 2 only for boxes of more than
 ``_LATTICE_FIRST_BITS`` states and for nodes headed to the simplex: a
@@ -430,9 +430,11 @@ def single_generator_count(target: Vec, generator: Vec, pivot: int) -> int | Non
     ``generator`` is nonnegative and nonzero and ``pivot`` is its
     :func:`first_positive` index, so the pivot component fixes ``c``: one
     floor division, then a componentwise check, which also rejects any
-    negative component of ``target``.  This is exactly what root
-    propagation decides for a lone generator (a remainder at the pivot or
-    a mismatch elsewhere is infeasible), with the same unique witness.
+    negative component of ``target``.  This is what :func:`solve_cone`'s
+    root propagation decides for a lone generator (a remainder at the
+    pivot or a mismatch elsewhere is infeasible), with the same unique
+    witness; the verifier's table applies it so that single-generator
+    candidates need no solver call.
     """
     count = target[pivot] // generator[pivot]
     if count < 0:
@@ -448,8 +450,9 @@ def solve_cone(
 ) -> ConeSolution:
     """Nonnegative integer scalars with ``sum(x_i * v_i) == target`` as the
     witness, or None.  A target negative in some component is simply
-    infeasible.  With exactly one nonzero generator the answer is
-    :func:`single_generator_count`'s, with no search.
+    infeasible.  Fewer than two nonzero generators are decided by root
+    propagation, with no simplex; one gives
+    :func:`single_generator_count`'s witness.
 
     ``reach``, the map of this same generator tuple, answers a target
     inside its box, or inside the merged box when that passes the bitset
@@ -467,21 +470,9 @@ def solve_cone(
         return ConeSolution(None, 0)
     if all(t == 0 for t in target):
         return ConeSolution((0,) * n, 0)
-    active = [i for i, g in enumerate(generators) if any(g)]
-    if not active:
-        # A nonzero target and no nonzero generator: nothing to search.
-        return ConeSolution(None, 0)
-    if len(active) == 1:
-        (only,) = active
-        generator = generators[only]
-        count = single_generator_count(target, generator, first_positive(generator))
-        if count is None:
-            return ConeSolution(None, 0)
-        witness = [0] * n
-        witness[only] = count
-        return ConeSolution(tuple(witness), 0)
     if reach is not None and reach.covers(target):
         return ConeSolution(reach.witness(target), 0)
+    active = [i for i, g in enumerate(generators) if any(g)]
     gens = [generators[i] for i in active]
     k = len(gens)
 

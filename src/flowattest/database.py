@@ -177,15 +177,6 @@ def _loop_groups(cycles: list[_Cycle]) -> tuple[dict[ExpandedNode, int], list[se
     return {node: group_of[find(node)] for node in parent}, groups
 
 
-def _path_budget_error(start: str, end: str, budget: int, reached: int) -> BudgetError:
-    return BudgetError(
-        f"segment {start} -> {end} exceeded the simple-path budget (budget {budget}); "
-        "add measurement points to split this region or raise --budget-paths",
-        budget=budget,
-        reached=reached,
-    )
-
-
 # A tail: (terminal point, counter sum up to and including it, loop groups touched).
 _Tail = tuple[ExpandedNode, Vec, frozenset[int]]
 # A step out of a component: (counter sum and loop groups so far, next node).
@@ -211,7 +202,7 @@ class _Tails:
     def __init__(
         self,
         graph: ExpandedGraph,
-        points: set[str],
+        points: frozenset[str],
         components: list[list[ExpandedNode]],
         deltas: Mapping[str, Vec],
         group_of: dict[ExpandedNode, int],
@@ -254,27 +245,6 @@ class _Tails:
                 self.steps[entry], self.counts[entry] = self.count(out, entry)
                 self.order.append(entry)
 
-    def _origin(self, entry: ExpandedNode) -> str:
-        """The block of a measurement point whose paths reach ``entry``
-        through inner nodes of earlier components only.  Each simple path
-        from the entry then extends to a simple path of that point's
-        segments, so the entry's counts bound that segment's count."""
-        preds: dict[ExpandedNode, list[ExpandedNode]] = {}
-        for node, nexts in self.succ.items():
-            for nxt in nexts:
-                preds.setdefault(nxt, []).append(node)
-        own = self.cyclic.get(entry, (entry,))
-        todo = [node for node in preds[entry] if node not in own]
-        seen = set(todo)
-        while True:
-            node = todo.pop()
-            if node.block in self.points:
-                return node.block
-            for pred in preds[node]:
-                if pred not in seen:
-                    seen.add(pred)
-                    todo.append(pred)
-
     def _stretches(
         self, start: ExpandedNode, base: Vec, touched: frozenset[int]
     ) -> Iterator[_Step]:
@@ -308,11 +278,14 @@ class _Tails:
         simple paths they make per terminal block.
 
         A step's next node is a measurement point or an entry whose counts
-        are known.  For an ``entry``'s steps (``None`` for a measurement
-        point's), a count passing the path budget raises at once: some
-        segment into that terminal block has at least that many simple
-        paths.  ``steps`` is consumed lazily, so a component with too many
-        simple paths is not walked to its end.
+        are known.  An ``entry``'s walk (``None`` for a measurement point's
+        steps, which are all counted) stops at its first count over the
+        path budget, and the counts so far are returned: every simple path
+        from the entry extends to a simple path of some measurement point's
+        segment into that terminal block, so that segment's count passes
+        the budget too, and :func:`enumerate_segments` raises.  ``steps``
+        is consumed lazily, so a component with too many simple paths is
+        not walked to its end.
         """
         points, counts_of, budget = self.points, self.counts, self.path_budget
         kept: list[_Step] = []
@@ -329,7 +302,7 @@ class _Tails:
             for block, n in reach:
                 counts[block] = total = counts.get(block, 0) + n
                 if entry is not None and total > budget:
-                    raise _path_budget_error(self._origin(entry), block, budget, total)
+                    return kept, counts
         return kept, counts
 
     def values(self, steps: list[_Step]) -> set[_Tail]:
@@ -373,13 +346,15 @@ def enumerate_segments(
 
     The path budget caps the simple paths of each (start block, end block)
     segment, summed over call stacks.  Paths are counted, not walked, and
-    the counts are checked before any value is built; the error names the
-    offending segment, because the practical remedy is adding measurement
-    points there.
+    the counts are checked before any value is built.  A component entry
+    stops counting at its first count over the budget, which leaves some
+    segment through it over the budget as well; segments alone are judged,
+    here, and the error names the offending segment, because the practical
+    remedy is adding measurement points there.
     """
     deltas = delta_map(cfg, table)
     graph = expand(cfg, node_budget)
-    points = {bid for bid, block in cfg.blocks.items() if block.is_measurement_point}
+    points = cfg.points
     inner = {
         node: list(dict.fromkeys(n for n in nexts if n.block not in points))
         for node, nexts in graph.succ.items()
@@ -403,7 +378,13 @@ def enumerate_segments(
                 segment_paths[key] = segment_paths.get(key, 0) + n
     for (start, end), n in segment_paths.items():
         if n > path_budget:
-            raise _path_budget_error(start, end, path_budget, n)
+            raise BudgetError(
+                f"segment {start} -> {end} exceeded the simple-path budget "
+                f"(budget {path_budget}); add measurement points to split this "
+                "region or raise --budget-paths",
+                budget=path_budget,
+                reached=n,
+            )
     tails.build()
 
     merged_loops: dict[frozenset[int], tuple[Vec, ...]] = {}

@@ -52,6 +52,12 @@ EVENT_KINDS = (
 HOST_MEDIATED_SWITCHES = 8
 SM_MEDIATED_SWITCHES = 4
 
+# The one tracer/tracee pair of the standard world and alphabet, and the
+# tracer hash that the tracee pins.
+_TRACEE, _TRACER, _TRACER_HASH = "tracee", "tracer", "h-tracer"
+# Distinct states an exploration may reach before it gives up.
+_STATE_BUDGET = 200_000
+
 
 @dataclass(frozen=True)
 class EnclaveRecord:
@@ -269,8 +275,6 @@ def explore(
     world: World,
     alphabet: list[ProtocolEvent],
     depth: int,
-    *,
-    state_budget: int = 200_000,
 ) -> ExploreReport:
     """Breadth-first search over every interleaving of the alphabet.
 
@@ -342,9 +346,9 @@ def explore(
                             Violation(description=problem, trace=trace_to(state, event))
                         )
                     seen.add(new_state)
-                    if len(seen) > state_budget:
+                    if len(seen) > _STATE_BUDGET:
                         raise SchemaError(
-                            f"state exploration exceeded budget {state_budget}"
+                            f"state exploration exceeded budget {_STATE_BUDGET}"
                         )
                     parents[new_state] = (state, event)
                     next_frontier.append(new_state)
@@ -413,16 +417,13 @@ def run_scenario(
     return world, log
 
 
-def standard_tandem_alphabet(
-    tracee: str = "tracee",
-    tracer: str = "tracer",
-    good_hash: str = "h-tracer",
-) -> list[ProtocolEvent]:
-    """The adversarial alphabet for one tracer/tracee pair: every protocol
-    call with both honest and hostile actors/arguments, plus host reads at
-    every point."""
+def standard_tandem_alphabet() -> list[ProtocolEvent]:
+    """The adversarial alphabet for the standard tracer/tracee pair: every
+    protocol call with both honest and hostile actors/arguments, plus host
+    reads at every point."""
+    tracee, tracer = _TRACEE, _TRACER
     return [
-        ProtocolEvent("attach_as_tracer", tracer, target=tracee, value=good_hash),
+        ProtocolEvent("attach_as_tracer", tracer, target=tracee, value=_TRACER_HASH),
         ProtocolEvent("attach_as_tracer", tracer, target=tracee, value="h-evil"),
         ProtocolEvent("start", tracee),
         ProtocolEvent("ecall", tracee),
@@ -434,14 +435,8 @@ def standard_tandem_alphabet(
     ]
 
 
-def tandem_world(
-    tracee: str = "tracee",
-    tracer: str = "tracer",
-    good_hash: str = "h-tracer",
-    *,
-    sm_mediated: bool = False,
-) -> World:
+def tandem_world(*, sm_mediated: bool = False) -> World:
     world = World(sm_mediated=sm_mediated)
-    world, _ = step(world, ProtocolEvent("create", tracee, target="TRACEE", value=good_hash))
-    world, _ = step(world, ProtocolEvent("create", tracer, target="TRACER"))
+    world, _ = step(world, ProtocolEvent("create", _TRACEE, target="TRACEE", value=_TRACER_HASH))
+    world, _ = step(world, ProtocolEvent("create", _TRACER, target="TRACER"))
     return world

@@ -31,6 +31,9 @@ from .events import CounterConfig, EventTable, delta_map
 from .expand import ExpandedNode, _successors
 from .vectors import Vec, vadd, vsum
 
+# Steps one walk attempt may take before it is retried.
+_STEP_BUDGET = 50_000
+
 
 def _measurement(deltas, dim: int, offset: Vec | None, start: str, end: str, body) -> Measurement:
     """The measurement of a segment from ``start`` to ``end`` whose steps
@@ -99,7 +102,6 @@ def random_valid_walk(
     max_segments: int = 4,
     max_loop_iterations: int = 8,
     attempts: int = 200,
-    step_budget: int = 50_000,
 ) -> BlockTrace:
     """A random trace that validate_trace accepts, reproducible per seed.
 
@@ -119,7 +121,7 @@ def random_valid_walk(
         stack: tuple[str, ...] = ()
         visits: Counter = Counter({(cfg.program_entry, stack): 1})
         done = 0
-        budget = step_budget
+        budget = _STEP_BUDGET
         failed = False
         while done < target:
             options = [

@@ -26,7 +26,7 @@ pivot, and one :class:`~flowattest.cone.Reach` map per candidate with two
 or more generators.  A candidate is decided by its shape: generator-free,
 it accepts exactly its base; with one generator, by one floor division
 and a componentwise check (:func:`~flowattest.cone.single_generator_count`,
-the rule ``solve_cone`` itself applies to one generator); only two or
+the count ``solve_cone``'s root propagation would force); only two or
 more generators reach ``solve_cone``, with the row's map.  Each map grows
 with the residuals its candidate is asked about, so a repeated or smaller
 residual is answered by bit reads; the answers are the ones

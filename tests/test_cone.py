@@ -271,6 +271,7 @@ def _reach_cases(rng):
         ((), [(0, 0), (2, 1), (-1, 0)]),
         (((0, 0), (0, 0)), [(0, 0), (3, 0), (0, -2)]),
         (((3,),), [(9,), (4,), (0,), (12,), (9,), (-3,)]),
+        (((0, 0), (2, 1), (0, 0)), [(4, 2), (2, 1), (0, 0), (10, 5), (5, 2), (4, 3), (-2, -1)]),
         (((0, 2), (3, 1), (0, 0)), [(6, 2), (3, 5), (0, 0), (12, 4), (-1, 4), (6, 2)]),
         (((5,), (3,)), [(7,), (8,), (1,), (22,), (7,), (6,)]),
         (((1, 1), (1, 3)), [(3, 4), (2, 4), (5, 9), (0, 2), (3, 4)]),

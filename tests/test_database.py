@@ -551,3 +551,20 @@ def test_component_walk_stops_at_the_budget(tiny_table, monkeypatch):
     with pytest.raises(BudgetError) as err:
         enumerate_segments(cfg, tiny_table, path_budget=1_956)
     assert err.value.reached == 1_957
+
+    # A second point k.u enters the component at k.3: both entries stop
+    # at the budget, and the segment check names a segment over it.  Each
+    # segment into k.t enters the component at one block, so, as above, it
+    # has 1,957 simple paths.
+    doc["functions"][0]["blocks"].append("k.u")
+    doc["blocks"].append(block("k.u", "main", ["addi"], mp=True))
+    doc["edges"] += [edge("k.t", "k.u"), edge("k.u", "k.3", "branch")]
+    cfg = load_cfg(doc)
+    steps.clear()
+    with pytest.raises(BudgetError) as err:
+        enumerate_segments(cfg, tiny_table, path_budget=100)
+    named = re.match(r"segment (\S+) -> (\S+) exceeded", str(err.value)).groups()
+    assert named in {("k.s", "k.t"), ("k.u", "k.t")}
+    assert 100 < err.value.reached <= 1_957
+    assert steps["vadd"] < 300, steps
+    enumerate_segments(cfg, tiny_table, path_budget=1_957)
