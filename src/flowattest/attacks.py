@@ -197,15 +197,12 @@ def _unique_delta_blocks(cfg: AnnotatedCfg, deltas: Mapping[str, Vec]) -> list[s
     tally: dict[Vec, int] = {}
     for v in deltas.values():
         tally[v] = tally.get(v, 0) + 1
-    return sorted(
-        bid
-        for bid, v in deltas.items()
-        if tally[v] == 1 and not cfg.is_measurement_point(bid)
-    )
+    points = cfg.points
+    return sorted(bid for bid, v in deltas.items() if tally[v] == 1 and bid not in points)
 
 
 def _block_pool(cfg: AnnotatedCfg) -> list[str]:
-    return sorted(bid for bid in cfg.blocks if not cfg.is_measurement_point(bid))
+    return sorted(cfg.blocks.keys() - cfg.points)
 
 
 def _breaking_edits(cfg: AnnotatedCfg, steps: tuple[str, ...], kind: str, pool: list[str]):

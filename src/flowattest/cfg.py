@@ -125,9 +125,6 @@ class AnnotatedCfg:
     def dimension(self) -> int:
         return len(self.counters)
 
-    def is_measurement_point(self, block_id: str) -> bool:
-        return self.blocks[block_id].is_measurement_point
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AnnotatedCfg):
             return NotImplemented

@@ -33,8 +33,8 @@ from .cfg import (
     serialize_trace,
 )
 from .database import (
+    DEFAULT_CANDIDATE_BUDGET,
     DEFAULT_CYCLE_BUDGET,
-    DEFAULT_PATH_BUDGET,
     enumerate_segments,
     load_database,
     serialize_database,
@@ -99,7 +99,7 @@ def cmd_preprocess(args) -> int:
     db = enumerate_segments(
         cfg,
         table,
-        path_budget=args.budget_paths,
+        candidate_budget=args.budget_candidates,
         cycle_budget=args.budget_cycles,
         node_budget=args.budget_nodes,
     )
@@ -112,7 +112,7 @@ def cmd_preprocess(args) -> int:
             {
                 "start": start,
                 "end": end,
-                "paths": len(cands),
+                "candidates": len(cands),
                 "loops": max((len(c.loops) for c in cands), default=0),
             }
             for (start, end), cands in sorted(db.entries.items())
@@ -124,7 +124,7 @@ def cmd_preprocess(args) -> int:
         lambda: "\n".join(
             [f"database written to {args.out}"]
             + [
-                f"  {s['start']} -> {s['end']}: {s['paths']} paths, <= {s['loops']} loops"
+                f"  {s['start']} -> {s['end']}: {s['candidates']} candidates, <= {s['loops']} loops"
                 for s in stats["per_segment"]
             ]
             + [f"{stats['segments']} segments, {stats['candidates']} candidates"]
@@ -207,7 +207,7 @@ def _run_manifest(path: str, reps_override: int | None = None):
     """Run one attack-eval manifest: ``cfg``, ``table`` and ``trace`` name
     documents beside it; ``label``, ``counters`` (a register spec), ``db``
     (a database file, built and written when missing), ``seed``, ``reps``
-    and ``budgets`` (``paths``, ``cycles``, ``nodes``) are optional, and
+    and ``budgets`` (``candidates``, ``cycles``, ``nodes``) are optional, and
     null means absent.  Every field is checked before any work starts."""
     manifest = _read_json(path)
     _require_keys(
@@ -222,7 +222,7 @@ def _run_manifest(path: str, reps_override: int | None = None):
         return default if value is None else check(value, f"manifest {key}")
 
     def check_budgets(value, what):
-        _require_keys(value, required=(), optional=("paths", "cycles", "nodes"), what=what)
+        _require_keys(value, required=(), optional=("candidates", "cycles", "nodes"), what=what)
         return {key: _check_int(v, f"{what} {key}") for key, v in value.items()}
 
     base = Path(path).parent
@@ -247,7 +247,7 @@ def _run_manifest(path: str, reps_override: int | None = None):
         db = enumerate_segments(
             cfg,
             table,
-            path_budget=budgets.get("paths", DEFAULT_PATH_BUDGET),
+            candidate_budget=budgets.get("candidates", DEFAULT_CANDIDATE_BUDGET),
             cycle_budget=budgets.get("cycles", DEFAULT_CYCLE_BUDGET),
             node_budget=budgets.get("nodes", DEFAULT_NODE_BUDGET),
         )
@@ -351,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfg", required=True)
     p.add_argument("--table", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--budget-paths", type=_nonnegative_int, default=DEFAULT_PATH_BUDGET)
+    p.add_argument(
+        "--budget-candidates", type=_nonnegative_int, default=DEFAULT_CANDIDATE_BUDGET
+    )
     p.add_argument("--budget-cycles", type=_nonnegative_int, default=DEFAULT_CYCLE_BUDGET)
     p.add_argument("--budget-nodes", type=_nonnegative_int, default=DEFAULT_NODE_BUDGET)
     common_output(p)

@@ -21,12 +21,15 @@ those stay apart.
 
 Paths are not walked one at a time.  A simple path crosses each component
 in one contiguous stretch, so every node where a path can enter a component
-gets one tail set: the distinct (terminal point, counter sum, touched loop
-groups) values of the simple paths from it, built from the stretches inside
-its component and the tail sets of the components they step into.  This is
-Ball-Larus path numbering (Ball & Larus, MICRO 1996) with values in place of
-path ids.  The number of simple paths behind each tail is counted before
-any value is built, and the path budget is checked against those counts.
+gets one tail set: the distinct (terminal point, counter sum, loop vectors
+of the touched groups) values of the simple paths from it, built from the
+stretches inside its component and the tail sets of the components they
+step into.  This is Ball-Larus path numbering (Ball & Larus, MICRO 1996)
+with values in place of path ids.  The candidate budget caps every tail
+set, and every measurement point's set of candidates, as it grows: it
+bounds what verification pays for, whatever the number of simple paths
+behind the values.  The simple stretches walked inside one component from
+one entry are capped separately, at ``_STRETCH_LIMIT``.
 
 Any walk between consecutive measurement points therefore decomposes into
 one of these simple paths plus a multiset of its attached cycles, which is
@@ -59,8 +62,13 @@ from .expand import (
 )
 from .vectors import Vec, is_zero, vadd, vsum
 
-DEFAULT_PATH_BUDGET = 100_000
+# The default keeps a refusal memory-bounded: a cascade of 2**20 distinct
+# path values is refused at a tracemalloc peak of about 1.6 MB (CPython
+# 3.11); a budget of 2,048 doubles that.
+DEFAULT_CANDIDATE_BUDGET = 1_024
 DEFAULT_CYCLE_BUDGET = 10_000
+# The simple stretches walked inside one component from one entry.
+_STRETCH_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -146,12 +154,9 @@ def _cycle_universe(
     return cycles
 
 
-def _loop_groups(cycles: list[_Cycle]) -> tuple[dict[ExpandedNode, int], list[set[Vec]]]:
-    """Group cycles that share nodes, transitively (union-find).
-
-    Returns each cycle node's group index and, per group, its distinct loop
-    vectors.
-    """
+def _loop_groups(cycles: list[_Cycle]) -> dict[ExpandedNode, frozenset[Vec]]:
+    """Group cycles that share nodes, transitively (union-find), and map
+    each cycle node to its group's distinct loop vectors."""
     parent: dict[ExpandedNode, ExpandedNode] = {}
 
     def find(node: ExpandedNode) -> ExpandedNode:
@@ -166,21 +171,17 @@ def _loop_groups(cycles: list[_Cycle]) -> tuple[dict[ExpandedNode, int], list[se
         first, *rest = cycle.nodes
         for node in rest:
             parent[find(node)] = find(first)
-    group_of: dict[ExpandedNode, int] = {}
-    groups: list[set[Vec]] = []
+    vectors: dict[ExpandedNode, set[Vec]] = {}
     for cycle in cycles:
-        root = find(next(iter(cycle.nodes)))
-        if root not in group_of:
-            group_of[root] = len(groups)
-            groups.append(set())
-        groups[group_of[root]].add(cycle.delta)
-    return {node: group_of[find(node)] for node in parent}, groups
+        vectors.setdefault(find(next(iter(cycle.nodes))), set()).add(cycle.delta)
+    frozen = {root: frozenset(group) for root, group in vectors.items()}
+    return {node: frozen[find(node)] for node in parent}
 
 
-# A tail: (terminal point, counter sum up to and including it, loop groups touched).
-_Tail = tuple[ExpandedNode, Vec, frozenset[int]]
-# A step out of a component: (counter sum and loop groups so far, next node).
-_Step = tuple[Vec, frozenset[int], ExpandedNode]
+# A tail: (terminal point, counter sum up to and including it, loop set id).
+_Tail = tuple[ExpandedNode, Vec, int]
+# A step out of a component: (counter sum and loop set id so far, next node).
+_Step = tuple[Vec, int, ExpandedNode]
 
 
 class _Tails:
@@ -192,11 +193,14 @@ class _Tails:
     simple paths from an entry are a simple stretch inside its component
     followed by a step to a measurement point or by a simple path from an
     entry of a later component; the two parts never share a node.
-    Construction counts those paths per entry and terminal block, component
-    by component in reverse topological order (Tarjan's output order),
-    keeping each entry's steps out of its component; :meth:`build` then
-    turns the steps into value sets.  The program entry is a measurement
-    point, so a measurement point reaches every entry.
+    Construction builds each entry's tail set from those steps, component
+    by component in reverse topological order (Tarjan's output order), so
+    every step's target already has its set.  The program entry is a
+    measurement point, so a measurement point reaches every entry.
+
+    A tail names the loop vectors its path touches by the id of their
+    union, 0 for none, interned so that equal unions share one id: two
+    tails are then distinct exactly when the candidates they close to are.
     """
 
     def __init__(
@@ -205,14 +209,17 @@ class _Tails:
         points: frozenset[str],
         components: list[list[ExpandedNode]],
         deltas: Mapping[str, Vec],
-        group_of: dict[ExpandedNode, int],
-        path_budget: int,
+        loop_groups: dict[ExpandedNode, frozenset[Vec]],
+        candidate_budget: int,
     ):
         self.succ = succ = graph.succ
         self.points = points
         self.deltas = deltas
-        self.group_of = group_of
-        self.path_budget = path_budget
+        self.candidate_budget = candidate_budget
+        self.loop_sets: list[frozenset[Vec]] = [frozenset()]
+        self._ids: dict[frozenset[Vec], int] = {frozenset(): 0}
+        self._unions: dict[tuple[int, int], int] = {}
+        self.loops_at = {node: self._intern(group) for node, group in loop_groups.items()}
         # The members of each node's component, for components of two or more.
         self.cyclic: dict[ExpandedNode, frozenset[ExpandedNode]] = {}
         for members in components:
@@ -226,9 +233,6 @@ class _Tails:
             for nxt in nexts
             if nxt in cyclic and node not in cyclic[nxt]
         }
-        self.order: list[ExpandedNode] = []
-        self.steps: dict[ExpandedNode, list[_Step]] = {}
-        self.counts: dict[ExpandedNode, dict[str, int]] = {}
         self.tails: dict[ExpandedNode, set[_Tail]] = {}
         for members in components:
             single = len(members) == 1
@@ -236,100 +240,103 @@ class _Tails:
                 if not single and entry not in entered:
                     continue
                 base = deltas[entry.block]
-                group = group_of.get(entry)
-                touched = frozenset() if group is None else frozenset((group,))
+                touched = self.loops_at.get(entry, 0)
                 if single:
                     out = [(base, touched, nxt) for nxt in succ[entry] if nxt != entry]
                 else:
                     out = self._stretches(entry, base, touched)
-                self.steps[entry], self.counts[entry] = self.count(out, entry)
-                self.order.append(entry)
+                self.tails[entry] = self.values(out, entry)
 
-    def _stretches(
-        self, start: ExpandedNode, base: Vec, touched: frozenset[int]
-    ) -> Iterator[_Step]:
+    def _intern(self, loops: frozenset[Vec]) -> int:
+        if loops not in self._ids:
+            self._ids[loops] = len(self.loop_sets)
+            self.loop_sets.append(loops)
+        return self._ids[loops]
+
+    def union(self, a: int, b: int) -> int:
+        """The id of the union of loop sets ``a`` and ``b``, both nonzero."""
+        key = (a, b) if a < b else (b, a)
+        found = self._unions.get(key)
+        if found is None:
+            found = self._unions[key] = self._intern(self.loop_sets[a] | self.loop_sets[b])
+        return found
+
+    def _stretches(self, start: ExpandedNode, base: Vec, touched: int) -> Iterator[_Step]:
         """The steps out of ``start``'s component of every simple path from
         ``start`` inside it (iterative DFS).  ``base`` and ``touched`` are
-        the counter sum and loop groups of ``start`` itself."""
-        succ, deltas, group_of = self.succ, self.deltas, self.group_of
+        the counter sum and loop set of ``start`` itself.  The walk stops
+        at its first stretch past :data:`_STRETCH_LIMIT`."""
+        succ, deltas, loops_at = self.succ, self.deltas, self.loops_at
         members = self.cyclic[start]
         on_path = {start}
         frames = [(start, iter(succ[start]), base, touched)]
+        walked = 1
         while frames:
             node, nexts, base, touched = frames[-1]
             for nxt in nexts:
                 if nxt not in members:
                     yield base, touched, nxt
                 elif nxt not in on_path:
+                    walked += 1
+                    if walked > _STRETCH_LIMIT:
+                        raise BudgetError(
+                            f"the component entered at {start.block} exceeded the "
+                            f"stretch limit ({_STRETCH_LIMIT} simple stretches); add "
+                            "measurement points inside it",
+                            budget=_STRETCH_LIMIT,
+                            reached=walked,
+                        )
                     on_path.add(nxt)
-                    group = group_of.get(nxt)
-                    if group is not None and group not in touched:
-                        touched = touched | {group}
+                    loops = loops_at.get(nxt, 0)
+                    if loops != touched and loops:
+                        touched = self.union(touched, loops) if touched else loops
                     frames.append((nxt, iter(succ[nxt]), vadd(base, deltas[nxt.block]), touched))
                     break
             else:
                 frames.pop()
                 on_path.discard(node)
 
-    def count(
-        self, steps: Iterable[_Step], entry: ExpandedNode | None
-    ) -> tuple[list[_Step], dict[str, int]]:
-        """Keep the steps that lead to a measurement point, and count the
-        simple paths they make per terminal block.
+    def values(self, steps: Iterable[_Step], origin: ExpandedNode) -> set[_Tail]:
+        """The distinct tails that the steps from ``origin`` lead to.
 
-        A step's next node is a measurement point or an entry whose counts
-        are known.  An ``entry``'s walk (``None`` for a measurement point's
-        steps, which are all counted) stops at its first count over the
-        path budget, and the counts so far are returned: every simple path
-        from the entry extends to a simple path of some measurement point's
-        segment into that terminal block, so that segment's count passes
-        the budget too, and :func:`enumerate_segments` raises.  ``steps``
-        is consumed lazily, so a component with too many simple paths is
-        not walked to its end.
+        Raises at the first value past the candidate budget, naming
+        ``origin``'s block; ``steps`` is consumed lazily, so a component
+        walk stops there too.
         """
-        points, counts_of, budget = self.points, self.counts, self.path_budget
-        kept: list[_Step] = []
-        counts: dict[str, int] = {}
-        for step in steps:
-            nxt = step[2]
-            if nxt.block in points:
-                reach = ((nxt.block, 1),)
-            else:
-                reach = counts_of[nxt].items()
-                if not reach:
-                    continue
-            kept.append(step)
-            for block, n in reach:
-                counts[block] = total = counts.get(block, 0) + n
-                if entry is not None and total > budget:
-                    return kept, counts
-        return kept, counts
-
-    def values(self, steps: list[_Step]) -> set[_Tail]:
-        """The distinct tails that steps lead to."""
-        points, deltas, tails = self.points, self.deltas, self.tails
+        points, deltas, tails, union = self.points, self.deltas, self.tails, self.union
+        budget = self.candidate_budget
         out: set[_Tail] = set()
+        add = out.add
         for base, touched, nxt in steps:
             if nxt.block in points:
-                out.add((nxt, vadd(base, deltas[nxt.block]), touched))
+                add((nxt, vadd(base, deltas[nxt.block]), touched))
+                if len(out) > budget:
+                    raise _candidate_budget_error(origin, budget, len(out))
                 continue
-            for end, tail, groups in tails[nxt]:
-                if groups and touched:
-                    groups = touched | groups
-                out.add((end, vadd(base, tail), groups or touched))
+            for end, tail, loops in tails[nxt]:
+                if loops != touched and loops and touched:
+                    loops = union(touched, loops)
+                add((end, vadd(base, tail), loops or touched))
+                if len(out) > budget:
+                    raise _candidate_budget_error(origin, budget, len(out))
         return out
 
-    def build(self) -> None:
-        """Every entry's tail set, later components first."""
-        for entry in self.order:
-            self.tails[entry] = self.values(self.steps.pop(entry))
+
+def _candidate_budget_error(origin: ExpandedNode, budget: int, reached: int) -> BudgetError:
+    return BudgetError(
+        f"the simple paths from {origin.block} exceeded the candidate budget "
+        f"(budget {budget} distinct candidates); add measurement points after it "
+        "or raise --budget-candidates",
+        budget=budget,
+        reached=reached,
+    )
 
 
 def enumerate_segments(
     cfg: AnnotatedCfg,
     table: EventTable,
     *,
-    path_budget: int = DEFAULT_PATH_BUDGET,
+    candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
     cycle_budget: int = DEFAULT_CYCLE_BUDGET,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SegmentDatabase:
@@ -340,17 +347,13 @@ def enumerate_segments(
     which covers in-loop measurement points).  They are not walked one at
     a time: every node where a path enters a strongly connected component
     of the measurement-point-free subgraph gets one memoized tail set, the
-    distinct (terminal, counter sum, touched loop groups) values of the
+    distinct (terminal, counter sum, touched loop vectors) values of the
     simple paths from it, and each source merges the tail sets of its
     successors into its candidates.
 
-    The path budget caps the simple paths of each (start block, end block)
-    segment, summed over call stacks.  Paths are counted, not walked, and
-    the counts are checked before any value is built.  A component entry
-    stops counting at its first count over the budget, which leaves some
-    segment through it over the budget as well; segments alone are judged,
-    here, and the error names the offending segment, because the practical
-    remedy is adding measurement points there.
+    The candidate budget caps each of those sets, a source's included, as
+    it grows.  The error names the block whose set overflows, because the
+    practical remedy is adding measurement points after it.
     """
     deltas = delta_map(cfg, table)
     graph = expand(cfg, node_budget)
@@ -361,40 +364,21 @@ def enumerate_segments(
         if node.block not in points
     }
     components = _strong_components(inner, list(inner))
-    group_of, groups = _loop_groups(
+    loop_groups = _loop_groups(
         _cycle_universe(inner, components, cfg.dimension, deltas, cycle_budget)
     )
-    tails = _Tails(graph, points, components, deltas, group_of, path_budget)
+    tails = _Tails(graph, points, components, deltas, loop_groups, candidate_budget)
 
-    sources = []
-    segment_paths: dict[tuple[str, str], int] = {}
-    zero, empty = (0,) * cfg.dimension, frozenset()
-    for source in graph.succ:
-        if source.block in points:
-            steps, counts = tails.count(((zero, empty, nxt) for nxt in graph.succ[source]), None)
-            sources.append((source, steps))
-            for block, n in counts.items():
-                key = (source.block, block)
-                segment_paths[key] = segment_paths.get(key, 0) + n
-    for (start, end), n in segment_paths.items():
-        if n > path_budget:
-            raise BudgetError(
-                f"segment {start} -> {end} exceeded the simple-path budget "
-                f"(budget {path_budget}); add measurement points to split this "
-                "region or raise --budget-paths",
-                budget=path_budget,
-                reached=n,
-            )
-    tails.build()
-
-    merged_loops: dict[frozenset[int], tuple[Vec, ...]] = {}
+    sorted_loops: dict[int, tuple[Vec, ...]] = {}
     found: dict[tuple[str, str], set[tuple]] = {}
-    for source, steps in sources:
-        for end, base, touched in tails.values(steps):
-            loops = merged_loops.get(touched)
+    zero = (0,) * cfg.dimension
+    for source, nexts in graph.succ.items():
+        if source.block not in points:
+            continue
+        for end, base, touched in tails.values(((zero, 0, nxt) for nxt in nexts), source):
+            loops = sorted_loops.get(touched)
             if loops is None:
-                loops = tuple(sorted(set().union(*(groups[i] for i in touched))))
-                merged_loops[touched] = loops
+                loops = sorted_loops[touched] = tuple(sorted(tails.loop_sets[touched]))
             found.setdefault((source.block, end.block), set()).add((source, end, base, loops))
 
     entries = {

@@ -219,9 +219,10 @@ def dispatch_trace(target: str = "alpha") -> list[str]:
 
 def pathburst_cfg(layers: int = 17) -> dict:
     """A branch cascade with 2**layers simple paths between its only two
-    snapshot points: preprocessing it blows the default path budget, and the
-    remedy the error suggests (measurement points between the layers) is
-    exactly what would fix it."""
+    snapshot points, but only layers + 1 distinct candidates: a path's
+    value is fixed by how many of its layers take the load.  Preprocessing
+    budgets candidates, not paths, so it builds without another
+    measurement point."""
     blocks = [_block("p.s", "main", ["addi"], mp=True)]
     edges = []
     prev = ["p.s"]

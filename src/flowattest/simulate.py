@@ -115,6 +115,7 @@ def random_valid_walk(
     if min_segments < 1 or max_segments < min_segments:
         raise WalkError("segment constraints are inconsistent")
     rng = random.Random(seed)
+    points = cfg.points
     for _ in range(attempts):
         target = rng.randint(min_segments, max_segments)
         steps = [cfg.program_entry]
@@ -131,14 +132,12 @@ def random_valid_walk(
             ]
             if not options or budget <= 0:
                 # Accept a short walk that already ended on a snapshot.
-                failed = not (
-                    done >= min_segments and cfg.is_measurement_point(steps[-1])
-                )
+                failed = not (done >= min_segments and steps[-1] in points)
                 break
             blk, stack = rng.choice(options)
             steps.append(blk)
             budget -= 1
-            if cfg.is_measurement_point(blk):
+            if blk in points:
                 done += 1
                 visits = Counter()
             visits[(blk, stack)] += 1

@@ -102,6 +102,39 @@ def straight_line_doc():
     }
 
 
+def distinct_cascade_doc(layers: int):
+    """A cascade of ``layers`` ranks of two blocks each, fully connected
+    rank to rank, whose 2**layers simple paths all have distinct sums: the
+    blocks of rank i retire one or two instructions counted only by
+    counter i.  Returns the CFG document and its event table."""
+    counters = [CounterEvent("instret")] + [CounterEvent(f"rank{i}") for i in range(layers)]
+    unit = [0] * (layers + 1)
+    attribution = {"nop": tuple([1] + unit[1:])}
+    for i in range(layers):
+        vec = [1] + unit[1:]
+        vec[i + 1] = 1
+        attribution[f"r{i}"] = tuple(vec)
+    table = make_event_table(counters, attribution)
+    ids, blocks, edges, prev = ["x.s"], [block("x.s", "main", ["nop"], mp=True)], [], ["x.s"]
+    for i in range(layers):
+        rank = [f"x.a{i}", f"x.b{i}"]
+        blocks += [block(rank[0], "main", [f"r{i}"]), block(rank[1], "main", [f"r{i}"] * 2)]
+        edges += [edge(src, dst, "branch") for src in prev for dst in rank]
+        ids += rank
+        prev = rank
+    ids.append("x.t")
+    blocks.append(block("x.t", "main", ["nop"], mp=True))
+    edges += [edge(src, "x.t", "branch") for src in prev]
+    doc = {
+        "counters": [c.name for c in counters],
+        "functions": [{"name": "main", "entry": "x.s", "blocks": ids}],
+        "blocks": blocks,
+        "edges": edges,
+        "entry": "x.s",
+    }
+    return doc, table
+
+
 def mutation_pool(cfg, deltas, kind):
     """The blocks ``attacks.evaluate`` lets a ``kind`` edit draw from."""
     if kind == "random_change":

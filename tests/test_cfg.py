@@ -219,9 +219,9 @@ def test_split_five_snapshot_chain_partitions_instructions():
     segments = split_trace(cfg, trace)
     assert len(segments) == 4
     for segment in segments:
-        assert cfg.is_measurement_point(segment.steps[0])
-        assert cfg.is_measurement_point(segment.steps[-1])
-        assert not any(cfg.is_measurement_point(s) for s in segment.steps[1:-1])
+        assert cfg.blocks[segment.steps[0]].is_measurement_point
+        assert cfg.blocks[segment.steps[-1]].is_measurement_point
+        assert not any(cfg.blocks[s].is_measurement_point for s in segment.steps[1:-1])
     # Independent recount by one linear scan over the raw steps.
     expected_total = sum(cfg.blocks[s].instruction_count for s in trace.steps)
     counts = segment_instruction_counts(cfg, segments)

@@ -18,7 +18,13 @@ from flowattest.cli import (
 )
 from flowattest.events import default_event_table, serialize_event_table
 
-from .conftest import TINY_COUNTERS, block, tiny_table_doc, two_loop_chain_doc
+from .conftest import (
+    TINY_COUNTERS,
+    block,
+    distinct_cascade_doc,
+    tiny_table_doc,
+    two_loop_chain_doc,
+)
 
 
 def _write(path, doc):
@@ -83,23 +89,39 @@ def test_empty_graph_gives_empty_database(capsys, tmp_path, tiny_table_path):
     assert json.loads(db_path.read_text())["segments"] == []
 
 
-def test_shipped_pathburst_demo_exceeds_default_budget(capsys, tmp_path):
+def test_shipped_pathburst_demo_builds_under_default_budgets(capsys, tmp_path):
+    # 2**17 simple paths, 18 distinct candidates.
     code, out, _ = run(capsys, "demo", "--name", "pathburst", "--out", str(tmp_path))
     assert code == EXIT_OK
-    table_path = _write(
-        tmp_path / "table.json", serialize_event_table(default_event_table())
-    )
-    code, _, err = run(
+    code, out, _ = run(
         capsys,
         "preprocess", "--cfg", str(tmp_path / "pathburst.json"),
-        "--table", table_path, "--out", str(tmp_path / "db.json"),
+        "--table", str(tmp_path / "table.json"), "--out", str(tmp_path / "db.json"),
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["per_segment"] == [
+        {"start": "p.s", "end": "p.t", "candidates": 18, "loops": 0}
+    ]
+
+
+def test_distinct_cascade_exceeds_default_candidate_budget(capsys, tmp_path):
+    # 2**11 simple paths, all of distinct value: the first tail set past
+    # the budget is refused, and the error names its block.
+    doc, table = distinct_cascade_doc(11)
+    code, _, err = run(
+        capsys,
+        "preprocess", "--cfg", _write(tmp_path / "cascade.json", doc),
+        "--table", _write(tmp_path / "table.json", serialize_event_table(table)),
+        "--out", str(tmp_path / "db.json"),
     )
     assert code == EXIT_BUDGET
-    assert "p.s -> p.t" in err
+    assert "from x.s exceeded the candidate budget (budget 1024 " in err
     assert "measurement points" in err
+    assert not (tmp_path / "db.json").exists()
 
 
-@pytest.mark.parametrize("flag", ["--budget-paths", "--budget-cycles", "--budget-nodes"])
+@pytest.mark.parametrize("flag", ["--budget-candidates", "--budget-cycles", "--budget-nodes"])
 def test_preprocess_negative_budget_is_a_usage_error(capsys, chain_paths, flag):
     # The same rule, in the same words, as a manifest's ``budgets``; not
     # the budget-exceeded exit a budget of -1 used to end in.
@@ -541,8 +563,9 @@ def test_attack_eval_runs_a_small_manifest(capsys, tmp_path):
     "change",
     [
         {"budgets": [1]},
-        {"budgets": {"paths": "x"}},
+        {"budgets": {"candidates": "x"}},
         {"budgets": {"depth": 3}},
+        {"budgets": {"paths": 3}},
         {"reps": "2"},
         {"reps": 0},
         {"seed": 1.5},
@@ -554,7 +577,8 @@ def test_attack_eval_runs_a_small_manifest(capsys, tmp_path):
         None,
     ],
     ids=[
-        "budgets-array", "budget-string", "budget-unknown", "reps-string", "reps-zero",
+        "budgets-array", "budget-string", "budget-unknown", "budget-paths-stale",
+        "reps-string", "reps-zero",
         "seed-float", "cfg-number", "counters-number", "label-array", "db-boolean",
         "unknown-key", "top-level-array",
     ],
@@ -577,7 +601,7 @@ def test_attack_eval_malformed_manifest_is_a_usage_error(capsys, tmp_path, chang
 # a file field (``db`` is written when missing) names a file beside the
 # manifest or the directory itself.
 _FUZZ_TEXT = st.text(alphabet="ab0._- ", max_size=5)
-_FUZZ_KEYS = st.sampled_from(("paths", "cycles", "nodes")) | _FUZZ_TEXT
+_FUZZ_KEYS = st.sampled_from(("candidates", "cycles", "nodes")) | _FUZZ_TEXT
 _FUZZ_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | _FUZZ_TEXT,
     lambda inner: st.lists(inner, max_size=3)

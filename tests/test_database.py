@@ -14,7 +14,7 @@ import flowattest
 from flowattest import database
 from flowattest.cfg import BlockTrace, _simple_cycles, _strong_components, load_cfg
 from flowattest.database import (
-    DEFAULT_PATH_BUDGET,
+    DEFAULT_CANDIDATE_BUDGET,
     dedup_key,
     enumerate_segments,
     load_database,
@@ -32,6 +32,7 @@ from .conftest import (
     LOOP2,
     TINY_COUNTERS,
     block,
+    distinct_cascade_doc,
     edge,
     straight_line_doc,
     two_loop_chain_doc,
@@ -162,11 +163,15 @@ def test_enumeration_is_deterministic(tiny_table):
     assert first == second
 
 
-def test_path_budget_names_offending_segment(tiny_table):
+def test_candidate_budget_names_overflowing_block(tiny_table):
+    # d.0's two paths have distinct sums: a budget of two builds, and one
+    # refuses at d.0's second value.
     cfg = load_cfg(_diamond_doc())
-    with pytest.raises(BudgetError, match=r"d\.0 -> d\.3") as err:
-        enumerate_segments(cfg, tiny_table, path_budget=1)
+    enumerate_segments(cfg, tiny_table, candidate_budget=2)
+    with pytest.raises(BudgetError, match=r"from d\.0 exceeded the candidate budget") as err:
+        enumerate_segments(cfg, tiny_table, candidate_budget=1)
     assert "measurement points" in str(err.value)
+    assert (err.value.budget, err.value.reached) == (1, 2)
 
 
 def test_cycle_budget_is_enforced(tiny_table):
@@ -345,29 +350,30 @@ def _candidate_sets(db, table):
 
 
 def _assert_matches_per_path_oracle(cfg, table):
-    """The database holds the oracle's candidates, each once, and the path
-    budget admits exactly the oracle's largest segment: a budget of that
-    many simple paths builds, and a smaller one raises naming a segment
-    that has more.  Returns the database and the oracle's path counts."""
+    """The database holds the oracle's candidates, each once, and the
+    candidate budget admits exactly the most candidates of one start node:
+    a budget of that many builds, and a smaller one raises at its first
+    value past the budget, naming a block.  Returns the database and the
+    oracle's path counts."""
     expected, paths = segment_candidates_bruteforce(cfg, table, expand(cfg))
-    most = max(paths.values(), default=0)
-    db = enumerate_segments(cfg, table, path_budget=most)
+    per_start = Counter((start, c[0]) for (start, _), cands in expected.items() for c in cands)
+    most = max(per_start.values(), default=0)
+    db = enumerate_segments(cfg, table, candidate_budget=most)
     assert _candidate_sets(db, table) == expected
     # Each distinct candidate once.
     assert all(len(cands) == len(expected[key]) for key, cands in db.entries.items())
     for budget in {most - 1, most // 2, 1} & set(range(most)):
         with pytest.raises(BudgetError) as err:
-            enumerate_segments(cfg, table, path_budget=budget)
-        named = re.match(r"segment (\S+) -> (\S+) exceeded", str(err.value)).groups()
-        assert err.value.budget == budget
-        assert budget < err.value.reached <= paths[named]
+            enumerate_segments(cfg, table, candidate_budget=budget)
+        assert re.match(r"the simple paths from (\S+) exceeded", str(err.value))[1] in cfg.blocks
+        assert (err.value.budget, err.value.reached) == (budget, budget + 1)
     return db, paths
 
 
 def test_candidates_match_per_path_oracle():
     """The tail sets merged per component entry give what summing and
-    closing every simple path from scratch gives, and the path budget
-    counts every simple path."""
+    closing every simple path from scratch gives, and the candidate budget
+    admits exactly the largest start node."""
     table = default_event_table()
     for doc in (greeter_cfg(), signer_cfg(False), signer_cfg(True)):
         _assert_matches_per_path_oracle(load_cfg(doc), table)
@@ -416,8 +422,8 @@ def _random_digraph_doc(rng):
 
 def test_tail_sets_match_per_path_oracle_on_random_digraphs(tiny_table):
     """Arbitrary strongly connected components, several entries per
-    component, parallel edges and self-loops: the candidates and the path
-    budget agree with walking every simple path."""
+    component, parallel edges and self-loops: the candidates and the
+    candidate budget agree with walking every simple path."""
     rng = random.Random(20_261_019)
     seen = Counter()
     for _ in range(400):
@@ -428,14 +434,13 @@ def test_tail_sets_match_per_path_oracle_on_random_digraphs(tiny_table):
     assert min(seen.values()) >= 50, seen
 
 
-def test_pathburst_budget_error_counts_every_path():
-    """The shipped cascade has 2**17 simple paths; the error reports all of
-    them, counted without walking any."""
-    cfg = load_cfg(pathburst_cfg())
-    with pytest.raises(BudgetError, match=r"p\.s -> p\.t") as err:
-        enumerate_segments(cfg, default_event_table())
-    assert err.value.budget == DEFAULT_PATH_BUDGET
-    assert err.value.reached == 2**17
+@pytest.mark.parametrize("layers", [17, 24, 40, 64])
+def test_pathburst_builds_one_candidate_per_load_count(layers):
+    """2**layers simple paths but layers + 1 distinct values: the cascade
+    builds under the default budgets."""
+    db = enumerate_segments(load_cfg(pathburst_cfg(layers)), default_event_table())
+    assert set(db.entries) == {("p.s", "p.t")}
+    assert len(db.entries[("p.s", "p.t")]) == layers + 1
 
 
 def _chain_doc(inner: int) -> dict:
@@ -463,35 +468,7 @@ def test_long_chain_builds_without_recursion(tiny_table):
 
 
 def _distinct_cascade(layers: int):
-    """A cascade of ``layers`` ranks of two blocks each, fully connected
-    rank to rank, whose 2**layers simple paths all have distinct sums: the
-    blocks of rank i retire one or two instructions counted only by
-    counter i.  Returns the CFG and its event table."""
-    counters = [CounterEvent("instret")] + [CounterEvent(f"rank{i}") for i in range(layers)]
-    unit = [0] * (layers + 1)
-    attribution = {"nop": tuple([1] + unit[1:])}
-    for i in range(layers):
-        vec = [1] + unit[1:]
-        vec[i + 1] = 1
-        attribution[f"r{i}"] = tuple(vec)
-    table = make_event_table(counters, attribution)
-    ids, blocks, edges, prev = ["x.s"], [block("x.s", "main", ["nop"], mp=True)], [], ["x.s"]
-    for i in range(layers):
-        rank = [f"x.a{i}", f"x.b{i}"]
-        blocks += [block(rank[0], "main", [f"r{i}"]), block(rank[1], "main", [f"r{i}"] * 2)]
-        edges += [edge(src, dst, "branch") for src in prev for dst in rank]
-        ids += rank
-        prev = rank
-    ids.append("x.t")
-    blocks.append(block("x.t", "main", ["nop"], mp=True))
-    edges += [edge(src, "x.t", "branch") for src in prev]
-    doc = {
-        "counters": [c.name for c in counters],
-        "functions": [{"name": "main", "entry": "x.s", "blocks": ids}],
-        "blocks": blocks,
-        "edges": edges,
-        "entry": "x.s",
-    }
+    doc, table = distinct_cascade_doc(layers)
     return load_cfg(doc), table
 
 
@@ -502,40 +479,47 @@ def test_distinct_cascade_keeps_every_path_value():
     assert len({c.base for c in candidates}) == 2**10
 
 
-def test_distinct_cascade_over_budget_raises_before_building_values():
-    """2**20 distinct path sums: the budget error comes from the counts
-    alone, before any tail value is built."""
+def test_distinct_cascade_over_budget_raises_with_bounded_memory():
+    """2**20 distinct path sums: the tail sets double rank by rank, and the
+    first one past the default budget, at rank 8 (2**11 values), is refused
+    at its first value over it."""
     cfg, table = _distinct_cascade(20)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError, match=r"x\.s -> x\.t") as err:
+        with pytest.raises(BudgetError, match=r"from x\.[ab]8 exceeded") as err:
             enumerate_segments(cfg, table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert err.value.budget == DEFAULT_PATH_BUDGET < err.value.reached
+    assert err.value.budget == DEFAULT_CANDIDATE_BUDGET
+    assert err.value.reached == DEFAULT_CANDIDATE_BUDGET + 1
     # One tail value alone is a 21-counter tuple of about 200 bytes.
     assert peak < 2_000_000, peak
 
 
-
-def test_component_walk_stops_at_the_budget(tiny_table, monkeypatch):
-    """Seven blocks, all linked both ways, each with an exit: 1,957 simple
-    paths cross the component.  A budget of 100 stops the walk inside it
-    at the 101st, not at the end."""
-    ids = [f"k.{i}" for i in range(7)]
-    doc = {
+def _clique_doc(size: int, entered=()) -> dict:
+    """``size`` blocks k.0, k.1, ..., all linked both ways, each with an
+    exit to the point k.t.  The point k.s enters the clique at k.0, and for
+    each i in ``entered`` a point k.ui, after k.t, enters it at k.i."""
+    ids = [f"k.{i}" for i in range(size)]
+    others = [f"k.u{i}" for i in entered]
+    return {
         "counters": TINY_COUNTERS,
-        "functions": [{"name": "main", "entry": "k.s", "blocks": ["k.s", *ids, "k.t"]}],
+        "functions": [{"name": "main", "entry": "k.s", "blocks": ["k.s", *ids, "k.t", *others]}],
         "blocks": [block("k.s", "main", ["addi"], mp=True)]
         + [block(bid, "main", ["add"]) for bid in ids]
-        + [block("k.t", "main", ["jalr"], mp=True)],
+        + [block("k.t", "main", ["jalr"], mp=True)]
+        + [block(bid, "main", ["addi"], mp=True) for bid in others],
         "edges": [edge("k.s", "k.0")]
         + [edge(a, b, "branch") for a in ids for b in ids if a != b]
-        + [edge(a, "k.t", "fallthrough") for a in ids],
+        + [edge(a, "k.t", "fallthrough") for a in ids]
+        + [edge("k.t", bid) for bid in others]
+        + [edge(f"k.u{i}", f"k.{i}", "branch") for i in entered],
         "entry": "k.s",
     }
-    cfg = load_cfg(doc)
+
+
+def _count_vadds(monkeypatch) -> Counter:
     steps = Counter()
 
     def counted_vadd(a, b):
@@ -543,28 +527,53 @@ def test_component_walk_stops_at_the_budget(tiny_table, monkeypatch):
         return vadd(a, b)
 
     monkeypatch.setattr(database, "vadd", counted_vadd)
-    with pytest.raises(BudgetError, match=r"k\.s -> k\.t") as err:
-        enumerate_segments(cfg, tiny_table, path_budget=100)
+    return steps
+
+
+def test_component_walk_stops_at_the_budget(tiny_table, monkeypatch):
+    """Seven blocks, all linked both ways, each with an exit: 1,957 simple
+    stretches from k.0 inside the component, but only 7 distinct values.
+    A stretch limit of 100 stops the walk inside it at the 101st, not at
+    the end."""
+    cfg = load_cfg(_clique_doc(7))
+    steps = _count_vadds(monkeypatch)
+    monkeypatch.setattr(database, "_STRETCH_LIMIT", 100)
+    with pytest.raises(BudgetError, match=r"entered at k\.0 ") as err:
+        enumerate_segments(cfg, tiny_table)
     assert err.value.reached == 101
     assert steps["vadd"] < 300, steps
-    enumerate_segments(cfg, tiny_table, path_budget=1_957)
+    monkeypatch.setattr(database, "_STRETCH_LIMIT", 1_957)
+    assert len(enumerate_segments(cfg, tiny_table).entries[("k.s", "k.t")]) == 7
+    monkeypatch.setattr(database, "_STRETCH_LIMIT", 1_956)
     with pytest.raises(BudgetError) as err:
-        enumerate_segments(cfg, tiny_table, path_budget=1_956)
+        enumerate_segments(cfg, tiny_table)
     assert err.value.reached == 1_957
 
-    # A second point k.u enters the component at k.3: both entries stop
-    # at the budget, and the segment check names a segment over it.  Each
-    # segment into k.t enters the component at one block, so, as above, it
-    # has 1,957 simple paths.
-    doc["functions"][0]["blocks"].append("k.u")
-    doc["blocks"].append(block("k.u", "main", ["addi"], mp=True))
-    doc["edges"] += [edge("k.t", "k.u"), edge("k.u", "k.3", "branch")]
-    cfg = load_cfg(doc)
+    # A second point k.u3 enters the component at k.3: the first entry
+    # walked stops at the limit, and each entry alone stays within 1,957.
+    cfg = load_cfg(_clique_doc(7, [3]))
+    monkeypatch.setattr(database, "_STRETCH_LIMIT", 100)
     steps.clear()
-    with pytest.raises(BudgetError) as err:
-        enumerate_segments(cfg, tiny_table, path_budget=100)
-    named = re.match(r"segment (\S+) -> (\S+) exceeded", str(err.value)).groups()
-    assert named in {("k.s", "k.t"), ("k.u", "k.t")}
-    assert 100 < err.value.reached <= 1_957
+    with pytest.raises(BudgetError, match=r"entered at k\.[03] "):
+        enumerate_segments(cfg, tiny_table)
     assert steps["vadd"] < 300, steps
-    enumerate_segments(cfg, tiny_table, path_budget=1_957)
+    monkeypatch.setattr(database, "_STRETCH_LIMIT", 1_957)
+    enumerate_segments(cfg, tiny_table)
+
+
+def test_clique_entered_at_every_block_builds(tiny_table, monkeypatch):
+    """Eight blocks, all linked both ways, each entered from its own point:
+    13,700 simple stretches from each entry, but 8 path lengths from each
+    of the 8 entering points to k.t, plus k.t's 7 steps to the points
+    after it.  Its 16,064 simple cycles need the cycle budget raised; the
+    other budgets are the defaults.  Refusal costs one entry's walk, not
+    one per entry."""
+    cfg = load_cfg(_clique_doc(8, range(1, 8)))
+    db = enumerate_segments(cfg, tiny_table, cycle_budget=10**5)
+    assert sum(map(len, db.entries.values())) == 71
+    assert {len(db.entries[(f"k.u{i}", "k.t")]) for i in range(1, 8)} == {8}
+    steps = _count_vadds(monkeypatch)
+    monkeypatch.setattr(database, "_STRETCH_LIMIT", 100)
+    with pytest.raises(BudgetError, match="simple stretches"):
+        enumerate_segments(cfg, tiny_table, cycle_budget=10**5)
+    assert steps["vadd"] < 300, steps

@@ -51,7 +51,7 @@ def test_long_trace_matches_naive_accumulator():
     naive = []
     for step in trace.steps[1:]:
         acc = [a + d for a, d in zip(acc, deltas[step])]
-        if cfg.is_measurement_point(step):
+        if cfg.blocks[step].is_measurement_point:
             naive.append(tuple(acc))
             acc = [0] * table.dimension
     assert [m.delta for m in measurements] == naive
