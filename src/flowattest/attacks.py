@@ -14,10 +14,15 @@ and seed-deterministic; when a segment admits fewer distinct mutants than
 the requested repetitions, all of them are used.  The blocks an edit may
 draw from are listed once per evaluation, and each edit site's blocks
 that would still make a valid step are listed once per site.  A mutant
-carries its edit (the replaced span and the inserted block) over the
-segment's own step tuple, not a copy of the edited steps:
-:attr:`Mutant.steps` builds those only when asked, and :func:`evaluate`
-never asks.
+is a counter delta plus an edit: the delta it shows the verifier, the
+segment's endpoints (one tuple shared by all of a segment's mutants)
+and, for block-level kinds, the replaced span and the inserted block
+over the segment's own step tuple.  :attr:`Mutant.measurement` and
+:attr:`Mutant.steps` are built only when asked, and :func:`evaluate`
+asks for neither.  A segment whose measurement is passed in is taken as
+already validated (:func:`evaluate` passes the measurements of
+:func:`~flowattest.cfg.split_trace`'s segments); only a segment given
+without one is validated by :func:`mutate`.
 
 Each mutant is a probe that asks the verifier for its verdict alone, from
 the feasible call stacks the segment starts from in the valid run.  A
@@ -53,7 +58,8 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from math import lcm
+from math import gcd
+from operator import add, sub
 
 from .cfg import (
     AnnotatedCfg,
@@ -68,7 +74,7 @@ from .errors import FlowAttestError, SchemaError
 from .events import CounterConfig, EventTable, delta_map
 from .expand import CallStack
 from .simulate import measure_segment
-from .vectors import Vec, vadd, vsub, vsum
+from .vectors import Vec, vsum
 from .verify import SessionState, prober, verify_segment
 
 MUTATION_KINDS = (
@@ -112,19 +118,28 @@ class MutationSpec:
 
 @dataclass(slots=True, eq=False)
 class Mutant:
-    """The measurement a mutant shows the verifier and, for block-level
-    kinds, the edit that produces it: ``segment``'s steps ``start:stop``
-    replaced by ``inserted`` (nothing, for ``None``).  ``segment`` is the
-    valid segment's own step tuple, shared and never copied; :attr:`steps`
-    builds the edited tuple only when asked.  A plain slotted record: many
-    are built per evaluation, and nothing hashes one.  Two mutants are
-    equal when their measurements and edited steps are."""
+    """The counter delta a mutant shows the verifier between the segment's
+    endpoints ``ends`` (first and last block) and, for block-level kinds,
+    the edit that produces it: ``segment``'s steps ``start:stop`` replaced
+    by ``inserted`` (nothing, for ``None``).  ``ends`` and ``segment`` are
+    the valid segment's own tuples, shared and never copied;
+    :attr:`measurement` and :attr:`steps` are built only when asked.  A
+    plain slotted record: many are built per evaluation, and nothing hashes
+    one.  Two mutants are equal when their measurements and edited steps
+    are."""
 
-    measurement: Measurement
+    delta: Vec
+    ends: tuple[str, str]
     segment: tuple[str, ...] | None = None
     start: int = 0
     stop: int = 0
     inserted: str | None = None
+
+    @property
+    def measurement(self) -> Measurement:
+        """The measurement the mutant shows the verifier."""
+        first, last = self.ends
+        return Measurement(first, last, self.delta)
 
     @property
     def steps(self) -> tuple[str, ...] | None:
@@ -170,26 +185,36 @@ def combine_rates(outcomes: list[SegmentOutcome]) -> tuple[Fraction, Fraction]:
 
     Frequencies multiply through both sums, so evaluating a repeated
     segment once is identical to scoring every occurrence.  Every rate is
-    scaled to the common denominator ``lcm`` of the ``attempted`` counts,
-    so both sums are over integers and each metric is one ``Fraction``.
+    scaled to ``scale``, the ``lcm`` of the ``attempted`` counts seen so
+    far, which grows during the one pass over the outcomes (the sums so
+    far grow with it), so both sums are over integers and each metric is
+    one ``Fraction``.
     """
-    included = [o for o in outcomes if not o.excluded]
+    scale = 1
+    included = total_freq = weight = uniform = weighted = 0
+    for o in outcomes:
+        if o.excluded:
+            continue
+        included += 1
+        frequency = o.frequency
+        size = frequency * o.instruction_count
+        total_freq += frequency
+        weight += size
+        attempted = o.attempted
+        if attempted:  # a segment with no attempts rates 0
+            if scale % attempted:
+                grow = attempted // gcd(scale, attempted)
+                scale *= grow
+                uniform *= grow
+                weighted *= grow
+            rate = o.detected * (scale // attempted)
+            uniform += rate * frequency
+            weighted += rate * size
     if not included:
         return Fraction(0), Fraction(0)
-    scale = lcm(*(o.attempted for o in included if o.attempted))
-    # Each segment's rate times ``scale``; a segment with no attempts rates 0.
-    scaled = [
-        (o.detected * (scale // o.attempted) if o.attempted else 0, o) for o in included
-    ]
-    total_freq = sum(o.frequency for o in included)
-    uniform = Fraction(sum(r * o.frequency for r, o in scaled), scale * total_freq)
-    weight = sum(o.frequency * o.instruction_count for o in included)
     if weight == 0:
-        return uniform, Fraction(0)
-    weighted = Fraction(
-        sum(r * o.frequency * o.instruction_count for r, o in scaled), scale * weight
-    )
-    return uniform, weighted
+        return Fraction(uniform, scale * total_freq), Fraction(0)
+    return Fraction(uniform, scale * total_freq), Fraction(weighted, scale * weight)
 
 
 def _unique_delta_blocks(cfg: AnnotatedCfg, deltas: Mapping[str, Vec]) -> list[str]:
@@ -269,7 +294,10 @@ def mutate(
 
     ``deltas`` maps every block to its delta as the verifier measures it
     (projected through the register file in use), and ``measurement`` is
-    the segment's own measurement, summed from ``deltas`` when not given.
+    the segment's own measurement.  Given, it vouches for the segment: the
+    segment is taken as validated, as :func:`~flowattest.cfg.split_trace`
+    leaves it.  Not given, the segment is validated and its measurement
+    summed from ``deltas``.
     ``pool`` lists the blocks an edit may insert: every non-measurement
     block, or for the unique-delta kinds only those whose delta no other
     block shares (:func:`evaluate` lists both once per evaluation;
@@ -278,7 +306,8 @@ def mutate(
     that break structural validity.  ``random_change`` needs the segment's
     measurement and perturbs it directly.  An empty result means the
     segment admits no applicable mutation.  Raises :class:`SchemaError`
-    when a block-level kind is given an invalid segment.
+    when a block-level kind is given an invalid segment without its
+    measurement.
     """
     reps = spec.reps
     if spec.kind == "random_change":
@@ -296,43 +325,44 @@ def mutate(
             ranges = (range(-b, b + 1) for b in bounds)
             perturbations = [u for u in product(*ranges) if any(u)]
         else:
-            rng = random.Random(spec.seed)
+            # ``randrange(2b+1) - b`` draws what ``randint(-b, b)`` draws:
+            # both consume one ``_randbelow(2b+1)``.
+            randrange = random.Random(spec.seed).randrange
+            widths = [(2 * b + 1, b) for b in bounds]
             seen: set[tuple[int, ...]] = set()
             perturbations = []
             while len(perturbations) < reps:
-                u = tuple(rng.randint(-b, b) for b in bounds)
+                u = tuple([randrange(w) - b for w, b in widths])
                 if any(u) and u not in seen:
                     seen.add(u)
                     perturbations.append(u)
-        start, end, values = measurement.start, measurement.end, measurement.delta
-        return [
-            Mutant(Measurement(start, end, tuple(v + du for v, du in zip(values, u))))
-            for u in perturbations
-        ]
+        ends, values = (measurement.start, measurement.end), measurement.delta
+        return [Mutant(tuple(map(add, values, u)), ends) for u in perturbations]
 
-    if not validate_trace(cfg, segment):
-        raise SchemaError("cannot mutate an invalid segment")
     steps = segment.steps
     if measurement is None:
-        delta = vsum((deltas[s] for s in steps[1:]), len(deltas[steps[0]]))
-        measurement = Measurement(start=steps[0], end=steps[-1], delta=delta)
+        if not validate_trace(cfg, segment):
+            raise SchemaError("cannot mutate an invalid segment")
+        values = vsum((deltas[s] for s in steps[1:]), len(deltas[steps[0]]))
+        ends = (steps[0], steps[-1])
+    else:
+        values, ends = measurement.delta, (measurement.start, measurement.end)
     # Draw edit indices first (``random.sample`` reads only the population's
     # length); each drawn edit is kept as itself, over the segment's own
     # steps.  A generator is seeded only where a draw is made.
     sites = list(_breaking_edits(cfg, steps, spec.kind, pool))
-    ends = list(accumulate(len(site[3]) for site in sites))
-    total = ends[-1] if ends else 0
+    bounds = list(accumulate(len(site[3]) for site in sites))
+    total = bounds[-1] if bounds else 0
     picks = random.Random(spec.seed).sample(range(total), reps) if total > reps else range(total)
-    first, last, values = measurement.start, measurement.end, measurement.delta
     mutants = []
     for pick in picks:
-        index = bisect_right(ends, pick)
+        index = bisect_right(bounds, pick)
         start, stop, removed, blocks = sites[index]
-        inserted = blocks[pick - ends[index] + len(blocks)]
-        delta = values if removed is None else vsub(values, deltas[removed])
+        inserted = blocks[pick - bounds[index] + len(blocks)]
+        delta = values if removed is None else tuple(map(sub, values, deltas[removed]))
         if inserted is not None:
-            delta = vadd(delta, deltas[inserted])
-        mutants.append(Mutant(Measurement(first, last, delta), steps, start, stop, inserted))
+            delta = tuple(map(add, delta, deltas[inserted]))
+        mutants.append(Mutant(delta, ends, steps, start, stop, inserted))
     return mutants
 
 
@@ -430,7 +460,7 @@ def evaluate(
             mutants = mutate(cfg, deltas, cls.segment, spec, pool, measurement=cls.measurement)
             detected = 0
             for mutant in mutants:
-                delta = mutant.measurement.delta
+                delta = mutant.delta
                 verdict = verdicts.get(delta)
                 if verdict is None:
                     verdict = verdicts[delta] = probe(delta)

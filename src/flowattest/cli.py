@@ -56,16 +56,26 @@ EXIT_INTERNAL = 5
 DEFAULT_EXPLORE_DEPTH = 10
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type of the budget, depth and iteration flags: the
-    manifest's rule."""
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type of the budget, depth and iteration flags: the
+    manifest's rule."""
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of ``--reps``: the manifest's rule, so a bad count is
+    refused before any manifest is read or any database written."""
+    return _int_at_least(text, 1)
 
 
 def _offset(text: str) -> tuple[int, ...]:
@@ -235,6 +245,9 @@ def _run_manifest(path: str, reps_override: int | None = None):
     seed = optional("seed", _check_int, 0)
     reps = optional("reps", lambda v, what: _check_int(v, what, minimum=1))
     budgets = optional("budgets", check_budgets, {})
+    if reps_override is not None:
+        reps = reps_override
+    specs = attacks.default_specs(seed=seed, repetitions=reps)
 
     cfg = load_cfg(_read_json(files["cfg"]))
     table = load_event_table(_read_json(files["table"]))
@@ -253,9 +266,6 @@ def _run_manifest(path: str, reps_override: int | None = None):
         )
         if db_path is not None:
             _write_json(db_path, serialize_database(db))
-    if reps_override is not None:
-        reps = reps_override
-    specs = attacks.default_specs(seed=seed, repetitions=reps)
     return label, attacks.evaluate(cfg, db, table, trace, specs, config=config)
 
 
@@ -397,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack-eval", help="run the mutation experiments from manifests")
     p.add_argument("manifest", nargs="+")
-    p.add_argument("--reps", type=int, help="override each manifest's repetition count")
+    p.add_argument("--reps", type=_positive_int, help="override each manifest's repetition count")
     common_output(p)
     p.set_defaults(func=cmd_attack_eval)
 

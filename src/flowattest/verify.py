@@ -65,7 +65,7 @@ from .database import DedupKey, SegmentDatabase, dedup_key
 from .errors import SchemaError
 from .events import CounterConfig, project
 from .expand import CallStack
-from .vectors import Vec, is_nonneg, vsub
+from .vectors import Vec
 
 
 @dataclass(slots=True)
@@ -325,19 +325,21 @@ def prober(
                 cones.append((row.base, row.generators, row.reach))
 
     def probe(delta: Vec) -> bool:
-        _check_dimension(delta, expected)
+        if len(delta) != expected:
+            _check_dimension(delta, expected)
         if skipped or delta in bases:
             return True
         for base, generator, pivot in singles:
-            if single_generator_count(vsub(delta, base), generator, pivot) is not None:
+            if single_generator_count(tuple(map(sub, delta, base)), generator, pivot) is not None:
                 return True
         for base, generators, reach in cones:
             # The nonnegativity test spares the solver every residual that
-            # no cone point can reach.  A residual the map covers is one
-            # bit read; a zero one is accepted first, since a map whose box
-            # admits no generator reaches nothing, not even the origin.
-            target = vsub(delta, base)
-            if not is_nonneg(target):
+            # no cone point can reach (an empty residual, of a database of
+            # no counters, is nonnegative).  A residual the map covers is
+            # one bit read; a zero one is accepted first, since a map whose
+            # box admits no generator reaches nothing, not even the origin.
+            target = tuple(map(sub, delta, base))
+            if target and min(target) < 0:
                 continue
             if not any(target):
                 return True

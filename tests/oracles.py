@@ -4,19 +4,41 @@ Nothing here shares machinery with the package: the cone oracle is plain
 bounded enumeration, delta tallies are per-instruction loops, simple
 cycles come from trying every node sequence, segment candidates from
 recursion over every simple path, and the trace check tests one step at
-a time.  The one exception is the reference session: the verifier's
-earlier per-candidate loop over the package's cone solver, kept to pin
-every count and verdict of the candidate-table session.
+a time.  Two exceptions reuse package code.  The reference session is
+the verifier's earlier per-candidate loop over the package's cone solver,
+kept to pin every count and verdict of the candidate-table session.  The
+reference evaluation is the attack evaluation as it was when each mutant
+was a full measurement record and each mutated segment was validated
+again (:func:`reference_evaluate`, with its ``mutate`` and
+``combine_rates``), over the package's segment classes, edit sites and
+probers, kept to pin every report field of the delta-carrying mutants.
 """
 
+import random
+from bisect import bisect_right
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from itertools import permutations
+from fractions import Fraction
+from itertools import accumulate, permutations, product
+from math import lcm
 
+from flowattest.attacks import (
+    _UNIQUE_KINDS,
+    MutationSpec,
+    ReliabilityReport,
+    SegmentOutcome,
+    _block_pool,
+    _breaking_edits,
+    _segment_classes,
+    _unique_delta_blocks,
+)
+from flowattest.cfg import AnnotatedCfg, BlockTrace, Measurement, validate_trace
 from flowattest.cone import Reach, solve_cone
+from flowattest.database import SegmentDatabase
 from flowattest.errors import SchemaError, UnknownBlockError
-from flowattest.events import project
-from flowattest.vectors import is_nonneg, vsub
-from flowattest.verify import VerificationResult
+from flowattest.events import CounterConfig, EventTable, delta_map, project
+from flowattest.vectors import Vec, is_nonneg, vadd, vsub, vsum
+from flowattest.verify import VerificationResult, prober
 
 
 def cone_member_bruteforce(target, generators):
@@ -331,3 +353,223 @@ def reference_verify_segment(session, m):
         solver_calls=solver_calls,
         solver_nodes=solver_nodes,
     )
+
+
+# The attack evaluation as it was when a mutant was a full measurement
+# record: ``evaluate``, ``mutate``, ``combine_rates`` and ``Mutant`` copied
+# verbatim, only renamed.
+
+
+@dataclass(slots=True, eq=False)
+class _ReferenceMutant:
+    """The measurement a mutant shows the verifier and, for block-level
+    kinds, the edit that produces it: ``segment``'s steps ``start:stop``
+    replaced by ``inserted`` (nothing, for ``None``).  ``segment`` is the
+    valid segment's own step tuple, shared and never copied; :attr:`steps`
+    builds the edited tuple only when asked.  A plain slotted record: many
+    are built per evaluation, and nothing hashes one.  Two mutants are
+    equal when their measurements and edited steps are."""
+
+    measurement: Measurement
+    segment: tuple[str, ...] | None = None
+    start: int = 0
+    stop: int = 0
+    inserted: str | None = None
+
+    @property
+    def steps(self) -> tuple[str, ...] | None:
+        """The edited block sequence, or None for ``random_change``."""
+        segment = self.segment
+        if segment is None:
+            return None
+        middle = () if self.inserted is None else (self.inserted,)
+        return segment[: self.start] + middle + segment[self.stop :]
+
+    def __eq__(self, other):
+        if not isinstance(other, _ReferenceMutant):
+            return NotImplemented
+        return self.measurement == other.measurement and self.steps == other.steps
+
+
+def _reference_combine_rates(outcomes: list[SegmentOutcome]) -> tuple[Fraction, Fraction]:
+    """Both reliability metrics over the included segments, exactly.
+
+    Frequencies multiply through both sums, so evaluating a repeated
+    segment once is identical to scoring every occurrence.  Every rate is
+    scaled to the common denominator ``lcm`` of the ``attempted`` counts,
+    so both sums are over integers and each metric is one ``Fraction``.
+    """
+    included = [o for o in outcomes if not o.excluded]
+    if not included:
+        return Fraction(0), Fraction(0)
+    scale = lcm(*(o.attempted for o in included if o.attempted))
+    # Each segment's rate times ``scale``; a segment with no attempts rates 0.
+    scaled = [
+        (o.detected * (scale // o.attempted) if o.attempted else 0, o) for o in included
+    ]
+    total_freq = sum(o.frequency for o in included)
+    uniform = Fraction(sum(r * o.frequency for r, o in scaled), scale * total_freq)
+    weight = sum(o.frequency * o.instruction_count for o in included)
+    if weight == 0:
+        return uniform, Fraction(0)
+    weighted = Fraction(
+        sum(r * o.frequency * o.instruction_count for r, o in scaled), scale * weight
+    )
+    return uniform, weighted
+
+
+def reference_mutate(
+    cfg: AnnotatedCfg,
+    deltas: Mapping[str, Vec],
+    segment: BlockTrace,
+    spec: MutationSpec,
+    pool: list[str],
+    *,
+    measurement: Measurement | None = None,
+) -> list[_ReferenceMutant]:
+    """Distinct, seed-deterministic mutants of one valid segment.
+
+    ``deltas`` maps every block to its delta as the verifier measures it
+    (projected through the register file in use), and ``measurement`` is
+    the segment's own measurement, summed from ``deltas`` when not given.
+    ``pool`` lists the blocks an edit may insert: every non-measurement
+    block, or for the unique-delta kinds only those whose delta no other
+    block shares (:func:`evaluate` lists both once per evaluation;
+    ``random_change`` draws no blocks).  Block-level kinds edit interior
+    positions only (endpoints identify the segment) and keep only edits
+    that break structural validity.  ``random_change`` needs the segment's
+    measurement and perturbs it directly.  An empty result means the
+    segment admits no applicable mutation.  Raises :class:`SchemaError`
+    when a block-level kind is given an invalid segment.
+    """
+    reps = spec.reps
+    if spec.kind == "random_change":
+        if measurement is None:
+            raise SchemaError("random_change mutation needs the segment's measurement")
+        bounds = [v // 10 for v in measurement.delta]
+        space = 1
+        for b in bounds:
+            space *= 2 * b + 1
+        space -= 1  # the all-zero perturbation is not a change
+        if space <= 0:
+            return []
+        if space <= reps:
+            # Every nonzero perturbation, the last counter varying fastest.
+            ranges = (range(-b, b + 1) for b in bounds)
+            perturbations = [u for u in product(*ranges) if any(u)]
+        else:
+            rng = random.Random(spec.seed)
+            seen: set[tuple[int, ...]] = set()
+            perturbations = []
+            while len(perturbations) < reps:
+                u = tuple(rng.randint(-b, b) for b in bounds)
+                if any(u) and u not in seen:
+                    seen.add(u)
+                    perturbations.append(u)
+        start, end, values = measurement.start, measurement.end, measurement.delta
+        return [
+            _ReferenceMutant(Measurement(start, end, tuple(v + du for v, du in zip(values, u))))
+            for u in perturbations
+        ]
+
+    if not validate_trace(cfg, segment):
+        raise SchemaError("cannot mutate an invalid segment")
+    steps = segment.steps
+    if measurement is None:
+        delta = vsum((deltas[s] for s in steps[1:]), len(deltas[steps[0]]))
+        measurement = Measurement(start=steps[0], end=steps[-1], delta=delta)
+    # Draw edit indices first (``random.sample`` reads only the population's
+    # length); each drawn edit is kept as itself, over the segment's own
+    # steps.  A generator is seeded only where a draw is made.
+    sites = list(_breaking_edits(cfg, steps, spec.kind, pool))
+    ends = list(accumulate(len(site[3]) for site in sites))
+    total = ends[-1] if ends else 0
+    picks = random.Random(spec.seed).sample(range(total), reps) if total > reps else range(total)
+    first, last, values = measurement.start, measurement.end, measurement.delta
+    mutants = []
+    for pick in picks:
+        index = bisect_right(ends, pick)
+        start, stop, removed, blocks = sites[index]
+        inserted = blocks[pick - ends[index] + len(blocks)]
+        delta = values if removed is None else vsub(values, deltas[removed])
+        if inserted is not None:
+            delta = vadd(delta, deltas[inserted])
+        mutants.append(
+            _ReferenceMutant(Measurement(first, last, delta), steps, start, stop, inserted)
+        )
+    return mutants
+
+
+def reference_evaluate(
+    cfg: AnnotatedCfg,
+    db: SegmentDatabase,
+    table: EventTable,
+    trace: BlockTrace,
+    specs: list[MutationSpec],
+    *,
+    config: CounterConfig | None = None,
+) -> dict[str, ReliabilityReport]:
+    """Run every mutation experiment over every segment of a valid trace.
+
+    Returns one report per spec, by kind; two specs of one kind raise
+    :class:`SchemaError` before any work starts.
+    """
+    kinds: set[str] = set()
+    for spec in specs:
+        if spec.kind in kinds:
+            raise SchemaError(f"mutation kind '{spec.kind}' is given twice")
+        kinds.add(spec.kind)
+    classes = _segment_classes(cfg, db, table, trace, config)
+    deltas = delta_map(cfg, table, config)
+    block_pool = _block_pool(cfg)
+    unique_pool = _unique_delta_blocks(cfg, deltas)
+    # A probe needs only the verdict.  The verdict of a delta depends only
+    # on the segment's endpoints and feasible entry stacks, so segment
+    # classes that share them share one prober, built once, and one table
+    # of verdicts: distinct mutants frequently produce identical deltas
+    # (removing any one of many equal-delta blocks, say).  Both live only
+    # for this call.
+    shared: dict[tuple, tuple[Callable[[Vec], bool], dict[Vec, bool]]] = {}
+    probes = []
+    for cls in classes:
+        m = cls.measurement
+        key = (m.start, m.end, cls.feasible)
+        if key not in shared:
+            shared[key] = (prober(db, m.start, m.end, cls.feasible, config=config), {})
+        probes.append(shared[key])
+    reports: dict[str, ReliabilityReport] = {}
+    for spec in specs:
+        pool = unique_pool if spec.kind in _UNIQUE_KINDS else block_pool
+        outcomes: list[SegmentOutcome] = []
+        for cls, (probe, verdicts) in zip(classes, probes):
+            mutants = reference_mutate(
+                cfg, deltas, cls.segment, spec, pool, measurement=cls.measurement
+            )
+            detected = 0
+            for mutant in mutants:
+                delta = mutant.measurement.delta
+                verdict = verdicts.get(delta)
+                if verdict is None:
+                    verdict = verdicts[delta] = probe(delta)
+                if not verdict:
+                    detected += 1
+            outcomes.append(
+                SegmentOutcome(
+                    first_index=cls.first_index,
+                    frequency=cls.frequency,
+                    instruction_count=cls.instruction_count,
+                    attempted=len(mutants),
+                    detected=detected,
+                    excluded=not mutants,
+                    exclusion_reason=None if mutants else "no applicable mutation",
+                )
+            )
+        uniform, weighted = _reference_combine_rates(outcomes)
+        reports[spec.kind] = ReliabilityReport(
+            kind=spec.kind,
+            seed=spec.seed,
+            per_segment={o.first_index: o for o in outcomes},
+            metric_uniform=uniform,
+            metric_weighted=weighted,
+        )
+    return reports

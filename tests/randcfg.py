@@ -26,8 +26,9 @@ def random_table(rng, dim):
 
 
 class _Builder:
-    def __init__(self, rng, counters, max_blocks):
+    def __init__(self, rng, counters, max_blocks, point_density):
         self.rng = rng
+        self.point_density = point_density
         self.counters = counters
         self.max_blocks = max_blocks
         self.blocks = []
@@ -56,7 +57,7 @@ class _Builder:
         self.edges.append({"from": src, "to": dst, "kind": kind})
 
     def maybe_mp(self):
-        return self.rng.random() < 0.2
+        return self.rng.random() < self.point_density
 
     def build_function(self, name, callees, exits):
         rng = self.rng
@@ -103,13 +104,16 @@ class _Builder:
         return entry, current
 
 
-def random_cfg_and_table(seed, max_blocks=40, max_functions=4):
+def random_cfg_and_table(seed, max_blocks=40, max_functions=4, point_density=0.2):
+    """A random program and its random event table; ``point_density`` is
+    the chance that a block (other than a function entry or a call site)
+    is a measurement point."""
     rng = random.Random(seed)
     dim = rng.randint(2, 5)
     table = random_table(rng, dim)
     counters = [c.name for c in table.counters]
     names = [f"f{i}" for i in range(rng.randint(1, max_functions))]
-    builder = _Builder(rng, counters, max_blocks)
+    builder = _Builder(rng, counters, max_blocks, point_density)
     exits = {}
     for idx in reversed(range(len(names))):
         callees = names[idx + 1 :]

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from flowattest.attacks import (
 )
 from flowattest.cfg import BlockTrace, Measurement, load_cfg, split_trace, validate_trace
 from flowattest.database import enumerate_segments
-from flowattest.demos import signer_cfg, signer_trace
+from flowattest.demos import greeter_cfg, greeter_trace, signer_cfg, signer_trace
 from flowattest.errors import SchemaError, WalkError
 from flowattest.events import (
     default_event_table,
@@ -32,6 +33,7 @@ from flowattest.simulate import measure, measure_segment, random_valid_walk
 from flowattest import attacks, verify
 from flowattest.verify import SessionState, accepts, prober, verify_segment
 
+from . import oracles
 from .conftest import (
     TINY_COUNTERS,
     block,
@@ -705,8 +707,8 @@ def test_probe_with_a_wrong_dimension_is_a_schema_error(tiny_table):
 
 
 def test_evaluate_builds_no_edited_steps(monkeypatch):
-    """Mutants carry their edit; ``evaluate`` reads only their measurements,
-    so it never builds an edited step tuple."""
+    """Mutants carry their edit; ``evaluate`` reads only their deltas, so
+    it never builds an edited step tuple."""
     table = default_event_table()
     cfg = load_cfg(signer_cfg(False))
     db = enumerate_segments(cfg, table)
@@ -722,16 +724,161 @@ def test_evaluate_builds_no_edited_steps(monkeypatch):
     assert [evaluate(cfg, db, table, trace, specs, config=c) for c in configs] == expected
 
 
+def test_evaluate_builds_no_mutant_measurement(monkeypatch):
+    """Mutants carry their delta and their segment's endpoints; ``evaluate``
+    reads the delta, so it never builds a mutant's measurement record."""
+    table = default_event_table()
+    cfg = load_cfg(signer_cfg(True))
+    db = enumerate_segments(cfg, table)
+    trace = BlockTrace(tuple(signer_trace(8, 25, True)))
+    specs = default_specs(seed=7, repetitions=30)
+    configs = (three_register_config(table), None)
+    expected = [evaluate(cfg, db, table, trace, specs, config=c) for c in configs]
+
+    def refuse(self):
+        raise AssertionError("a mutant's measurement was built")
+
+    monkeypatch.setattr(attacks.Mutant, "measurement", property(refuse))
+    assert [evaluate(cfg, db, table, trace, specs, config=c) for c in configs] == expected
+
+
 def test_mutants_compare_by_measurement_and_edited_steps():
     m = Measurement("a", "d", (1, 2))
     segment = ("a", "b", "c", "d")
-    removed = attacks.Mutant(m, segment, 1, 2, None)
+    removed = attacks.Mutant(m.delta, (m.start, m.end), segment, 1, 2, None)
     assert removed.steps == ("a", "c", "d")
     # The same edited steps written as another edit of another tuple.
-    assert removed == attacks.Mutant(m, ("a", "x", "d"), 1, 2, "c")
-    assert removed != attacks.Mutant(m, segment, 2, 3, None)
-    assert removed != attacks.Mutant(Measurement("a", "d", (1, 3)), segment, 1, 2, None)
-    assert attacks.Mutant(m).steps is None and attacks.Mutant(m) == attacks.Mutant(m)
-    assert attacks.Mutant(m) != removed
+    assert removed == attacks.Mutant(m.delta, (m.start, m.end), ("a", "x", "d"), 1, 2, "c")
+    assert removed != attacks.Mutant(m.delta, (m.start, m.end), segment, 2, 3, None)
+    assert removed != attacks.Mutant((1, 3), ("a", "d"), segment, 1, 2, None)
+    assert attacks.Mutant(m.delta, (m.start, m.end)).steps is None and attacks.Mutant(
+        m.delta, (m.start, m.end)
+    ) == attacks.Mutant(m.delta, (m.start, m.end))
+    assert attacks.Mutant(m.delta, (m.start, m.end)) != removed
     with pytest.raises(TypeError):
         hash(removed)
+
+
+def _evaluation_case(case):
+    """(cfg, db, table, trace, register files) of an evaluation input: by
+    name, the shipped signer runs, the greeter or a chain; as (density,
+    seed), a random program with measurement points at that density.  The
+    register files are the identity (as ``None`` and as a config) and three
+    registers: the limited-hardware file on the default table, else the
+    first counter, the second and a composite of the rest."""
+    if isinstance(case, tuple):
+        density, program = case
+        while True:
+            cfg, table = random_cfg_and_table(program, max_blocks=30, point_density=density)
+            try:
+                trace = random_valid_walk(cfg, program, max_segments=3)
+                break
+            except WalkError:
+                program += 1_000
+        db = enumerate_segments(cfg, table)
+    else:
+        table = default_event_table()
+        if case.startswith("signer"):
+            in_loop = case == "signer-in-loop"
+            cfg = load_cfg(signer_cfg(in_loop))
+            trace = BlockTrace(tuple(signer_trace(60, 25, in_loop)))
+        elif case == "greeter":
+            cfg = load_cfg(greeter_cfg())
+            trace = BlockTrace(tuple(greeter_trace()))
+        else:
+            counters, attribution = tiny_table_doc()
+            table = make_event_table(counters, attribution)
+            if case == "two-loop-chain":
+                cfg = load_cfg(two_loop_chain_doc())
+                trace = BlockTrace(tuple("ABDEBDFGDFGDEBC"))
+            elif case == "skipped-chain":
+                cfg, _ = _chain_with_skip(table, "A", "C")
+                trace = BlockTrace(tuple("ABDEBC"))
+            elif case == "long-chain":
+                cfg = load_cfg(_long_chain_doc(8))
+                trace = BlockTrace(("h.0", *(f"h.{i}" for i in range(1, 9)), "h.end"))
+            else:
+                cfg = load_cfg(_zero_block_doc())
+                trace = BlockTrace(("h.0", "h.1", "h.2", "h.3", "h.end"))
+        db = enumerate_segments(cfg, table)
+    names = table.counter_names
+    if names == default_event_table().counter_names:
+        three = three_register_config(table)
+    else:
+        three = make_config(table, [g for g in (names[:1], names[1:2], names[2:]) if g])
+    return cfg, db, table, trace, (None, identity_config(table), three)
+
+
+def _report_fields(reports):
+    """Every field of every report, in the reports' own order, each value
+    with its type, so that equal but differently typed values differ."""
+
+    def typed(value):
+        return type(value).__name__, value
+
+    return [
+        (
+            kind,
+            [(f.name, typed(getattr(r, f.name))) for f in fields(r) if f.name != "per_segment"],
+            [
+                (index, [(f.name, typed(getattr(o, f.name))) for f in fields(o)])
+                for index, o in r.per_segment.items()
+            ],
+        )
+        for kind, r in reports.items()
+    ]
+
+
+_DEMO_CASES = (
+    "signer", "signer-in-loop", "greeter", "two-loop-chain", "skipped-chain", "long-chain",
+    "zero-block-chain",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(_DEMO_CASES)
+    | st.tuples(st.sampled_from((0.1, 0.25, 0.5)), st.integers(0, 80)),
+    register=st.integers(0, 2),
+    seed=st.integers(0, 10_000),
+    reps=st.sampled_from((None, 1, 7)),
+)
+def test_evaluate_matches_the_full_record_reference(case, register, seed, reps):
+    """Mutants that carry their delta give the reports, field for field and
+    in order, of the evaluation that built a measurement per mutant and
+    validated each mutated segment again; each segment's mutants are that
+    evaluation's, in order, including every random draw."""
+    cfg, db, table, trace, configs = _evaluation_case(case)
+    config = configs[register]
+    specs = default_specs(seed=seed, repetitions=reps)
+    got = evaluate(cfg, db, table, trace, specs, config=config)
+    expected = oracles.reference_evaluate(cfg, db, table, trace, specs, config=config)
+    assert _report_fields(got) == _report_fields(expected)
+    deltas = delta_map(cfg, table, config)
+    for cls in attacks._segment_classes(cfg, db, table, trace, config):
+        for spec in specs:
+            args = (cfg, deltas, cls.segment, spec, mutation_pool(cfg, deltas, spec.kind))
+            mutants = mutate(*args, measurement=cls.measurement)
+            reference = oracles.reference_mutate(*args, measurement=cls.measurement)
+            assert [(m.measurement, m.steps) for m in mutants] == [
+                (m.measurement, m.steps) for m in reference
+            ]
+
+
+@st.composite
+def _bounds_with_zero(draw):
+    bounds = draw(st.lists(st.integers(0, 30) | st.integers(0, 2**70), max_size=7))
+    bounds.insert(draw(st.integers(0, len(bounds))), 0)
+    return bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64), bounds=_bounds_with_zero(), rounds=st.integers(1, 5))
+def test_randrange_draw_is_the_randint_stream(seed, bounds, rounds):
+    """``randrange(2b+1) - b`` draws what ``randint(-b, b)`` draws, value for
+    value and state for state, zero bounds included."""
+    old, new = random.Random(seed), random.Random(seed)
+    for _ in range(rounds):
+        drawn = [new.randrange(2 * b + 1) - b for b in bounds]
+        assert drawn == [old.randint(-b, b) for b in bounds]
+    assert new.getstate() == old.getstate()

@@ -559,6 +559,24 @@ def test_attack_eval_runs_a_small_manifest(capsys, tmp_path):
     assert "added-ecalls" in out
 
 
+@pytest.mark.parametrize("reps", ["0", "-1", "x"])
+def test_attack_eval_bad_reps_is_refused_before_any_database_is_written(capsys, tmp_path, reps):
+    run(capsys, "demo", "--name", "signer", "--out", str(tmp_path), "--iterations", "4")
+    manifest_path = tmp_path / "manifest_basic.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["db"] = "signer_db.json"
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as exc:
+        main(["attack-eval", str(manifest_path), "--reps", reps])
+    assert exc.value.code == EXIT_ERROR
+    expected = "must be an integer" if reps == "x" else f"must be >= 1, got {reps}"
+    assert f"argument --reps: {expected}" in capsys.readouterr().err
+    assert not (tmp_path / "signer_db.json").exists()
+    code, _, _ = run(capsys, "attack-eval", str(manifest_path), "--reps", "1")
+    assert code == EXIT_OK
+    assert (tmp_path / "signer_db.json").exists()
+
+
 @pytest.mark.parametrize(
     "change",
     [

@@ -131,6 +131,35 @@ def test_only_candidates_of_two_or_more_generators_reach_the_cone_solver(in_loop
     assert tracer.counts["verify.solver_calls"] == solver_calls
 
 
+def test_evaluate_validates_the_trace_once():
+    """One ``evaluate`` of the in-loop signer manifest validates its trace
+    once, through ``split_trace``; ``mutate`` is given each segment's
+    measurement and validates nothing.  The mutants are the 686 that the
+    evaluation drew when it also validated each segment per kind."""
+    table = default_event_table()
+    cfg = load_cfg(demos.signer_cfg(True))
+    db = enumerate_segments(cfg, table)
+    trace = BlockTrace(tuple(demos.signer_trace(60, 25, True)))
+    specs = [attacks.MutationSpec(kind, 100, 7) for kind in attacks.MUTATION_KINDS]
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        reports = attacks.evaluate(cfg, db, table, trace, specs)
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[n] for n in tracer.name]
+    spans = Counter(names)
+    assert spans["cfg.validate_trace"] == 1
+    assert spans["attacks.mutate"] == 6 * len(specs)
+    under_mutate = set()
+    for index, parent in enumerate(tracer.parent):
+        if parent >= 0 and (names[parent] == "attacks.mutate" or parent in under_mutate):
+            under_mutate.add(index)
+    assert "cfg.validate_trace" not in {names[i] for i in under_mutate}
+    attempted = sum(o.attempted for r in reports.values() for o in r.per_segment.values())
+    assert tracer.counts["attacks.mutants"] == attempted == 686
+
+
 def test_verification_result_supports_replace():
     """The benchmark's self-test corrupts results with ``dataclasses.replace``."""
     result = verify.VerificationResult("accepted", accepting=("a",), witness=(1, 0))
