@@ -38,7 +38,6 @@ from .events import (
     EventTable,
     block_delta,
     default_event_table,
-    identity_config,
     load_event_table,
     make_config,
     parse_register_spec,
@@ -75,7 +74,6 @@ __all__ = [
     "default_event_table",
     "enumerate_segments",
     "expand",
-    "identity_config",
     "load_cfg",
     "load_database",
     "load_event_table",

@@ -19,10 +19,10 @@ segment's endpoints (one tuple shared by all of a segment's mutants)
 and, for block-level kinds, the replaced span and the inserted block
 over the segment's own step tuple.  :attr:`Mutant.measurement` and
 :attr:`Mutant.steps` are built only when asked, and :func:`evaluate`
-asks for neither.  A segment whose measurement is passed in is taken as
-already validated (:func:`evaluate` passes the measurements of
-:func:`~flowattest.cfg.split_trace`'s segments); only a segment given
-without one is validated by :func:`mutate`.
+asks for neither.  :func:`mutate` takes each segment with its
+measurement and validates nothing: :func:`evaluate` passes the
+measurements of :func:`~flowattest.cfg.split_trace`'s segments, which
+that split has already checked.
 
 Each mutant is a probe that asks the verifier for its verdict alone, from
 the feasible call stacks the segment starts from in the valid run.  A
@@ -67,14 +67,13 @@ from .cfg import (
     Measurement,
     segment_instruction_counts,
     split_trace,
-    validate_trace,
 )
 from .database import SegmentDatabase
 from .errors import FlowAttestError, SchemaError
 from .events import CounterConfig, EventTable, delta_map
 from .expand import CallStack
 from .simulate import measure_segment
-from .vectors import Vec, vsum
+from .vectors import Vec
 from .verify import SessionState, prober, verify_segment
 
 MUTATION_KINDS = (
@@ -288,32 +287,27 @@ def mutate(
     spec: MutationSpec,
     pool: list[str],
     *,
-    measurement: Measurement | None = None,
+    measurement: Measurement,
 ) -> list[Mutant]:
     """Distinct, seed-deterministic mutants of one valid segment.
 
     ``deltas`` maps every block to its delta as the verifier measures it
     (projected through the register file in use), and ``measurement`` is
-    the segment's own measurement.  Given, it vouches for the segment: the
-    segment is taken as validated, as :func:`~flowattest.cfg.split_trace`
-    leaves it.  Not given, the segment is validated and its measurement
-    summed from ``deltas``.
+    the segment's own measurement, which vouches for the segment: it is
+    taken as validated, as :func:`~flowattest.cfg.split_trace` leaves it.
     ``pool`` lists the blocks an edit may insert: every non-measurement
     block, or for the unique-delta kinds only those whose delta no other
     block shares (:func:`evaluate` lists both once per evaluation;
     ``random_change`` draws no blocks).  Block-level kinds edit interior
     positions only (endpoints identify the segment) and keep only edits
-    that break structural validity.  ``random_change`` needs the segment's
-    measurement and perturbs it directly.  An empty result means the
-    segment admits no applicable mutation.  Raises :class:`SchemaError`
-    when a block-level kind is given an invalid segment without its
-    measurement.
+    that break structural validity.  ``random_change`` perturbs the
+    measurement directly.  An empty result means the segment admits no
+    applicable mutation.
     """
     reps = spec.reps
+    ends, values = (measurement.start, measurement.end), measurement.delta
     if spec.kind == "random_change":
-        if measurement is None:
-            raise SchemaError("random_change mutation needs the segment's measurement")
-        bounds = [v // 10 for v in measurement.delta]
+        bounds = [v // 10 for v in values]
         space = 1
         for b in bounds:
             space *= 2 * b + 1
@@ -336,17 +330,9 @@ def mutate(
                 if any(u) and u not in seen:
                     seen.add(u)
                     perturbations.append(u)
-        ends, values = (measurement.start, measurement.end), measurement.delta
         return [Mutant(tuple(map(add, values, u)), ends) for u in perturbations]
 
     steps = segment.steps
-    if measurement is None:
-        if not validate_trace(cfg, segment):
-            raise SchemaError("cannot mutate an invalid segment")
-        values = vsum((deltas[s] for s in steps[1:]), len(deltas[steps[0]]))
-        ends = (steps[0], steps[-1])
-    else:
-        values, ends = measurement.delta, (measurement.start, measurement.end)
     # Draw edit indices first (``random.sample`` reads only the population's
     # length); each drawn edit is kept as itself, over the segment's own
     # steps.  A generator is seeded only where a draw is made.

@@ -26,22 +26,15 @@ the generator is forced and its count is read off one component.  The
 verifier's candidate table decides both shapes before calling here, a
 generator-free candidate by comparing its base and a single-generator one
 by :func:`single_generator_count`, with the count propagation would fix.
+For two or more generators it first reads the candidate's :class:`Reach`,
+the bitset sweep of one generator tuple over a box grown on demand, and
+calls here only for a target the map cannot cover.
 
 A lattice test runs between steps 1 and 2 only for boxes of more than
 ``_LATTICE_FIRST_BITS`` states and for nodes headed to the simplex: a
 residual outside the integer lattice of the free generators has no
 combination at all, so the node is pruned.  The bitset sweep is exact, so
 on a small box that test could only repeat its verdict at a higher price.
-
-A caller that decides many targets against one generator tuple can pass
-that tuple's :class:`Reach`, a reachability map grown on demand: the
-bitset sweep over the componentwise maximum of the targets seen so far,
-kept as bit-planes of each state's first reaching stage.  A target inside
-the map's box, or one whose merged box still passes the same bitset plan
-(the map is then swept again over the merged box), is answered by bit
-reads and the same reverse-lexicographic read-back, with the witness and
-``lp_solves`` of the pipeline.  Any other target goes through the pipeline
-and leaves the map as it is.
 
 The decision problem is NP-hard in general, so adversarial inputs outside
 the reachability budget can still be slow; they remain exactly decided.
@@ -252,6 +245,13 @@ class Reach:
     read; :meth:`witness` reads the combination back.  A box that admits
     no generator has no stage, so it reports even the origin unreached: a
     zero target is decided before either is asked.
+
+    For a nonzero, nonnegative target the map covers, :meth:`witness` is
+    :func:`solve_cone`'s witness, found with no simplex: such a target
+    passes the bitset plan at the solver's root node too, where the
+    sweep's reverse-lexicographic minimum is the minimum over all
+    witnesses, since root propagation only removes non-witnesses and fixes
+    what every witness shares.
     """
 
     __slots__ = ("_generators", "_active", "box", "_strides", "_used", "_shifts", "_planes")
@@ -445,24 +445,12 @@ def single_generator_count(target: Vec, generator: Vec, pivot: int) -> int | Non
     return count
 
 
-def solve_cone(
-    target: Vec, generators: tuple[Vec, ...], reach: Reach | None = None
-) -> ConeSolution:
+def solve_cone(target: Vec, generators: tuple[Vec, ...]) -> ConeSolution:
     """Nonnegative integer scalars with ``sum(x_i * v_i) == target`` as the
     witness, or None.  A target negative in some component is simply
     infeasible.  Fewer than two nonzero generators are decided by root
     propagation, with no simplex; one gives
     :func:`single_generator_count`'s witness.
-
-    ``reach``, the map of this same generator tuple, answers a target
-    inside its box, or inside the merged box when that passes the bitset
-    plan (the map re-sweeps it first), by bit reads with no simplex.
-    Any other target runs the pipeline below and leaves the map as it is.
-    Either way the answer is the same witness and ``lp_solves``: a target
-    the map covers would have passed the plan at the root node as well,
-    where the sweep's reverse-lexicographic minimum is the minimum over all
-    witnesses, since root propagation only removes non-witnesses and fixes
-    what every witness shares.
     """
     dim = len(target)
     n = len(generators)
@@ -470,8 +458,6 @@ def solve_cone(
         return ConeSolution(None, 0)
     if all(t == 0 for t in target):
         return ConeSolution((0,) * n, 0)
-    if reach is not None and reach.covers(target):
-        return ConeSolution(reach.witness(target), 0)
     active = [i for i, g in enumerate(generators) if any(g)]
     gens = [generators[i] for i in active]
     k = len(gens)

@@ -478,7 +478,9 @@ def load_database(document: dict, expected_digest: str | None = None) -> Segment
 
     Every object is checked for its exact key set, and every base and loop
     vector must hold one nonnegative integer per counter, the precondition
-    of the cone solver.
+    of the cone solver.  Counter names and segment endpoints must be
+    distinct: a second entry for one segment would silently replace the
+    first.
     """
     _require_keys(
         document,
@@ -490,6 +492,8 @@ def load_database(document: dict, expected_digest: str | None = None) -> Segment
     counters = document["counters"]
     if not isinstance(counters, list) or not all(isinstance(c, str) for c in counters):
         raise SchemaError("database counters must be an array of names")
+    if len(set(counters)) != len(counters):
+        raise SchemaError("database counters contain duplicate names")
     dim = len(counters)
     for key in ("segments", "skip_segments"):
         _check_list(document[key], f"database {key}")
@@ -497,6 +501,8 @@ def load_database(document: dict, expected_digest: str | None = None) -> Segment
     for i, seg in enumerate(document["segments"]):
         what = f"database segment {i}"
         key = _load_endpoints(seg, what, extra=("candidates",))
+        if key in entries:
+            raise SchemaError(f"{what}: segment {key[0]} -> {key[1]} is given twice")
         candidates = [
             _load_candidate(obj, key[0], key[1], dim, f"{what} candidate {j}")
             for j, obj in enumerate(_check_list(seg["candidates"], f"{what}: candidates"))

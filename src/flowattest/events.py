@@ -328,7 +328,3 @@ def three_register_config(table: EventTable) -> CounterConfig:
             ("int_load_retired",),
         ],
     )
-
-
-def identity_config(table: EventTable) -> CounterConfig:
-    return make_config(table)

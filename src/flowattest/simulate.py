@@ -31,8 +31,10 @@ from .events import CounterConfig, EventTable, delta_map
 from .expand import ExpandedNode, _successors
 from .vectors import Vec, vadd, vsum
 
-# Steps one walk attempt may take before it is retried.
+# Steps one walk attempt may take before it is retried, and attempts one
+# walk may make before it gives up.
 _STEP_BUDGET = 50_000
+_ATTEMPTS = 200
 
 
 def _measurement(deltas, dim: int, offset: Vec | None, start: str, end: str, body) -> Measurement:
@@ -101,7 +103,6 @@ def random_valid_walk(
     min_segments: int = 1,
     max_segments: int = 4,
     max_loop_iterations: int = 8,
-    attempts: int = 200,
 ) -> BlockTrace:
     """A random trace that validate_trace accepts, reproducible per seed.
 
@@ -116,7 +117,7 @@ def random_valid_walk(
         raise WalkError("segment constraints are inconsistent")
     rng = random.Random(seed)
     points = cfg.points
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         target = rng.randint(min_segments, max_segments)
         steps = [cfg.program_entry]
         stack: tuple[str, ...] = ()
@@ -147,5 +148,5 @@ def random_valid_walk(
                 return trace
     raise WalkError(
         f"no valid walk satisfying {min_segments}..{max_segments} segments "
-        f"within {attempts} attempts (seed {seed})"
+        f"within {_ATTEMPTS} attempts (seed {seed})"
     )

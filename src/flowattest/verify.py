@@ -26,13 +26,13 @@ pivot, and one :class:`~flowattest.cone.Reach` map per candidate with two
 or more generators.  A candidate is decided by its shape: generator-free,
 it accepts exactly its base; with one generator, by one floor division
 and a componentwise check (:func:`~flowattest.cone.single_generator_count`,
-the count ``solve_cone``'s root propagation would force); only two or
-more generators reach ``solve_cone``, with the row's map.  Each map grows
-with the residuals its candidate is asked about, so a repeated or smaller
-residual is answered by bit reads; the answers are the ones
-``solve_cone`` gives without a map.  The table lives as long as the
-database object, is shared by every session and prober over it, and is
-invisible to the database's equality and serialization.
+the count ``solve_cone``'s root propagation would force); with two or
+more, a zero residual accepts with zero counts, one the row's map covers
+is answered by bit reads (the map grows with the residuals its candidate
+is asked about, and its answers are ``solve_cone``'s), and only the rest
+reach ``solve_cone``.  The table lives as long as the database object, is
+shared by every session and prober over it, and is invisible to the
+database's equality and serialization.
 
 A session walks the rows whose entry stack is feasible, one C-level
 subtraction and sign test per row, and counts one solver call per
@@ -48,7 +48,6 @@ division per single-generator candidate, and a subtraction, a sign test
 and a map read (``Reach.reaches``, or ``solve_cone`` for a residual the
 map cannot cover) per candidate with two or more generators, until the
 first accepting one.  It keeps no session, result or cache.
-:func:`accepts` is one probe of one measurement.
 """
 
 from __future__ import annotations
@@ -229,7 +228,8 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
             continue
         # One solver call per nonnegative residual, decided by the shape:
         # a generator-free candidate accepts exactly its base, a single
-        # generator is one division, and only two or more need the cone.
+        # generator is one division, and two or more read the row's map
+        # (a zero residual needs none) before the cone, as a probe does.
         solver_calls += 1
         if pivot is not None:
             count = single_generator_count(target, generators[0], pivot)
@@ -241,11 +241,16 @@ def verify_segment(state: SessionState, m: Measurement) -> VerificationResult:
                 continue
             counts = ()
         else:
-            solution = solve_cone(target, generators, reach)
-            solver_nodes += solution.lp_solves
-            if solution.witness is None:
+            if not any(target):
+                counts = (0,) * len(generators)
+            elif reach.covers(target):
+                counts = reach.witness(target)
+            else:
+                solution = solve_cone(target, generators)
+                solver_nodes += solution.lp_solves
+                counts = solution.witness
+            if counts is None:
                 continue
-            counts = solution.witness
         accepting.append(cid)
         exits.add(exit_stack)
         if witness is None:
@@ -351,18 +356,6 @@ def prober(
         return False
 
     return probe
-
-
-def accepts(
-    db: SegmentDatabase,
-    m: Measurement,
-    feasible: frozenset[CallStack] | None,
-    *,
-    config: CounterConfig | None = None,
-) -> bool:
-    """Whether a session whose feasible entry stacks are ``feasible`` would
-    accept ``m``: :func:`prober`'s verdict on one measurement."""
-    return prober(db, m.start, m.end, feasible, config=config)(m.delta)
 
 
 @dataclass

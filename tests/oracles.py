@@ -33,7 +33,7 @@ from flowattest.attacks import (
     _unique_delta_blocks,
 )
 from flowattest.cfg import AnnotatedCfg, BlockTrace, Measurement, validate_trace
-from flowattest.cone import Reach, solve_cone
+from flowattest.cone import solve_cone
 from flowattest.database import SegmentDatabase
 from flowattest.errors import SchemaError, UnknownBlockError
 from flowattest.events import CounterConfig, EventTable, delta_map, project
@@ -261,7 +261,7 @@ class ReferenceSession:
 
 def _reference_projection(config, cand):
     """(projected base, deduplicated nonzero projected loop vectors, each
-    one's first loop index, reachability map or None below two)."""
+    one's first loop index)."""
     base = project(config, cand.base) if config is not None else cand.base
     owner = {}
     for j, loop in enumerate(cand.loops):
@@ -269,8 +269,7 @@ def _reference_projection(config, cand):
         if any(pv):
             owner.setdefault(pv, j)
     generators = tuple(owner)
-    reach = Reach(generators) if len(generators) >= 2 else None
-    return base, generators, tuple(owner.values()), reach
+    return base, generators, tuple(owner.values())
 
 
 def reference_verify_segment(session, m):
@@ -315,12 +314,12 @@ def reference_verify_segment(session, m):
     for index, (cand, proj) in enumerate(zip(candidates, session.projected[key])):
         if session.feasible is not None and cand.start.stack not in session.feasible:
             continue
-        base, generators, owner, reach = proj
+        base, generators, owner = proj
         tried += 1
         target = vsub(m.delta, base)
         if not is_nonneg(target):
             continue
-        solution = solve_cone(target, generators, reach)
+        solution = solve_cone(target, generators)
         solver_calls += 1
         solver_nodes += solution.lp_solves
         if solution.witness is None:

@@ -17,13 +17,13 @@ from flowattest.attacks import (
     render_table,
 )
 from flowattest.cfg import BlockTrace, Measurement, load_cfg, split_trace, validate_trace
+from flowattest.cone import Reach
 from flowattest.database import enumerate_segments
 from flowattest.demos import greeter_cfg, greeter_trace, signer_cfg, signer_trace
 from flowattest.errors import SchemaError, WalkError
 from flowattest.events import (
     default_event_table,
     delta_map,
-    identity_config,
     make_config,
     make_event_table,
     project,
@@ -31,7 +31,7 @@ from flowattest.events import (
 )
 from flowattest.simulate import measure, measure_segment, random_valid_walk
 from flowattest import attacks, verify
-from flowattest.verify import SessionState, accepts, prober, verify_segment
+from flowattest.verify import SessionState, prober, verify_segment
 
 from . import oracles
 from .conftest import (
@@ -72,7 +72,9 @@ def test_remove_caps_at_available_blocks(tiny_table):
     segment = BlockTrace(tuple(b["id"] for b in _long_chain_doc(8)["blocks"]))
     spec = MutationSpec(kind="remove_block", repetitions=100, seed=1)
     deltas = delta_map(cfg, tiny_table)
-    mutants = mutate(cfg, deltas, segment, spec, mutation_pool(cfg, deltas, spec.kind))
+    pool = mutation_pool(cfg, deltas, spec.kind)
+    m = measure_segment(cfg, tiny_table, None, segment)
+    mutants = mutate(cfg, deltas, segment, spec, pool, measurement=m)
     assert len(mutants) == 8
     assert len({m.steps for m in mutants}) == 8
 
@@ -86,7 +88,8 @@ def test_inserting_a_block_beside_its_copy_is_one_mutant(tiny_table):
     spec = MutationSpec(kind="insert_unique", repetitions=1000, seed=1)
     deltas = delta_map(cfg, tiny_table)
     pool = mutation_pool(cfg, deltas, spec.kind)
-    edited = [m.steps for m in mutate(cfg, deltas, segment, spec, pool)]
+    m = measure_segment(cfg, tiny_table, None, segment)
+    edited = [mu.steps for mu in mutate(cfg, deltas, segment, spec, pool, measurement=m)]
     assert len(edited) == len(set(edited))
     beside = [steps for steps in edited if any(a == b for a, b in zip(steps, steps[1:]))]
     assert len(beside) >= 5
@@ -96,9 +99,11 @@ def test_block_mutants_are_structurally_invalid(tiny_table):
     cfg = load_cfg(_long_chain_doc(6))
     segment = BlockTrace(tuple(b["id"] for b in _long_chain_doc(6)["blocks"]))
     deltas = delta_map(cfg, tiny_table)
+    m = measure_segment(cfg, tiny_table, None, segment)
     for kind in ("remove_block", "replace_block", "replace_unique", "insert_unique"):
         spec = MutationSpec(kind=kind, seed=3)
-        for mutant in mutate(cfg, deltas, segment, spec, mutation_pool(cfg, deltas, kind)):
+        pool = mutation_pool(cfg, deltas, kind)
+        for mutant in mutate(cfg, deltas, segment, spec, pool, measurement=m):
             assert not validate_trace(cfg, BlockTrace(mutant.steps))
             assert mutant.steps[0] == segment.steps[0]
             assert mutant.steps[-1] == segment.steps[-1]
@@ -110,8 +115,9 @@ def test_mutants_are_seed_deterministic_and_distinct(tiny_table):
     spec = MutationSpec(kind="replace_block", repetitions=20, seed=5)
     deltas = delta_map(cfg, tiny_table)
     pool = mutation_pool(cfg, deltas, spec.kind)
-    first = mutate(cfg, deltas, segment, spec, pool)
-    second = mutate(cfg, deltas, segment, spec, pool)
+    m = measure_segment(cfg, tiny_table, None, segment)
+    first = mutate(cfg, deltas, segment, spec, pool, measurement=m)
+    second = mutate(cfg, deltas, segment, spec, pool, measurement=m)
     assert [m.steps for m in first] == [m.steps for m in second]
     assert len({m.steps for m in first}) == 20
 
@@ -169,7 +175,9 @@ def test_two_block_segment_has_no_remove_mutants(tiny_table):
     segment = BlockTrace(("h.0", "h.end"))
     spec = MutationSpec(kind="remove_block")
     deltas = delta_map(cfg, tiny_table)
-    assert mutate(cfg, deltas, segment, spec, mutation_pool(cfg, deltas, spec.kind)) == []
+    pool = mutation_pool(cfg, deltas, spec.kind)
+    m = measure_segment(cfg, tiny_table, None, segment)
+    assert mutate(cfg, deltas, segment, spec, pool, measurement=m) == []
 
 
 def test_detection_flag_equals_verifier_rejection(tiny_table):
@@ -180,7 +188,9 @@ def test_detection_flag_equals_verifier_rejection(tiny_table):
     (segment,) = split_trace(cfg, trace)
     spec = MutationSpec(kind="insert_unique", repetitions=30, seed=4)
     deltas = delta_map(cfg, table)
-    mutants = mutate(cfg, deltas, segment, spec, mutation_pool(cfg, deltas, spec.kind))
+    pool = mutation_pool(cfg, deltas, spec.kind)
+    m = measure_segment(cfg, table, None, segment)
+    mutants = mutate(cfg, deltas, segment, spec, pool, measurement=m)
     assert mutants
     for mutant in mutants:
         observed = measure_segment(cfg, table, None, BlockTrace(mutant.steps))
@@ -284,8 +294,9 @@ def test_repeated_mutation_kind_is_a_schema_error(monkeypatch, tiny_table):
 
 def test_probe_verdicts_are_call_local(monkeypatch):
     """A verdict lives for one ``evaluate`` call: a second identical call on
-    the same database makes as many cone tests as the first, and within a
-    call each (segment, feasible stacks, delta) is decided at most once."""
+    the same database makes as many cone tests (map reads and solver calls)
+    as the first, and within a call each (segment, feasible stacks, delta)
+    is decided at most once."""
     table = default_event_table()
     cfg = load_cfg(signer_cfg(False))
     db = enumerate_segments(cfg, table)
@@ -293,11 +304,15 @@ def test_probe_verdicts_are_call_local(monkeypatch):
     specs = default_specs(seed=7, repetitions=30)
     solves = Counter()
     decided = Counter()
-    solve_cone, make_prober = verify.solve_cone, attacks.prober
+    solve_cone, covers, make_prober = verify.solve_cone, Reach.covers, attacks.prober
 
     def counting_solve(*args):
         solves["calls"] += 1
         return solve_cone(*args)
+
+    def counting_covers(reach, target):
+        solves["calls"] += 1
+        return covers(reach, target)
 
     def recording_prober(db, start, end, feasible, **kwargs):
         probe = make_prober(db, start, end, feasible, **kwargs)
@@ -309,6 +324,7 @@ def test_probe_verdicts_are_call_local(monkeypatch):
         return recorded
 
     monkeypatch.setattr(verify, "solve_cone", counting_solve)
+    monkeypatch.setattr(Reach, "covers", counting_covers)
     monkeypatch.setattr(attacks, "prober", recording_prober)
     for config in (three_register_config(table), None):
         counts, reports = [], []
@@ -423,18 +439,18 @@ def _mutation_cases():
     table = make_event_table(counters, attribution)
     cfg = load_cfg(_zero_block_doc())
     segment = BlockTrace(("h.0", "h.1", "h.2", "h.3", "h.end"))
-    yield cfg, table, [segment], (identity_config(table), make_config(table, [TINY_COUNTERS]))
+    yield cfg, table, [segment], (make_config(table), make_config(table, [TINY_COUNTERS]))
     table = default_event_table()
     for in_loop in (False, True):
         cfg = load_cfg(signer_cfg(in_loop))
         trace = BlockTrace(tuple(signer_trace(4, 2, in_loop)))
-        configs = (identity_config(table), three_register_config(table))
+        configs = (make_config(table), three_register_config(table))
         yield cfg, table, split_trace(cfg, trace), configs
     for seed in range(40):
         cfg, table = random_cfg_and_table(seed, max_blocks=30)
         trace = random_valid_walk(cfg, seed, max_segments=3)
         names = table.counter_names
-        configs = (identity_config(table), make_config(table, [names[:1], names[1:]]))
+        configs = (make_config(table), make_config(table, [names[:1], names[1:]]))
         yield cfg, table, split_trace(cfg, trace), configs
 
 
@@ -452,10 +468,7 @@ def test_block_mutants_are_checked_and_measured_by_their_edit():
                     for reps in (7, None):
                         spec = MutationSpec(kind, reps, seed=len(segment.steps))
                         pool = mutation_pool(cfg, deltas, kind)
-                        mutants = mutate(cfg, deltas, segment, spec, pool)
-                        assert mutants == mutate(
-                            cfg, deltas, segment, spec, pool, measurement=measured
-                        )
+                        mutants = mutate(cfg, deltas, segment, spec, pool, measurement=measured)
                         expected = _full_validation_mutants(cfg, deltas, segment, spec)
                         assert [m.steps for m in mutants] == expected
                         for mutant in mutants:
@@ -464,15 +477,6 @@ def test_block_mutants_are_checked_and_measured_by_their_edit():
                             assert mutant.measurement == measure_segment(cfg, table, config, steps)
                         checked[kind] += len(mutants)
     assert min(checked.values()) >= 500, checked
-
-
-def test_mutating_an_invalid_segment_is_a_schema_error(tiny_table):
-    cfg = load_cfg(_long_chain_doc(4))
-    deltas = delta_map(cfg, tiny_table)
-    broken = BlockTrace(("h.0", "h.2", "h.3", "h.end"))  # no edge h.0 -> h.2
-    for kind in BLOCK_KINDS:
-        with pytest.raises(SchemaError, match="invalid segment"):
-            mutate(cfg, deltas, broken, MutationSpec(kind), mutation_pool(cfg, deltas, kind))
 
 
 def _combine_rates_per_term(outcomes):
@@ -518,8 +522,8 @@ def _probe_oracle(db, config, feasible, m):
 
 
 def _check_probes(cfg, db, table, config, measurements, segments, specs, tally):
-    """Every mutant of every segment: ``accepts`` and the segment's one
-    ``prober`` equal a fresh session's verdict, from the feasible stacks the
+    """Every mutant of every segment: a prober of its own and the segment's
+    one ``prober`` equal a fresh session's verdict, from the feasible stacks the
     valid run reaches the segment with.  Tallies verdicts and the mutants
     whose verdict the feasible-stack filter decides."""
     deltas = delta_map(cfg, table)
@@ -538,11 +542,13 @@ def _check_probes(cfg, db, table, config, measurements, segments, specs, tally):
             pool = mutation_pool(cfg, deltas, spec.kind)
             for mutant in mutate(cfg, deltas, segment, spec, pool, measurement=m):
                 probe = mutant.measurement
-                verdict = accepts(db, probe, feasible, config=config)
+                verdict = prober(db, m.start, m.end, feasible, config=config)(probe.delta)
                 assert verdict == _probe_oracle(db, config, feasible, probe), (spec, probe)
                 assert decide(probe.delta) == verdict, (spec, probe)
                 tally[spec.kind, verdict] += 1
-                if feasible is not None and verdict != accepts(db, probe, None, config=config):
+                if feasible is not None and verdict != prober(
+                    db, m.start, m.end, None, config=config
+                )(probe.delta):
                     tally["filtered"] += 1
 
 
@@ -662,7 +668,7 @@ def test_probe_verdicts_after_and_on_skip_segments(tiny_table):
     # the feasible set unconstrained (None) for the next segment.
     cfg, db = _chain_with_skip(tiny_table, "C", "A")
     skipped = Measurement("C", "A", (5, 5, 5))
-    assert accepts(db, skipped, frozenset({()}))
+    assert prober(db, "C", "A", frozenset({()}))(skipped.delta)
     state = SessionState(db)
     verify_segment(state, skipped)
     assert state.feasible is None
@@ -670,20 +676,20 @@ def test_probe_verdicts_after_and_on_skip_segments(tiny_table):
     for spec in specs:
         pool = mutation_pool(cfg, delta_map(cfg, tiny_table), spec.kind)
         for mutant in mutate(cfg, delta_map(cfg, tiny_table), steps, spec, pool, measurement=m):
-            verdict = accepts(db, mutant.measurement, None)
+            verdict = prober(db, "A", "C", None)(mutant.delta)
             assert verdict == _probe_oracle(db, None, None, mutant.measurement)
             tally[verdict] += 1
     assert tally[False] > 0
-    assert accepts(db, m, None) and _probe_oracle(db, None, None, m)
+    assert prober(db, "A", "C", None)(m.delta) and _probe_oracle(db, None, None, m)
     # A -> C itself skipped: every mutant of it is accepted, as a session does.
     cfg, db = _chain_with_skip(tiny_table, "A", "C")
     for spec in specs:
         pool = mutation_pool(cfg, delta_map(cfg, tiny_table), spec.kind)
         for mutant in mutate(cfg, delta_map(cfg, tiny_table), steps, spec, pool, measurement=m):
             for feasible in (frozenset({()}), None):
-                assert accepts(db, mutant.measurement, feasible)
+                assert prober(db, "A", "C", feasible)(mutant.delta)
                 assert _probe_oracle(db, None, feasible, mutant.measurement)
-    assert accepts(db, Measurement("A", "C", (999, 0, 999)), frozenset({()}))
+    assert prober(db, "A", "C", frozenset({()}))((999, 0, 999))
 
 
 def test_probe_of_an_unknown_segment_rejects(tiny_table):
@@ -691,7 +697,7 @@ def test_probe_of_an_unknown_segment_rejects(tiny_table):
     db = enumerate_segments(cfg, tiny_table)
     unknown = Measurement("C", "A", (1, 0, 0))
     for feasible in (frozenset({()}), None):
-        assert not accepts(db, unknown, feasible)
+        assert not prober(db, "C", "A", feasible)(unknown.delta)
         assert not _probe_oracle(db, None, feasible, unknown)
 
 
@@ -699,11 +705,11 @@ def test_probe_with_a_wrong_dimension_is_a_schema_error(tiny_table):
     cfg = load_cfg(two_loop_chain_doc())
     db = enumerate_segments(cfg, tiny_table)
     with pytest.raises(SchemaError, match="dimension"):
-        accepts(db, Measurement("A", "C", (3, 1)), frozenset({()}))
+        prober(db, "A", "C", frozenset({()}))((3, 1))
     config = make_config(tiny_table, [("instret",), ("int_load_retired",)])
     with pytest.raises(SchemaError, match="dimension"):
-        accepts(db, Measurement("A", "C", (3, 1, 0)), frozenset({()}), config=config)
-    assert accepts(db, Measurement("A", "C", (3, 0)), frozenset({()}), config=config)
+        prober(db, "A", "C", frozenset({()}), config=config)((3, 1, 0))
+    assert prober(db, "A", "C", frozenset({()}), config=config)((3, 0))
 
 
 def test_evaluate_builds_no_edited_steps(monkeypatch):
@@ -806,7 +812,7 @@ def _evaluation_case(case):
         three = three_register_config(table)
     else:
         three = make_config(table, [g for g in (names[:1], names[1:2], names[2:]) if g])
-    return cfg, db, table, trace, (None, identity_config(table), three)
+    return cfg, db, table, trace, (None, make_config(table), three)
 
 
 def _report_fields(reports):

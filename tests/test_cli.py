@@ -309,6 +309,34 @@ def test_verify_malformed_database_is_a_usage_error(capsys, chain_paths, loops):
     assert "error:" in err
 
 
+def test_verify_database_with_a_repeated_segment_or_counter_is_a_usage_error(capsys, tmp_path):
+    """A second entry for ``g.mid -> g.end`` with no candidates would replace
+    the first and reject the valid run (exit 1); a repeated counter name
+    is refused as ``load_cfg`` refuses it.  Both are usage errors."""
+    run(capsys, "demo", "--name", "greeter", "--out", str(tmp_path))
+    cfg, table = str(tmp_path / "greeter.json"), str(tmp_path / "table.json")
+    db, ms = tmp_path / "db.json", str(tmp_path / "ms.json")
+    assert run(capsys, "preprocess", "--cfg", cfg, "--table", table, "--out", str(db))[0] == EXIT_OK
+    trace = str(tmp_path / "greeter_trace.json")
+    code, _, _ = run(capsys, "simulate", "--cfg", cfg, "--table", table, "--trace", trace, "--out", ms)
+    assert code == EXIT_OK
+    assert run(capsys, "verify", "--db", str(db), "--measurements", ms)[0] == EXIT_OK
+    doc = json.loads(db.read_text())
+    repeated = json.loads(db.read_text())
+    repeated["segments"].append({"start": "g.mid", "end": "g.end", "candidates": []})
+    renamed = json.loads(db.read_text())
+    renamed["counters"][1] = renamed["counters"][0]
+    for broken, message in (
+        (repeated, "segment g.mid -> g.end is given twice"),
+        (renamed, "database counters contain duplicate names"),
+    ):
+        assert broken != doc
+        path = _write(tmp_path / "broken_db.json", broken)
+        code, out, err = run(capsys, "verify", "--db", path, "--measurements", ms)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert message in err
+
+
 def test_verify_database_with_instruction_counts_is_a_usage_error(capsys, chain_paths):
     """A database in the format that still stored instruction counts is
     refused, not read: rebuilding it with ``preprocess`` is the remedy."""

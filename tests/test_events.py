@@ -12,7 +12,6 @@ from flowattest.events import (
     block_delta,
     default_event_table,
     delta_map,
-    identity_config,
     load_event_table,
     make_config,
     make_event_table,
@@ -164,7 +163,7 @@ def _branchy_table():
 
 
 def test_identity_projection_is_identity(tiny_table):
-    config = identity_config(tiny_table)
+    config = make_config(tiny_table)
     assert project(config, (4, 2, 1)) == (4, 2, 1)
 
 

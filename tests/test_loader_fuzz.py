@@ -120,3 +120,26 @@ def test_every_ill_typed_field_is_a_clean_error(kind):
             except Exception as exc:
                 escaped.append((path, value, repr(exc)))
     assert not escaped, escaped[:10]
+
+
+def test_a_repeated_segment_or_counter_name_is_a_clean_error():
+    """A database document may name each segment and each counter once: a
+    later entry for one segment would silently replace the earlier one,
+    whether it has candidates or not, and a repeated counter name is what
+    ``load_cfg`` refuses."""
+    doc, use = DOCUMENTS["database"]
+    segments = doc["segments"]
+    assert segments
+    for segment in segments:
+        for candidates in ([], segment["candidates"]):
+            repeated = copy.deepcopy(doc)
+            repeated["segments"].append({**copy.deepcopy(segment), "candidates": candidates})
+            with pytest.raises(SchemaError, match="is given twice"):
+                use(repeated)
+    counters = doc["counters"]
+    for i in range(len(counters)):
+        for j in range(len(counters)):
+            if i != j:
+                renamed = _replaced(doc, ("counters", j), counters[i])
+                with pytest.raises(SchemaError, match="duplicate names"):
+                    use(renamed)

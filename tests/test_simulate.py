@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flowattest import simulate
 from flowattest.cfg import BlockTrace, load_cfg, serialize_cfg, split_trace, validate_trace
 from flowattest.demos import signer_cfg, signer_trace
 from flowattest.errors import FlowAttestError, UnknownBlockError, WalkError
@@ -104,12 +105,13 @@ def test_hundred_walks_all_validate():
         assert len(split_trace(cfg, trace)) >= 1
 
 
-def test_unsatisfiable_constraints_raise(tiny_table):
+def test_unsatisfiable_constraints_raise(tiny_table, monkeypatch):
     cfg = load_cfg(straight_line_doc())
-    with pytest.raises(WalkError):
+    monkeypatch.setattr(simulate, "_ATTEMPTS", 10)
+    with pytest.raises(WalkError, match="within 10 attempts"):
         # The line has exactly one segment; five are impossible and even a
         # one-segment prefix cannot appear five times.
-        random_valid_walk(cfg, 0, min_segments=5, max_segments=5, attempts=10)
+        random_valid_walk(cfg, 0, min_segments=5, max_segments=5)
 
 
 def test_measure_segment_handles_invalid_sequences(tiny_table):

@@ -54,27 +54,32 @@ def test_evaluate_mutates_through_the_traced_name(monkeypatch, tmp_path):
 
 def test_count_hooks_read_what_the_layers_return(tmp_path):
     """The tracer's count hooks read fields of ``verify_segment``'s result,
-    ``solve_cone``'s solution and ``mutate``'s mutants; a session and one
+    ``solve_cone``'s solution and ``mutate``'s mutants; two sessions and one
     attack evaluation under the tracer fill every one of them."""
     table = default_event_table()
     cfg = load_cfg(demos.greeter_cfg())
     db = enumerate_segments(cfg, table)
     measurements = measure(cfg, table, None, BlockTrace(tuple(demos.greeter_trace())))
+    # The signer run's one two-generator residual spans a box of 17
+    # counters, past the bitset budget: its candidate's map cannot cover
+    # it, so ``solve_cone`` decides it, with the simplex.
+    signer = load_cfg(demos.signer_cfg(False))
+    signer_db = enumerate_segments(signer, table)
+    signed = measure(signer, table, None, BlockTrace(tuple(demos.signer_trace(12, 25, False))))
     demos.write_demo("signer", tmp_path, iterations=4)
     originals = (verify.verify_segment, attacks.mutate)
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
         assert verify.verify_trace_measurements(db, measurements).accepted
+        assert verify.verify_trace_measurements(signer_db, signed).accepted
         cli._run_manifest(str(tmp_path / "manifest_basic.json"), 3)
     finally:
         tracer.uninstall()
     assert (verify.verify_segment, attacks.mutate) == originals
-    for name in ("verify.candidates_tried", "verify.solver_calls", "attacks.mutants"):
+    names = ("verify.candidates_tried", "verify.solver_calls", "attacks.mutants", "cone.lp_solves")
+    for name in names:
         assert tracer.counts[name] > 0, name
-    # Every cone test of these runs is decided without the simplex, so the
-    # sum is 0; the key shows that the hook ran on each solution.
-    assert "cone.lp_solves" in tracer.counts
 
 
 def test_measure_checks_once_and_sums_once_per_segment():

@@ -27,7 +27,6 @@ from flowattest.simulate import measure, random_valid_walk
 from flowattest.vectors import vadd
 from flowattest.verify import (
     SessionState,
-    accepts,
     prober,
     report_document,
     verify_segment,
@@ -144,7 +143,8 @@ def test_valid_prefix_then_mutated_segment_rejects_at_index(tiny_table):
     segment = BlockTrace(steps)
     deltas = delta_map(cfg, tiny_table)
     spec = MutationSpec(kind="remove_block", seed=0)
-    mutants = mutate(cfg, deltas, segment, spec, mutation_pool(cfg, deltas, spec.kind))
+    pool = mutation_pool(cfg, deltas, spec.kind)
+    mutants = mutate(cfg, deltas, segment, spec, pool, measurement=valid)
     assert mutants
     mutated = measure_segment(cfg, tiny_table, None, BlockTrace(mutants[0].steps))
     # The chain graph has no C->A edge, so replay the same segment by
@@ -232,8 +232,8 @@ def test_candidates_outside_the_feasible_stacks_reject(tiny_table):
     assert verify_segment(state, into_f).verdict == "accepted"
     assert state.feasible == frozenset({("m.1",)})
     assert [c.start.stack for c in db.entries["m.0", "f.0"]] == [()]
-    assert not accepts(db, into_f, state.feasible)
-    assert accepts(db, into_f, frozenset({()}))
+    assert not prober(db, into_f.start, into_f.end, state.feasible)(into_f.delta)
+    assert prober(db, into_f.start, into_f.end, frozenset({()}))(into_f.delta)
     cache = dict(state.cache)
     result = verify_segment(state, into_f)
     assert (result.verdict, result.reason) == ("rejected", "no-feasible-stack")
@@ -502,7 +502,8 @@ def test_accepts_matches_verify_segment_on_a_warmed_database(data):
     state = SessionState(dbs[p], config)
     state.feasible = feasible
     verdict = verify_segment(state, probe).verdict
-    assert accepts(dbs[p], probe, feasible, config=config) == (verdict == "accepted")
+    accepted = prober(dbs[p], probe.start, probe.end, feasible, config=config)(probe.delta)
+    assert accepted == (verdict == "accepted")
 
 
 @cache
