@@ -44,7 +44,7 @@ from .events import (
     project,
     three_register_config,
 )
-from .expand import ExpandedGraph, ExpandedNode, expand
+from .expand import ExpandedNode, expand
 from .simulate import measure, measure_segment, random_valid_walk
 from .verify import (
     SessionState,
@@ -62,7 +62,6 @@ __all__ = [
     "CounterConfig",
     "Edge",
     "EventTable",
-    "ExpandedGraph",
     "ExpandedNode",
     "Measurement",
     "PathCandidate",

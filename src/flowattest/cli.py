@@ -100,7 +100,7 @@ def _write_json(path: str, doc) -> None:
 
 
 def _load_config(table, spec: str | None):
-    return parse_register_spec(table, spec) if spec else None
+    return None if spec is None else parse_register_spec(table, spec)
 
 
 def cmd_preprocess(args) -> int:
@@ -444,7 +444,7 @@ def main(argv=None) -> int:
         parser.error("protocol --db and --measurements need --scenario")
     if args.command == "protocol" and args.scenario is not None and args.depth is not None:
         parser.error("protocol --depth needs --explore")
-    if args.command == "verify" and args.counters and not args.table:
+    if args.command == "verify" and args.counters is not None and not args.table:
         parser.error("verify --counters needs --table")
     try:
         return args.func(args)

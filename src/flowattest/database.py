@@ -15,9 +15,10 @@ strongly connected components.  Its simple cycles are enumerated with
 Johnson's circuit search over those components, and cycles with a zero
 counter delta are dropped.  The remaining cycles are grouped once by shared
 nodes (union-find); a path's loops are the union of the groups its nodes
-belong to.  Groups are not strongly connected components: a component can
-hold nonzero cycles linked only through a dropped zero-delta cycle, and
-those stay apart.
+belong to, held as one bitmask over the build's distinct loop vectors.
+Groups are not strongly connected components: a component can hold
+nonzero cycles linked only through a dropped zero-delta cycle, and those
+stay apart.
 
 Paths are not walked one at a time.  A simple path crosses each component
 in one contiguous stretch, so every node where a path can enter a component
@@ -53,14 +54,8 @@ from .cfg import (
 )
 from .errors import BudgetError, SchemaError
 from .events import CounterConfig, EventTable, delta_map
-from .expand import (
-    DEFAULT_NODE_BUDGET,
-    CallStack,
-    ExpandedGraph,
-    ExpandedNode,
-    expand,
-)
-from .vectors import Vec, is_zero, vadd, vsum
+from .expand import DEFAULT_NODE_BUDGET, CallStack, ExpandedNode, expand
+from .vectors import Vec, vadd, vsum
 
 # The default keeps a refusal memory-bounded: a cascade of 2**20 distinct
 # path values is refused at a tracemalloc peak of about 1.6 MB (CPython
@@ -116,47 +111,26 @@ class SegmentDatabase:
         )
 
 
-@dataclass(frozen=True)
-class _Cycle:
-    nodes: frozenset[ExpandedNode]
-    delta: Vec
-
-
-def _cycle_universe(
+def _loop_groups(
     succ: dict[ExpandedNode, list[ExpandedNode]],
     components: list[list[ExpandedNode]],
     dimension: int,
     deltas: Mapping[str, Vec],
     cycle_budget: int,
-) -> list[_Cycle]:
-    """All simple cycles of the measurement-point-free subgraph ``succ``,
-    whose strongly connected components are ``components``.
+) -> tuple[dict[ExpandedNode, int], list[Vec]]:
+    """The loop sets of the measurement-point-free subgraph ``succ``, whose
+    strongly connected components are ``components``.
 
     Every simple cycle counts against the budget.  Cycles whose counter
-    delta is zero are then dropped: they cannot change any measurement and
-    would only pad the generator sets.
+    delta is zero are dropped: they cannot change any measurement and
+    would only pad the generator sets.  The others are grouped as they
+    stream out, by shared nodes, transitively (union-find).
+
+    Returns each cycle node's loop set, and ``vectors``, the distinct loop
+    vectors in sorted order.  A loop set is a bitmask with bit ``i`` for
+    ``vectors[i]``, holding the vectors of the node's group.  Bits name
+    vectors, not groups, so equal sets of vectors are equal masks.
     """
-    cycles: list[_Cycle] = []
-    count = 0
-    for nodes in _simple_cycles(succ, components):
-        count += 1
-        if count > cycle_budget:
-            raise BudgetError(
-                f"loop enumeration exceeded the cycle budget (budget {cycle_budget}); "
-                "add measurement points inside loop-heavy regions or raise "
-                "--budget-cycles",
-                budget=cycle_budget,
-                reached=count,
-            )
-        delta = vsum((deltas[n.block] for n in nodes), dimension)
-        if not is_zero(delta):
-            cycles.append(_Cycle(nodes=frozenset(nodes), delta=delta))
-    return cycles
-
-
-def _loop_groups(cycles: list[_Cycle]) -> dict[ExpandedNode, frozenset[Vec]]:
-    """Group cycles that share nodes, transitively (union-find), and map
-    each cycle node to its group's distinct loop vectors."""
     parent: dict[ExpandedNode, ExpandedNode] = {}
 
     def find(node: ExpandedNode) -> ExpandedNode:
@@ -167,20 +141,34 @@ def _loop_groups(cycles: list[_Cycle]) -> dict[ExpandedNode, frozenset[Vec]]:
             parent[node], node = root, parent[node]
         return root
 
-    for cycle in cycles:
-        first, *rest = cycle.nodes
-        for node in rest:
-            parent[find(node)] = find(first)
-    vectors: dict[ExpandedNode, set[Vec]] = {}
-    for cycle in cycles:
-        vectors.setdefault(find(next(iter(cycle.nodes))), set()).add(cycle.delta)
-    frozen = {root: frozenset(group) for root, group in vectors.items()}
-    return {node: frozen[find(node)] for node in parent}
+    cycles: list[tuple[ExpandedNode, Vec]] = []
+    for count, nodes in enumerate(_simple_cycles(succ, components), 1):
+        if count > cycle_budget:
+            raise BudgetError(
+                f"loop enumeration exceeded the cycle budget (budget {cycle_budget}); "
+                "add measurement points inside loop-heavy regions or raise "
+                "--budget-cycles",
+                budget=cycle_budget,
+                reached=count,
+            )
+        delta = vsum((deltas[n.block] for n in nodes), dimension)
+        if any(delta):
+            root = find(nodes[0])
+            for node in nodes[1:]:
+                parent[find(node)] = root
+            cycles.append((nodes[0], delta))
+    vectors = sorted({delta for _, delta in cycles})
+    bit = {v: 1 << i for i, v in enumerate(vectors)}
+    masks: dict[ExpandedNode, int] = {}
+    for node, delta in cycles:
+        root = find(node)
+        masks[root] = masks.get(root, 0) | bit[delta]
+    return {node: masks[find(node)] for node in parent}, vectors
 
 
-# A tail: (terminal point, counter sum up to and including it, loop set id).
+# A tail: (terminal point, counter sum up to and including it, loop set).
 _Tail = tuple[ExpandedNode, Vec, int]
-# A step out of a component: (counter sum and loop set id so far, next node).
+# A step out of a component: (counter sum and loop set so far, next node).
 _Step = tuple[Vec, int, ExpandedNode]
 
 
@@ -198,28 +186,26 @@ class _Tails:
     every step's target already has its set.  The program entry is a
     measurement point, so a measurement point reaches every entry.
 
-    A tail names the loop vectors its path touches by the id of their
-    union, 0 for none, interned so that equal unions share one id: two
-    tails are then distinct exactly when the candidates they close to are.
+    A tail names the loop vectors its path touches by their loop set, the
+    bitmask of :func:`_loop_groups`, 0 for none: a union of loop sets is
+    ``|``, and two tails are distinct exactly when the candidates they
+    close to are.
     """
 
     def __init__(
         self,
-        graph: ExpandedGraph,
+        succ: dict[ExpandedNode, tuple[ExpandedNode, ...]],
         points: frozenset[str],
         components: list[list[ExpandedNode]],
         deltas: Mapping[str, Vec],
-        loop_groups: dict[ExpandedNode, frozenset[Vec]],
+        loops_at: dict[ExpandedNode, int],
         candidate_budget: int,
     ):
-        self.succ = succ = graph.succ
+        self.succ = succ
         self.points = points
         self.deltas = deltas
         self.candidate_budget = candidate_budget
-        self.loop_sets: list[frozenset[Vec]] = [frozenset()]
-        self._ids: dict[frozenset[Vec], int] = {frozenset(): 0}
-        self._unions: dict[tuple[int, int], int] = {}
-        self.loops_at = {node: self._intern(group) for node, group in loop_groups.items()}
+        self.loops_at = loops_at
         # The members of each node's component, for components of two or more.
         self.cyclic: dict[ExpandedNode, frozenset[ExpandedNode]] = {}
         for members in components:
@@ -240,26 +226,12 @@ class _Tails:
                 if not single and entry not in entered:
                     continue
                 base = deltas[entry.block]
-                touched = self.loops_at.get(entry, 0)
+                touched = loops_at.get(entry, 0)
                 if single:
                     out = [(base, touched, nxt) for nxt in succ[entry] if nxt != entry]
                 else:
                     out = self._stretches(entry, base, touched)
                 self.tails[entry] = self.values(out, entry)
-
-    def _intern(self, loops: frozenset[Vec]) -> int:
-        if loops not in self._ids:
-            self._ids[loops] = len(self.loop_sets)
-            self.loop_sets.append(loops)
-        return self._ids[loops]
-
-    def union(self, a: int, b: int) -> int:
-        """The id of the union of loop sets ``a`` and ``b``, both nonzero."""
-        key = (a, b) if a < b else (b, a)
-        found = self._unions.get(key)
-        if found is None:
-            found = self._unions[key] = self._intern(self.loop_sets[a] | self.loop_sets[b])
-        return found
 
     def _stretches(self, start: ExpandedNode, base: Vec, touched: int) -> Iterator[_Step]:
         """The steps out of ``start``'s component of every simple path from
@@ -287,9 +259,7 @@ class _Tails:
                             reached=walked,
                         )
                     on_path.add(nxt)
-                    loops = loops_at.get(nxt, 0)
-                    if loops != touched and loops:
-                        touched = self.union(touched, loops) if touched else loops
+                    touched |= loops_at.get(nxt, 0)
                     frames.append((nxt, iter(succ[nxt]), vadd(base, deltas[nxt.block]), touched))
                     break
             else:
@@ -303,7 +273,7 @@ class _Tails:
         ``origin``'s block; ``steps`` is consumed lazily, so a component
         walk stops there too.
         """
-        points, deltas, tails, union = self.points, self.deltas, self.tails, self.union
+        points, deltas, tails = self.points, self.deltas, self.tails
         budget = self.candidate_budget
         out: set[_Tail] = set()
         add = out.add
@@ -314,9 +284,7 @@ class _Tails:
                     raise _candidate_budget_error(origin, budget, len(out))
                 continue
             for end, tail, loops in tails[nxt]:
-                if loops != touched and loops and touched:
-                    loops = union(touched, loops)
-                add((end, vadd(base, tail), loops or touched))
+                add((end, vadd(base, tail), loops | touched))
                 if len(out) > budget:
                     raise _candidate_budget_error(origin, budget, len(out))
         return out
@@ -356,29 +324,29 @@ def enumerate_segments(
     practical remedy is adding measurement points after it.
     """
     deltas = delta_map(cfg, table)
-    graph = expand(cfg, node_budget)
+    succ = expand(cfg, node_budget)
     points = cfg.points
     inner = {
         node: list(dict.fromkeys(n for n in nexts if n.block not in points))
-        for node, nexts in graph.succ.items()
+        for node, nexts in succ.items()
         if node.block not in points
     }
     components = _strong_components(inner, list(inner))
-    loop_groups = _loop_groups(
-        _cycle_universe(inner, components, cfg.dimension, deltas, cycle_budget)
-    )
-    tails = _Tails(graph, points, components, deltas, loop_groups, candidate_budget)
+    loops_at, vectors = _loop_groups(inner, components, cfg.dimension, deltas, cycle_budget)
+    tails = _Tails(succ, points, components, deltas, loops_at, candidate_budget)
 
     sorted_loops: dict[int, tuple[Vec, ...]] = {}
     found: dict[tuple[str, str], set[tuple]] = {}
     zero = (0,) * cfg.dimension
-    for source, nexts in graph.succ.items():
+    for source, nexts in succ.items():
         if source.block not in points:
             continue
         for end, base, touched in tails.values(((zero, 0, nxt) for nxt in nexts), source):
             loops = sorted_loops.get(touched)
             if loops is None:
-                loops = sorted_loops[touched] = tuple(sorted(tails.loop_sets[touched]))
+                loops = sorted_loops[touched] = tuple(
+                    v for i, v in enumerate(vectors) if touched >> i & 1
+                )
             found.setdefault((source.block, end.block), set()).add((source, end, base, loops))
 
     entries = {

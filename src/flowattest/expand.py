@@ -3,8 +3,10 @@
 Because recursion is banned, every block can be paired with the finite
 string of call sites still awaiting a return.  On the resulting expanded
 graph, "simple path" and "simple cycle" are unambiguous interprocedural
-notions, and return edges only lead back to the caller that is actually on
-the stack.
+notions, and return edges only lead back into the function of the call
+site on top of the stack.  The document does not pair a call site with its
+return block, so a return may reach any return target of that function,
+not only the one after its own call site.
 
 A call stack is a tuple of call-site block ids, bottom to top; the program
 entry runs with the empty stack.  Traversing a call edge pushes the calling
@@ -15,7 +17,6 @@ function), and intra-function edges leave the stack untouched.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cfg import AnnotatedCfg
@@ -29,15 +30,6 @@ DEFAULT_NODE_BUDGET = 200_000
 class ExpandedNode(NamedTuple):
     block: str
     stack: CallStack
-
-
-@dataclass(frozen=True)
-class ExpandedGraph:
-    entry: ExpandedNode
-    succ: dict[ExpandedNode, tuple[ExpandedNode, ...]]
-
-    def __len__(self) -> int:
-        return len(self.succ)
 
 
 def _successors(cfg: AnnotatedCfg, node: ExpandedNode) -> list[ExpandedNode]:
@@ -59,8 +51,12 @@ def _successors(cfg: AnnotatedCfg, node: ExpandedNode) -> list[ExpandedNode]:
     return out
 
 
-def expand(cfg: AnnotatedCfg, node_budget: int = DEFAULT_NODE_BUDGET) -> ExpandedGraph:
-    """Expanded graph of every (block, call stack) pair reachable from entry."""
+def expand(
+    cfg: AnnotatedCfg, node_budget: int = DEFAULT_NODE_BUDGET
+) -> dict[ExpandedNode, tuple[ExpandedNode, ...]]:
+    """The expanded graph of every (block, call stack) pair reachable from
+    the program entry, as each node's successors in edge order.  Nodes are
+    in breadth-first order, so the first key is the entry node."""
     entry = ExpandedNode(cfg.program_entry, ())
     succ: dict[ExpandedNode, tuple[ExpandedNode, ...]] = {}
     queue: deque[ExpandedNode] = deque([entry])
@@ -81,4 +77,4 @@ def expand(cfg: AnnotatedCfg, node_budget: int = DEFAULT_NODE_BUDGET) -> Expande
                         reached=len(seen),
                     )
                 queue.append(nxt)
-    return ExpandedGraph(entry=entry, succ=succ)
+    return succ

@@ -30,11 +30,3 @@ def vsum(vectors: Iterable[Vec], dim: int) -> Vec:
     """Componentwise sum of ``dim``-dimensional vectors, in one C-level pass
     per component; no vectors sum to zero."""
     return tuple(map(sum, zip(*vectors))) or (0,) * dim
-
-
-def is_nonneg(a: Vec) -> bool:
-    return all(x >= 0 for x in a)
-
-
-def is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)

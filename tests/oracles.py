@@ -37,7 +37,7 @@ from flowattest.cone import solve_cone
 from flowattest.database import SegmentDatabase
 from flowattest.errors import SchemaError, UnknownBlockError
 from flowattest.events import CounterConfig, EventTable, delta_map, project
-from flowattest.vectors import Vec, is_nonneg, vadd, vsub, vsum
+from flowattest.vectors import Vec, vadd, vsub, vsum
 from flowattest.verify import VerificationResult, prober
 
 
@@ -134,11 +134,12 @@ def count_call_strings(call_sites, entry_fn):
     return counts
 
 
-def segment_candidates_bruteforce(cfg, table, graph):
+def segment_candidates_bruteforce(cfg, table, succ):
     """Every segment's distinct candidates and simple-path count, one
     simple path at a time.
 
-    ``graph`` is the call-string expansion of ``cfg``.  Paths come from
+    ``succ`` is the call-string expansion of ``cfg``, each node's
+    successors.  Paths come from
     plain recursion from every measurement point to the first measurement
     point reached, and each path is summed from scratch.  Its loops are
     the nonzero simple cycles of the measurement-point-free subgraph that
@@ -165,7 +166,7 @@ def segment_candidates_bruteforce(cfg, table, graph):
 
     inner = {
         node: set(n for n in nexts if not point(n))
-        for node, nexts in graph.succ.items()
+        for node, nexts in succ.items()
         if not point(node)
     }
     cycles = []
@@ -185,7 +186,7 @@ def segment_candidates_bruteforce(cfg, table, graph):
     paths = {}
 
     def walk(path):
-        for nxt in graph.succ[path[-1]]:
+        for nxt in succ[path[-1]]:
             if point(nxt):
                 key = (path[0].block, nxt.block)
                 paths[key] = paths.get(key, 0) + 1
@@ -214,7 +215,7 @@ def segment_candidates_bruteforce(cfg, table, graph):
             elif nxt not in path:
                 walk(path + [nxt])
 
-    for node in graph.succ:
+    for node in succ:
         if point(node):
             walk([node])
     return found, paths
@@ -317,7 +318,7 @@ def reference_verify_segment(session, m):
         base, generators, owner = proj
         tried += 1
         target = vsub(m.delta, base)
-        if not is_nonneg(target):
+        if any(x < 0 for x in target):
             continue
         solution = solve_cone(target, generators)
         solver_calls += 1

@@ -397,6 +397,43 @@ def test_verify_table_of_other_counters_is_a_usage_error(capsys, chain_paths):
     assert run(capsys, *argv, "--table", table_path)[0] == EXIT_OK
 
 
+def test_empty_register_spec_is_a_usage_error(capsys, chain_paths):
+    """``--counters ""`` names an empty register, as ``--counters ","``
+    does; neither means "no register file"."""
+    cfg_path, table_path, tmp = chain_paths
+    db_path, measurements_path = _pipeline(capsys, tmp, cfg_path, table_path, ["A", "B", "C"])
+    out_path = tmp / "empty_spec_ms.json"
+    simulate = [
+        "simulate", "--cfg", cfg_path, "--table", table_path,
+        "--trace", str(tmp / "trace.json"), "--out", str(out_path),
+    ]
+    verify = ["verify", "--db", str(db_path), "--measurements", str(measurements_path)]
+    for argv in (simulate, [*verify, "--table", table_path]):
+        for spec in ("", ","):
+            code, out, err = run(capsys, *argv, "--counters", spec)
+            assert (code, out) == (EXIT_ERROR, "")
+            assert "empty register in counter spec" in err
+    assert not out_path.exists()
+    with pytest.raises(SystemExit) as exc:
+        main([*verify, "--counters", ""])
+    assert exc.value.code == EXIT_ERROR
+    assert capsys.readouterr().out == ""
+
+
+def test_attack_eval_empty_register_spec_is_refused_before_any_database_is_written(
+    capsys, tmp_path
+):
+    run(capsys, "demo", "--name", "signer", "--out", str(tmp_path), "--iterations", "4")
+    manifest_path = tmp_path / "manifest_basic.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(counters="", db="signer_db.json")
+    manifest_path.write_text(json.dumps(manifest))
+    code, out, err = run(capsys, "attack-eval", str(manifest_path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "empty register in counter spec" in err
+    assert not (tmp_path / "signer_db.json").exists()
+
+
 @pytest.mark.parametrize("entry", ["1", True], ids=["string", "boolean"])
 def test_preprocess_ill_typed_attribution_is_a_usage_error(capsys, chain_paths, entry):
     cfg_path, table_path, tmp = chain_paths
@@ -1015,6 +1052,18 @@ GOLDEN_SIMULATE = {
         "8453e5a0cf2b2b8477cd84812ac20388319c1744b0f9c8a8bc5f272ca6b332c2",
 }
 
+# sha256 of "<exit code>\n<stdout>" of ``preprocess --format json`` followed
+# by the database it writes, per demo program.  A change to the
+# preprocessor that moves a candidate, a loop vector or a count moves a
+# digest.
+GOLDEN_PREPROCESS = {
+    "greeter": "ad30b9cda2d0c0e793923ea3f83a25944980c09299347d2717e852a5690817f8",
+    "signer": "fab18d12fa2ed6577cc0dab12308230ea22cab0b75252badcb7e2210d4d97960",
+    "signer_ecalls": "fed838d9e3ad52bcaf8b8d20d927a439c64d57b8c30d83acf7b550ccfc69d735",
+    "dispatch": "038c0f0f10385ee33b3eeb66fcd38affe82350712ec80828415da3d425fe8f52",
+    "pathburst": "4acbefece75d98465c6f93dbff2c55ede87dc4ece9d1df065d5ffa247d222c1e",
+}
+
 
 def _sha(code, out):
     return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
@@ -1077,3 +1126,16 @@ def test_simulate_output_is_golden(capsys, tmp_path):
             code, out, _ = run(capsys, *argv, "--counters", THREE_REGISTERS, "--offset", "3,0,1")
             digests[stem, "three+offset"] = _sha(code, out)
     assert digests == GOLDEN_SIMULATE
+
+
+def test_preprocess_output_is_golden(capsys, tmp_path):
+    run(capsys, "demo", "--name", "pathburst", "--out", str(tmp_path))
+    digests = {}
+    for stem in (*_golden_demos(capsys, tmp_path), "pathburst"):
+        db = tmp_path / f"{stem}_db.json"
+        code, out, _ = run(
+            capsys, "preprocess", "--cfg", str(tmp_path / f"{stem}.json"),
+            "--table", str(tmp_path / "table.json"), "--out", str(db), "--format", "json",
+        )
+        digests[stem] = _sha(code, out + db.read_text())
+    assert digests == GOLDEN_PREPROCESS

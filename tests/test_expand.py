@@ -10,11 +10,11 @@ from .oracles import count_call_strings
 
 def test_single_function_expansion_is_isomorphic():
     cfg = load_cfg(two_loop_chain_doc())
-    graph = expand(cfg)
-    assert len(graph) == len(cfg.blocks)
-    assert all(node.stack == () for node in graph.succ)
+    succ = expand(cfg)
+    assert len(succ) == len(cfg.blocks)
+    assert all(node.stack == () for node in succ)
     # Edge structure carries over one-to-one.
-    assert sorted((n.block, m.block) for n, succs in graph.succ.items() for m in succs) == sorted(
+    assert sorted((n.block, m.block) for n, succs in succ.items() for m in succs) == sorted(
         (e.src, e.dst) for e in cfg.edges
     )
 
@@ -54,12 +54,12 @@ def _two_site_doc():
 
 def test_two_call_sites_duplicate_the_callee():
     cfg = load_cfg(_two_site_doc())
-    graph = expand(cfg)
-    f_nodes = [n for n in graph.succ if n.block == "f.0"]
+    succ = expand(cfg)
+    f_nodes = [n for n in succ if n.block == "f.0"]
     assert sorted(n.stack for n in f_nodes) == [("m.1",), ("m.3",)]
     # Return edges from both stacks reach both return blocks of main: the
     # stack constrains the function, the document enumerates the sites.
-    exits = {n: graph.succ[n] for n in graph.succ if n.block == "f.1"}
+    exits = {n: succ[n] for n in succ if n.block == "f.1"}
     for node, succs in exits.items():
         assert all(s.stack == () for s in succs)
         assert {s.block for s in succs} == {"m.2", "m.4"}
@@ -104,7 +104,7 @@ def _fanout_chain_doc():
 
 def test_expansion_count_equals_call_string_count():
     cfg = load_cfg(_fanout_chain_doc())
-    graph = expand(cfg)
+    succ = expand(cfg)
     call_sites = {
         "f0": [("f0.s0", "f1"), ("f0.s1", "f1")],
         "f1": [("f1.s0", "f2"), ("f1.s1", "f2")],
@@ -114,7 +114,7 @@ def test_expansion_count_equals_call_string_count():
     assert strings == {"f0": 1, "f1": 2, "f2": 4}
     blocks_per_fn = {name: len(info.blocks) for name, info in cfg.functions.items()}
     expected = sum(strings[fn] * blocks_per_fn[fn] for fn in strings)
-    assert len(graph) == expected
+    assert len(succ) == expected
 
 
 def test_node_budget_reports_budget_and_reached():
@@ -127,5 +127,4 @@ def test_node_budget_reports_budget_and_reached():
 
 def test_entry_node_has_empty_stack():
     cfg = load_cfg(_two_site_doc())
-    graph = expand(cfg)
-    assert graph.entry == ExpandedNode("m.0", ())
+    assert next(iter(expand(cfg))) == ExpandedNode("m.0", ())

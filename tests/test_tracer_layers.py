@@ -13,7 +13,7 @@ from flowattest.cfg import BlockTrace, load_cfg
 from flowattest.database import enumerate_segments
 from flowattest.events import default_event_table, delta_map
 from flowattest.simulate import measure
-from flowattest.vectors import is_nonneg, vsub
+from flowattest.vectors import vsub
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -130,7 +130,7 @@ def test_only_candidates_of_two_or_more_generators_reach_the_cone_solver(in_loop
         for cand in db.entries[(m.start, m.end)]:
             if feasible is None or cand.start.stack in feasible:
                 cone = len({v for v in cand.loops if any(v)}) >= 2
-                expected += cone and is_nonneg(vsub(m.delta, cand.base))
+                expected += cone and all(x >= 0 for x in vsub(m.delta, cand.base))
     spans = Counter(tracer.names[n] for n in tracer.name)
     assert spans["cone.solve_cone"] == expected == (0 if in_loop else 1)
     assert tracer.counts["verify.solver_calls"] == solver_calls
