@@ -151,7 +151,7 @@ def _load_session(args):
 
 def cmd_verify(args) -> int:
     db, measurements = _load_session(args)
-    table = load_event_table(_read_json(args.table)) if args.table else None
+    table = load_event_table(_read_json(args.table)) if args.table is not None else None
     if table is not None and table.counter_names != db.counters:
         raise SchemaError(
             "event table and database disagree on the counter list: "
@@ -444,7 +444,7 @@ def main(argv=None) -> int:
         parser.error("protocol --db and --measurements need --scenario")
     if args.command == "protocol" and args.scenario is not None and args.depth is not None:
         parser.error("protocol --depth needs --explore")
-    if args.command == "verify" and args.counters is not None and not args.table:
+    if args.command == "verify" and args.counters is not None and args.table is None:
         parser.error("verify --counters needs --table")
     try:
         return args.func(args)

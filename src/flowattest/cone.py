@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import le, mul
 
 from .lattice import lattice_basis
 from .vectors import Vec
@@ -246,6 +247,14 @@ class Reach:
     no generator has no stage, so it reports even the origin unreached: a
     zero target is decided before either is asked.
 
+    The read-back jumps between stages.  From a state first reached at
+    stage ``s > 0`` it steps back by stage ``s``'s generator until the
+    state read is below ``s``: the number of steps is that generator's
+    count, and the last read is the next stage to visit, so stages that
+    add no copy are never read.  A state first reached at stage 0 is a
+    multiple of stage 0's generator.  A witness thus costs
+    ``1 + sum(counts of stages 1..)`` stage reads, an unreached target one.
+
     For a nonzero, nonnegative target the map covers, :meth:`witness` is
     :func:`solve_cone`'s witness, found with no simplex: such a target
     passes the bitset plan at the solver's root node too, where the
@@ -265,7 +274,7 @@ class Reach:
         """Whether ``target`` lies in the box, after growing it if the
         merged box passes the bitset plan."""
         box = self.box
-        if box is not None and all(t <= b for t, b in zip(target, box)):
+        if box is not None and all(map(le, target, box)):
             return True
         merged = list(target) if box is None else list(map(max, box, target))
         generators = self._generators
@@ -316,28 +325,31 @@ class Reach:
         """Whether some combination reaches ``target``, a point of the box:
         one stage read.  The origin counts as reached only when some stage
         exists, so a box that admits no generator reaches nothing."""
-        return self._stage(sum(t * s for t, s in zip(target, self._strides))) != len(self._used)
+        return self._stage(sum(map(mul, target, self._strides))) != len(self._used)
 
     def witness(self, target: Vec) -> tuple[int, ...] | None:
         """The reverse-lexicographic minimum witness of a nonzero target
         inside the box, or None when no combination reaches it."""
         used = self._used
-        stages = len(used)
-        index = sum(t * s for t, s in zip(target, self._strides))
+        index = sum(map(mul, target, self._strides))
         stage_of = self._stage
-        if stage_of(index) == stages:
+        stage = stage_of(index)
+        if stage == len(used):
             return None
         witness = [0] * len(self._generators)
         shifts = self._shifts
-        for stage in range(stages - 1, 0, -1):
+        while stage:
             # Copies of this stage's generator until the state was reached
-            # by an earlier stage.
+            # by an earlier stage, which is the next stage to visit.
             shift = shifts[stage]
             count = 0
-            while stage_of(index) >= stage:
+            read = stage
+            while read >= stage:
                 count += 1
                 index -= shift
+                read = stage_of(index)
             witness[used[stage]] = count
+            stage = read
         # What is left was first reached by the first stage: copies of its
         # generator alone.
         witness[used[0]] = index // shifts[0]

@@ -12,6 +12,9 @@ was a full measurement record and each mutated segment was validated
 again (:func:`reference_evaluate`, with its ``mutate`` and
 ``combine_rates``), over the package's segment classes, edit sites and
 probers, kept to pin every report field of the delta-carrying mutants.
+The reference read-back (:func:`reference_reach_witness`) is the earlier
+per-stage reading of a :class:`~flowattest.cone.Reach` map's planes, kept
+to pin the stage-jumping read-back's witnesses.
 """
 
 import random
@@ -88,6 +91,33 @@ def cone_member_bruteforce(target, generators):
     if found is None:
         return None
     return tuple(found.get(i, 0) for i in range(len(gens)))
+
+
+def reference_reach_witness(reach, target):
+    """``Reach.witness`` as it read the planes before it jumped between
+    stages: every stage from the last down to 1 is read at least once,
+    whether or not it adds a copy."""
+    used = reach._used
+    stages = len(used)
+    index = sum(t * s for t, s in zip(target, reach._strides))
+    stage_of = reach._stage
+    if stage_of(index) == stages:
+        return None
+    witness = [0] * len(reach._generators)
+    shifts = reach._shifts
+    for stage in range(stages - 1, 0, -1):
+        # Copies of this stage's generator until the state was reached
+        # by an earlier stage.
+        shift = shifts[stage]
+        count = 0
+        while stage_of(index) >= stage:
+            count += 1
+            index -= shift
+        witness[used[stage]] = count
+    # What is left was first reached by the first stage: copies of its
+    # generator alone.
+    witness[used[0]] = index // shifts[0]
+    return tuple(witness)
 
 
 def simple_cycles_bruteforce(succ):

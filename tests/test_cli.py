@@ -397,6 +397,20 @@ def test_verify_table_of_other_counters_is_a_usage_error(capsys, chain_paths):
     assert run(capsys, *argv, "--table", table_path)[0] == EXIT_OK
 
 
+@pytest.mark.parametrize("counters", [False, True], ids=["no-counters", "counters"])
+def test_verify_empty_table_path_is_a_usage_error(capsys, chain_paths, counters):
+    # An empty path names no file, as a missing one does: it is not read as
+    # "no table", which would skip the counter-list check.
+    cfg_path, table_path, tmp = chain_paths
+    db_path, measurements_path = _pipeline(capsys, tmp, cfg_path, table_path, ["A", "B", "C"])
+    argv = ["verify", "--db", str(db_path), "--measurements", str(measurements_path)]
+    if counters:
+        argv += ["--counters", ",".join(TINY_COUNTERS)]
+    code, out, _ = run(capsys, *argv, "--table", "")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert run(capsys, *argv, "--table", table_path)[0] == EXIT_OK
+
+
 def test_empty_register_spec_is_a_usage_error(capsys, chain_paths):
     """``--counters ""`` names an empty register, as ``--counters ","``
     does; neither means "no register file"."""

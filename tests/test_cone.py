@@ -1,13 +1,14 @@
 import random
+from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowattest import cone
 from flowattest.cone import solve_cone
 from flowattest.lattice import lattice_basis
 
-from .oracles import cone_member_bruteforce
+from .oracles import cone_member_bruteforce, reference_reach_witness
 
 
 def _evaluates_to(witness, generators, target):
@@ -355,6 +356,113 @@ def test_reach_map_answers_as_the_solver_does(monkeypatch):
                 elif all(t >= 0 for t in target) and any(target):
                     seen["inside"] += 1
     assert min(seen.values()) > 20, seen
+
+
+# Sixteen nonzero generators that all fit the boxes the tests below give
+# them: maps of sixteen stages, read through five bit-planes.  Directions
+# repeat (scaled copies) and many components are zero.
+_SIXTEEN_1D = tuple((v,) for v in range(1, 17))
+_SIXTEEN_2D = tuple(
+    (a, b) for a, b in product(range(4), repeat=2) if a or b
+) + ((2, 0),)
+_SIXTEEN_3D = tuple(
+    tuple(k * v for v in d)
+    for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 0, 1))
+    for k in (1, 2)
+)
+
+
+def _box_points(box):
+    return product(*(range(b + 1) for b in box))
+
+
+def _assert_read_back_as_before(reach):
+    for point in _box_points(reach.box):
+        witness = reach.witness(point)
+        assert witness == reference_reach_witness(reach, point), (reach.box, point)
+        assert reach.reaches(point) == (witness is not None), (reach.box, point)
+
+
+@st.composite
+def _readback_cases(draw):
+    """A tuple of 2-16 generators, drawn as scaled copies of a few
+    directions so that directions repeat and components are often zero, a
+    first target and a second one that grows the box along one side."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    side = (30, 9, 5)[dim - 1]
+    component = st.integers(min_value=0, max_value=3)
+    directions = draw(st.lists(st.tuples(*[component] * dim), min_size=1, max_size=16))
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(directions), st.integers(min_value=1, max_value=2)),
+            min_size=2,
+            max_size=16,
+        )
+    )
+    gens = tuple(tuple(k * v for v in d) for d, k in picks)
+    first = draw(st.tuples(*[st.integers(min_value=0, max_value=side)] * dim))
+    longer = draw(st.integers(min_value=0, max_value=dim - 1))
+    extra = draw(st.integers(min_value=1, max_value=side))
+    second = tuple(t + extra if d == longer else t for d, t in enumerate(first))
+    return gens, first, second
+
+
+@settings(max_examples=120, deadline=None)
+@given(_readback_cases())
+@example((_SIXTEEN_1D, (20,), (41,)))
+@example((_SIXTEEN_2D, (4, 5), (9, 5)))
+@example((_SIXTEEN_3D, (4, 2, 4), (4, 5, 4)))
+# A first box that admits no generator: a map of no stage and no plane.
+@example((((1, 0), (0, 1)), (0, 0), (3, 0)))
+def test_stage_jumping_read_back_matches_the_per_stage_one(case):
+    # For every point of the box, after the first sweep and again after the
+    # box grew: the same witness as the per-stage read-back, and the verdict
+    # of one stage read agrees with it.
+    gens, first, second = case
+    reach = cone.Reach(gens)
+    for target in (first, second):
+        assert reach.covers(target)
+        _assert_read_back_as_before(reach)
+    assert reach.box == tuple(map(max, first, second))
+
+
+def test_witness_makes_one_stage_read_per_copy_of_a_later_stage(monkeypatch):
+    # A reached point costs its first read plus one read per copy of a
+    # generator past the first stage; an unreached point costs one read.
+    # A read-back that reads every stage makes one more read per stage past
+    # the first, so it fails on every map here of two or more stages.
+    reads = []
+    stage = cone.Reach._stage
+
+    def counted(self, index):
+        reads.append(index)
+        return stage(self, index)
+
+    monkeypatch.setattr(cone.Reach, "_stage", counted)
+    maps = [
+        (_SIXTEEN_1D, (41,)),
+        (_SIXTEEN_2D, (9, 5)),
+        (_SIXTEEN_3D, (4, 4, 4)),
+        (tuple((p,) for p in (2, 3, 5, 7, 11, 13, 17, 19)), (40,)),
+        (((0, 2), (3, 1), (0, 0), (3, 1), (1, 1)), (9, 7)),
+        (((5,), (3,)), (22,)),
+        (((1, 1),), (6, 6)),
+    ]
+    planes = set()
+    for gens, box in maps:
+        reach = cone.Reach(gens)
+        assert reach.covers(box)
+        planes.add(len(reach._planes))
+        used = reach._used
+        for point in _box_points(reach.box):
+            reads.clear()
+            witness = reach.witness(point)
+            if witness is None:
+                assert len(reads) == 1, (gens, point)
+                continue
+            copies = sum(witness[i] for i in used[1:])
+            assert len(reads) == 1 + copies, (gens, point, witness)
+    assert planes == {1, 2, 3, 4, 5}, planes
 
 
 def test_single_generator_multiple_is_accepted_with_its_count():
